@@ -121,7 +121,10 @@ func BenchmarkFigure10SpMV(b *testing.B) {
 func BenchmarkFigure11LineSize(b *testing.B) {
 	var mean4k float64
 	for i := 0; i < b.N; i++ {
-		results := exp.RunFigure11(12)
+		results, err := exp.RunFigure11Pool(context.Background(), exp.Pool{Parallel: 1}, 12)
+		if err != nil {
+			b.Fatal(err)
+		}
 		sum := 0.0
 		for _, r := range results {
 			sum += r.Overheads[4096]

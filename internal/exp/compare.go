@@ -249,9 +249,10 @@ func compareForkLeg(ctx context.Context, pool Pool, spec workload.Spec, fp ForkP
 // representation needs the Overlay Memory Store, so only the overlay
 // backend measures it.
 func compareSpMVLeg(ctx context.Context, pool Pool, backend string, limit int) (CompareSpMVLeg, error) {
-	ms := suiteSubset(limit)
-	leg := CompareSpMVLeg{Matrices: len(ms)}
-	for _, m := range ms {
+	specs := suiteSubset(limit)
+	leg := CompareSpMVLeg{Matrices: len(specs)}
+	for _, spec := range specs {
+		m := spec.Build()
 		cfg := spmvConfig(m.DenseBytes())
 		cfg.Backend = backend
 		newFramework := func() (*core.Framework, func(*core.Framework), error) {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"testing"
 
@@ -117,7 +118,7 @@ func TestSpMVCrossesOverWithL(t *testing.T) {
 }
 
 func TestFigure10Sampling(t *testing.T) {
-	results, err := RunFigure10(3, false)
+	results, err := RunFigure10Pool(context.Background(), Pool{Parallel: 1}, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,10 @@ func TestFigure10Sampling(t *testing.T) {
 }
 
 func TestFigure11Shapes(t *testing.T) {
-	results := RunFigure11(10)
+	results, err := RunFigure11Pool(context.Background(), Pool{Parallel: 1}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 10 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -171,6 +175,36 @@ func TestFigure11Shapes(t *testing.T) {
 	PrintFigure11(&sb, results)
 	if !strings.Contains(sb.String(), "granularity") {
 		t.Fatal("print output malformed")
+	}
+}
+
+// TestSuiteSubsetMatchesSortedSuite checks that picking specs without
+// building them names the same matrices, in the same order, as the
+// reference selection: build the whole suite, stable-sort it by
+// measured L, then subsample.
+func TestSuiteSubsetMatchesSortedSuite(t *testing.T) {
+	var all []*sparse.Matrix
+	for _, s := range sparse.SuiteSpecs() {
+		all = append(all, s.Build())
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].L() < all[j].L() })
+	for _, k := range []int{0, 1, 2, 6, 12, 86, 87, 200} {
+		want := all
+		if k > 0 && k < len(all) {
+			want = nil
+			for i := 0; i < k; i++ {
+				want = append(want, all[i*len(all)/k])
+			}
+		}
+		got := suiteSubset(k)
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: %d specs, want %d", k, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Name != want[i].Name {
+				t.Fatalf("k=%d: entry %d is %s, want %s", k, i, got[i].Name, want[i].Name)
+			}
+		}
 	}
 }
 

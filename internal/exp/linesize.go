@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/harness"
 	"repro/internal/sparse"
@@ -25,22 +24,16 @@ type LineSizeResult struct {
 	CSR       float64
 }
 
-// RunFigure11 computes the line-size sensitivity for the suite (limit ≤ 0
-// runs all 87 matrices). Purely analytic — no simulation needed, exactly
-// as in the paper. It is RunFigure11Pool at Parallel 1.
-func RunFigure11(limit int) []LineSizeResult {
-	results, _ := RunFigure11Pool(context.Background(), Pool{Parallel: 1}, limit)
-	return results
-}
-
-// RunFigure11Pool computes the per-matrix overheads with one job per
-// matrix fanned across the pool, then applies the same stable sort by
-// L as the sequential path (jobs are collected by index, so the
-// pre-sort order — and therefore the sorted output — is identical at
-// any worker count). The only possible error is pool cancellation.
+// RunFigure11Pool computes the line-size sensitivity for the suite
+// (limit ≤ 0 runs all 87 matrices) with one job per matrix fanned
+// across the pool; each job builds its own matrix. Purely analytic — no
+// simulation needed, exactly as in the paper. Jobs are collected by
+// index, so the output keeps the suite's ascending-L order at any
+// worker count. The only possible error is pool cancellation.
 func RunFigure11Pool(ctx context.Context, pool Pool, limit int) ([]LineSizeResult, error) {
-	results, err := harness.Map(ctx, pool.opts("linesize"), suiteSubset(limit),
-		func(_ context.Context, m *sparse.Matrix, _ int) (LineSizeResult, error) {
+	return harness.Map(ctx, pool.opts("linesize"), suiteSubset(limit),
+		func(_ context.Context, spec sparse.SuiteSpec, _ int) (LineSizeResult, error) {
+			m := spec.Build()
 			r := LineSizeResult{Matrix: m.Name, L: m.L(), Overheads: make(map[int]float64, len(LineSizes))}
 			ideal := float64(m.IdealBytes())
 			for _, sz := range LineSizes {
@@ -50,11 +43,6 @@ func RunFigure11Pool(ctx context.Context, pool Pool, limit int) ([]LineSizeResul
 			r.CSR = float64(csr.MemoryBytes()) / ideal
 			return r, nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(results, func(i, j int) bool { return results[i].L < results[j].L })
-	return results, nil
 }
 
 // PrintFigure11 renders the sweep with the paper's aggregate: the mean

@@ -56,16 +56,19 @@ func (p Pool) opts(label string) harness.Options {
 	}
 }
 
-// suiteSubset returns the matrix suite, evenly subsampled to limit
-// entries (limit <= 0 keeps all 87) so the L range stays covered.
-func suiteSubset(limit int) []*sparse.Matrix {
-	ms := sparse.BuildSuite()
-	if limit > 0 && limit < len(ms) {
-		sub := make([]*sparse.Matrix, 0, limit)
+// suiteSubset returns the suite's specs, evenly subsampled to limit
+// entries (limit <= 0 keeps all 87) so the L range stays covered. The
+// suite is already in ascending measured L, the x-axis order of
+// Figures 10 and 11, so no matrix is built here: each job builds the
+// one it measures.
+func suiteSubset(limit int) []sparse.SuiteSpec {
+	specs := sparse.SuiteSpecs()
+	if limit > 0 && limit < len(specs) {
+		sub := make([]sparse.SuiteSpec, 0, limit)
 		for i := 0; i < limit; i++ {
-			sub = append(sub, ms[i*len(ms)/limit])
+			sub = append(sub, specs[i*len(specs)/limit])
 		}
-		ms = sub
+		specs = sub
 	}
-	return ms
+	return specs
 }

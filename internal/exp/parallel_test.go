@@ -64,7 +64,7 @@ func TestForkSuiteParallelBitIdentical(t *testing.T) {
 // analytic line-size sweep keep their ordering and values under the
 // pool.
 func TestFigure10and11PoolMatchSequential(t *testing.T) {
-	seq10, err := RunFigure10(3, false)
+	seq10, err := RunFigure10Pool(context.Background(), Pool{Parallel: 1}, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,10 @@ func TestFigure10and11PoolMatchSequential(t *testing.T) {
 		t.Errorf("Figure 10 diverges across worker counts")
 	}
 
-	seq11 := RunFigure11(8)
+	seq11, err := RunFigure11Pool(context.Background(), Pool{Parallel: 1}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	par11, err := RunFigure11Pool(context.Background(), Pool{Parallel: 8}, 8)
 	if err != nil {
 		t.Fatal(err)

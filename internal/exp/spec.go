@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/sparse"
 	"repro/internal/workload"
 )
 
@@ -62,8 +63,8 @@ type JobSpec struct {
 	Warm    uint64 `json:"warm,omitempty"`
 	Measure uint64 `json:"measure,omitempty"`
 
-	// Matrices limits the spmv/linesize suite (0 = all 87) or sizes the
-	// compare experiment's SpMV subset (0 = 4).
+	// Matrices limits the spmv/linesize suite (0 or any value >= 87 =
+	// all 87) or sizes the compare experiment's SpMV subset (0 = 4).
 	Matrices int `json:"matrices,omitempty"`
 
 	// Dense also runs the spmv dense baseline.
@@ -156,7 +157,8 @@ func specDefaults(experiment string) JobSpec {
 }
 
 // Normalized fills zero fields with the CLI defaults for the spec's
-// experiment. It does not validate.
+// experiment and folds a whole-suite spmv/linesize matrix count to 0.
+// It does not validate.
 func (s JobSpec) Normalized() JobSpec {
 	d := specDefaults(s.Experiment)
 	if s.Bench == "" {
@@ -173,6 +175,12 @@ func (s JobSpec) Normalized() JobSpec {
 	}
 	if s.Matrices == 0 {
 		s.Matrices = d.Matrices
+	}
+	// Any count from the suite size up runs the whole suite, as 0 does,
+	// so it takes the same canonical form and cache key. Not for
+	// compare, whose 0 means its default subset.
+	if (s.Experiment == "spmv" || s.Experiment == "linesize") && s.Matrices >= sparse.SuiteSize {
+		s.Matrices = 0
 	}
 	if s.Points == 0 {
 		s.Points = d.Points

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/sparse"
 )
 
 // TestSpecRoundTrip feeds specs through CLIArgs → SpecFromArgs and
@@ -15,6 +17,11 @@ func TestSpecRoundTrip(t *testing.T) {
 		{Experiment: "fork"},
 		{Experiment: "spmv", Matrices: 6, Dense: true, Parallel: 4},
 		{Experiment: "linesize", Matrices: 10},
+		{Experiment: "spmv", Matrices: 87},
+		{Experiment: "spmv", Matrices: 200, Dense: true},
+		{Experiment: "linesize", Matrices: 87},
+		{Experiment: "linesize", Matrices: 200},
+		{Experiment: "compare", Matrices: 87},
 		{Experiment: "sweep", Points: 8, Rows: 128},
 		{Experiment: "sweep"},
 		{Experiment: "dualcore", Parallel: 2},
@@ -32,6 +39,24 @@ func TestSpecRoundTrip(t *testing.T) {
 		if back != s.Normalized() {
 			t.Errorf("round trip drifted:\n spec %+v\n args %v\n back %+v", s.Normalized(), args, back)
 		}
+	}
+
+	// Every whole-suite count runs the same 87-matrix job, so spmv and
+	// linesize give them one key; compare's 0 means its default subset
+	// and must stay distinct from 87.
+	for _, e := range []string{"spmv", "linesize"} {
+		all := JobSpec{Experiment: e}.Key()
+		for _, k := range []int{sparse.SuiteSize, 200} {
+			if got := (JobSpec{Experiment: e, Matrices: k}).Key(); got != all {
+				t.Errorf("%s matrices=%d: key %.8s, want the whole-suite key %.8s", e, k, got, all)
+			}
+		}
+		if (JobSpec{Experiment: e, Matrices: 86}).Key() == all {
+			t.Errorf("%s matrices=86 shares the whole-suite key", e)
+		}
+	}
+	if (JobSpec{Experiment: "compare"}).Key() == (JobSpec{Experiment: "compare", Matrices: 87}).Key() {
+		t.Error("compare matrices=87 shares the key of its default subset")
 	}
 }
 

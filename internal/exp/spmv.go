@@ -233,16 +233,10 @@ func vectorsEqual(a, b []float64) bool {
 	return true
 }
 
-// RunFigure10 sweeps the matrix suite (limit ≤ 0 runs all 87), sorted by
-// ascending L as in the paper's x-axis. It is RunFigure10Pool at
-// Parallel 1.
-func RunFigure10(limit int, withDense bool) ([]SpMVResult, error) {
-	return RunFigure10Pool(context.Background(), Pool{Parallel: 1}, limit, withDense)
-}
-
-// RunFigure10Pool sweeps the matrix suite with one job per matrix
-// fanned across the pool; the result order (ascending L) is fixed by
-// the suite, not by completion order.
+// RunFigure10Pool sweeps the matrix suite (limit ≤ 0 runs all 87) with
+// one job per matrix fanned across the pool; each job builds its own
+// matrix. The result order (ascending L, as in the paper's x-axis) is
+// fixed by the suite, not by completion order.
 //
 // By default every simulation forks its framework from a pristine
 // capture shared by all matrices of the same footprint (the whole suite
@@ -250,19 +244,20 @@ func RunFigure10(limit int, withDense bool) ([]SpMVResult, error) {
 // lazily by the first job to need it. Cycle counts are bit-identical to
 // the cold path; pool.Cold builds every framework from scratch instead.
 func RunFigure10Pool(ctx context.Context, pool Pool, limit int, withDense bool) ([]SpMVResult, error) {
-	ms := suiteSubset(limit)
+	specs := suiteSubset(limit)
 	if pool.Cold {
-		return harness.Map(ctx, pool.opts("spmv"), ms,
-			func(_ context.Context, m *sparse.Matrix, _ int) (SpMVResult, error) {
-				return RunSpMV(m, withDense)
+		return harness.Map(ctx, pool.opts("spmv"), specs,
+			func(_ context.Context, spec sparse.SuiteSpec, _ int) (SpMVResult, error) {
+				return RunSpMV(spec.Build(), withDense)
 			})
 	}
 	snaps := pool.Snapshots
 	if snaps == nil {
 		snaps = NewSnapshotCache(8) // run-local: one entry per distinct footprint
 	}
-	return harness.Map(ctx, pool.opts("spmv"), ms,
-		func(jobCtx context.Context, m *sparse.Matrix, _ int) (SpMVResult, error) {
+	return harness.Map(ctx, pool.opts("spmv"), specs,
+		func(jobCtx context.Context, spec sparse.SuiteSpec, _ int) (SpMVResult, error) {
+			m := spec.Build()
 			cfg := spmvConfig(m.DenseBytes())
 			key := fmt.Sprintf("spmv/pages=%d", cfg.MemoryPages)
 			v, err := snaps.getOrBuild(key, func() (any, error) {

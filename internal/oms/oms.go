@@ -31,6 +31,7 @@
 package oms
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/arch"
@@ -764,30 +765,32 @@ func (s *Store) metaPPN(base arch.PhysAddr) (arch.PPN, uint64) {
 	return arch.PPN(base.Page()), uint64(base) & arch.PageMask
 }
 
-func (s *Store) readMetaBits(base arch.PhysAddr, bitOff, width uint) uint32 {
-	ppn, off := s.metaPPN(base)
-	var v uint32
-	for i := uint(0); i < width; i++ {
-		bit := bitOff + i
-		b := s.memory.Read(ppn, off+uint64(bit/8))
-		v |= uint32(b>>(bit%8)&1) << i
-	}
-	return v
+// metaWord loads the (at most five) bytes holding metadata bits
+// [bitOff, bitOff+width) of the segment at base as one little-endian
+// word, with the page, byte offset and length of that span.
+func (s *Store) metaWord(base arch.PhysAddr, bitOff, width uint) (ppn arch.PPN, off uint64, n int, w uint64) {
+	ppn, off = s.metaPPN(base)
+	off += uint64(bitOff / 8)
+	n = int(bitOff%8+width+7) / 8
+	var buf [8]byte
+	s.memory.ReadSpan(ppn, off, buf[:n])
+	return ppn, off, n, binary.LittleEndian.Uint64(buf[:])
 }
 
+func (s *Store) readMetaBits(base arch.PhysAddr, bitOff, width uint) uint32 {
+	_, _, _, w := s.metaWord(base, bitOff, width)
+	return uint32(w >> (bitOff % 8) & (1<<width - 1))
+}
+
+// writeMetaBits stores the span back even when the field is unchanged:
+// the first metadata write to a frame shared with a snapshot always
+// copies it, so copy-on-write accounting never depends on the values.
 func (s *Store) writeMetaBits(base arch.PhysAddr, bitOff, width uint, v uint32) {
-	ppn, off := s.metaPPN(base)
-	for i := uint(0); i < width; i++ {
-		bit := bitOff + i
-		byteOff := off + uint64(bit/8)
-		b := s.memory.Read(ppn, byteOff)
-		if v>>i&1 != 0 {
-			b |= 1 << (bit % 8)
-		} else {
-			b &^= 1 << (bit % 8)
-		}
-		s.memory.Write(ppn, byteOff, b)
-	}
+	ppn, off, n, w := s.metaWord(base, bitOff, width)
+	mask := uint64(1<<width-1) << (bitOff % 8)
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], w&^mask|uint64(v)<<(bitOff%8)&mask)
+	s.memory.WriteSpan(ppn, off, buf[:n])
 }
 
 func (s *Store) slotPointer(base arch.PhysAddr, line int) int {

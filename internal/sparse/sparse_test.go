@@ -225,6 +225,21 @@ func TestRandomHitsTargetL(t *testing.T) {
 	}
 }
 
+// TestSuiteSpecsAscendingL pins the suite order the experiments rely
+// on: measured L never decreases in spec order, so a subset picked from
+// SuiteSpecs is already in the x-axis order of Figures 10 and 11
+// without building the rest of the suite.
+func TestSuiteSpecsAscendingL(t *testing.T) {
+	prev := 0.0
+	for i, s := range SuiteSpecs() {
+		l := s.Build().L()
+		if l < prev {
+			t.Fatalf("spec %d (%s): L %v below its predecessor's %v", i, s.Name, l, prev)
+		}
+		prev = l
+	}
+}
+
 func TestSuiteLSpreadAndOrder(t *testing.T) {
 	ms := BuildSuite()
 	if len(ms) != SuiteSize {

@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // SuiteSpec names one synthetic stand-in for a UF-collection matrix.
 type SuiteSpec struct {
@@ -56,14 +53,13 @@ func (s SuiteSpec) Build() *Matrix {
 	return Random(s.Name, s.Rows, s.Cols, s.TargetNNZ, s.TargetL, s.Seed)
 }
 
-// BuildSuite materialises all matrices, sorted by ascending measured L —
-// the x-axis order of Figures 10 and 11.
+// BuildSuite materialises all matrices in suite order, which is already
+// ascending measured L — the x-axis order of Figures 10 and 11.
 func BuildSuite() []*Matrix {
 	specs := SuiteSpecs()
 	ms := make([]*Matrix, len(specs))
 	for i, s := range specs {
 		ms[i] = s.Build()
 	}
-	sort.SliceStable(ms, func(i, j int) bool { return ms[i].L() < ms[j].L() })
 	return ms
 }
