@@ -140,7 +140,7 @@ func BenchmarkFigure11LineSize(b *testing.B) {
 func BenchmarkSparsitySweepVsDense(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		results, err := exp.RunSparsitySweep(4, 128)
+		results, err := exp.RunSparsitySweepPool(context.Background(), exp.Pool{Parallel: 1}, 4, 128)
 		if err != nil {
 			b.Fatal(err)
 		}

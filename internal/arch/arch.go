@@ -1,7 +1,9 @@
 // Package arch defines the address-space geometry shared by every other
 // package in the simulator: page and cache-line sizes, virtual, physical
-// and overlay address composition, and the OBitVector that records which
-// cache lines of a virtual page live in its overlay.
+// and overlay address composition, the OBitVector that records which
+// cache lines of a virtual page live in its overlay, and LineMap, the
+// hash map keyed by line number that per-access tables use instead of a
+// Go map.
 //
 // The layout follows Section 4.1 of the paper: the physical address space
 // is widened by one bit; addresses with the overlay bit set form the

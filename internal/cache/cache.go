@@ -9,6 +9,14 @@
 // tags" cost the paper accounts for in §4.5. The hierarchy is timing-only:
 // functional data lives in internal/mem and is updated by the core
 // framework at access time.
+//
+// Host-side layout: each level's tag store is one flat []uint64 (way w
+// of set s at s*ways+w; a tag is the line number plus a valid bit, 0 is
+// empty) with the dirty bits beside it, and the replacement policies
+// keep their LRU stamps and DRRIP RRPVs in flat arrays of the same
+// shape. The hierarchy tracks demand misses and prefetches in one
+// in-flight table (an arch.LineMap keyed by line number), since a line
+// is never both at once.
 package cache
 
 import (
@@ -17,12 +25,9 @@ import (
 	"repro/internal/arch"
 )
 
-// line is one cache block's tag state.
-type line struct {
-	valid bool
-	dirty bool
-	tag   uint64 // full line number (addr >> LineShift), overlay bit included
-}
+// validBit marks an occupied tag slot. A line number has at most
+// 64-LineShift bits, so bit 63 of a tag is free; an empty slot is 0.
+const validBit = uint64(1) << 63
 
 // Replacement is a per-set replacement policy.
 type Replacement interface {
@@ -36,13 +41,18 @@ type Replacement interface {
 	Victim(set int) int
 }
 
-// Cache is a single set-associative cache level.
+// Cache is a single set-associative cache level. Way w of set s sits at
+// index s*ways+w of tags and of dirty. A tag is the line number (the full
+// widened address >> LineShift, overlay bit included) with validBit set;
+// 0 marks an empty way.
 type Cache struct {
-	Name string
-	sets int
-	ways int
-	data [][]line
-	repl Replacement
+	Name    string
+	sets    int
+	ways    int
+	setMask uint64 // sets-1; sets is a power of two
+	tags    []uint64
+	dirty   []bool
+	repl    Replacement
 
 	Hits   uint64
 	Misses uint64
@@ -59,12 +69,15 @@ func New(name string, sizeBytes, ways int, newRepl func(sets, ways int) Replacem
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", name, sets))
 	}
-	data := make([][]line, sets)
-	backing := make([]line, sets*ways)
-	for i := range data {
-		data[i], backing = backing[:ways], backing[ways:]
+	return &Cache{
+		Name:    name,
+		sets:    sets,
+		ways:    ways,
+		setMask: uint64(sets - 1),
+		tags:    make([]uint64, sets*ways),
+		dirty:   make([]bool, sets*ways),
+		repl:    newRepl(sets, ways),
 	}
-	return &Cache{Name: name, sets: sets, ways: ways, data: data, repl: newRepl(sets, ways)}
 }
 
 // Sets returns the number of sets.
@@ -73,16 +86,25 @@ func (c *Cache) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
+// index maps addr to its set and tag.
 func (c *Cache) index(addr arch.PhysAddr) (set int, tag uint64) {
 	lineNum := uint64(addr) >> arch.LineShift
-	return int(lineNum % uint64(c.sets)), lineNum
+	return int(lineNum & c.setMask), lineNum | validBit
 }
 
-func (c *Cache) find(addr arch.PhysAddr) (set, way int, ok bool) {
+// row returns set's slice of the tag store and its first slot index.
+func (c *Cache) row(set int) (tags []uint64, base int) {
+	base = set * c.ways
+	return c.tags[base : base+c.ways], base
+}
+
+// find returns the set holding addr and, when it is cached, its slot.
+func (c *Cache) find(addr arch.PhysAddr) (set, slot int, ok bool) {
 	set, tag := c.index(addr)
-	for w := range c.data[set] {
-		if l := &c.data[set][w]; l.valid && l.tag == tag {
-			return set, w, true
+	row, base := c.row(set)
+	for w, t := range row {
+		if t == tag {
+			return set, base + w, true
 		}
 	}
 	return set, -1, false
@@ -91,16 +113,16 @@ func (c *Cache) find(addr arch.PhysAddr) (set, way int, ok bool) {
 // Lookup probes the cache. On a hit it updates replacement state, marks
 // the line dirty if write is set, and returns true.
 func (c *Cache) Lookup(addr arch.PhysAddr, write bool) bool {
-	set, way, ok := c.find(addr)
+	set, slot, ok := c.find(addr)
 	if !ok {
 		c.Misses++
 		c.repl.OnMiss(set)
 		return false
 	}
 	c.Hits++
-	c.repl.OnHit(set, way)
+	c.repl.OnHit(set, slot-set*c.ways)
 	if write {
-		c.data[set][way].dirty = true
+		c.dirty[slot] = true
 	}
 	return true
 }
@@ -119,44 +141,48 @@ type Eviction struct {
 }
 
 // Fill installs the line, evicting a victim if the set is full. The
-// returned eviction is valid only when evicted is true.
+// returned eviction is valid only when evicted is true. One scan of the
+// set finds either the line itself (e.g. a racing prefetch already
+// installed it: merge dirty state) or the first empty way.
 func (c *Cache) Fill(addr arch.PhysAddr, dirty bool) (ev Eviction, evicted bool) {
 	set, tag := c.index(addr)
-	// Already present (e.g. racing prefetch): just merge dirty state.
-	for w := range c.data[set] {
-		if l := &c.data[set][w]; l.valid && l.tag == tag {
-			l.dirty = l.dirty || dirty
+	row, base := c.row(set)
+	way := -1
+	for w, t := range row {
+		if t == tag {
+			c.dirty[base+w] = c.dirty[base+w] || dirty
 			c.repl.OnFill(set, w)
 			return Eviction{}, false
 		}
-	}
-	way := -1
-	for w := range c.data[set] {
-		if !c.data[set][w].valid {
+		if t == 0 && way < 0 {
 			way = w
-			break
 		}
 	}
-	if way == -1 {
+	if way < 0 {
 		way = c.repl.Victim(set)
-		v := c.data[set][way]
-		ev = Eviction{Addr: arch.PhysAddr(v.tag << arch.LineShift), Dirty: v.dirty}
+		ev = Eviction{Addr: lineAddr(row[way]), Dirty: c.dirty[base+way]}
 		evicted = true
 	}
-	c.data[set][way] = line{valid: true, dirty: dirty, tag: tag}
+	row[way] = tag
+	c.dirty[base+way] = dirty
 	c.repl.OnFill(set, way)
 	return ev, evicted
+}
+
+// lineAddr recovers the line address a tag names.
+func lineAddr(tag uint64) arch.PhysAddr {
+	return arch.PhysAddr((tag &^ validBit) << arch.LineShift)
 }
 
 // Invalidate removes the line if present, returning whether it was present
 // and whether it was dirty.
 func (c *Cache) Invalidate(addr arch.PhysAddr) (present, dirty bool) {
-	set, way, ok := c.find(addr)
+	_, slot, ok := c.find(addr)
 	if !ok {
 		return false, false
 	}
-	dirty = c.data[set][way].dirty
-	c.data[set][way] = line{}
+	dirty = c.dirty[slot]
+	c.tags[slot], c.dirty[slot] = 0, false
 	return true, dirty
 }
 
@@ -166,17 +192,17 @@ func (c *Cache) Invalidate(addr arch.PhysAddr) (present, dirty bool) {
 // false when oldAddr is not cached. If the new tag maps to a different
 // set, the line is refilled there (possibly evicting a victim).
 func (c *Cache) Retag(oldAddr, newAddr arch.PhysAddr) (moved bool, ev Eviction, evicted bool) {
-	set, way, ok := c.find(oldAddr)
+	set, slot, ok := c.find(oldAddr)
 	if !ok {
 		return false, Eviction{}, false
 	}
-	dirty := c.data[set][way].dirty
+	dirty := c.dirty[slot]
 	newSet, newTag := c.index(newAddr)
 	if newSet == set {
-		c.data[set][way].tag = newTag
+		c.tags[slot] = newTag
 		return true, Eviction{}, false
 	}
-	c.data[set][way] = line{}
+	c.tags[slot], c.dirty[slot] = 0, false
 	ev, evicted = c.Fill(newAddr, dirty)
 	return true, ev, evicted
 }
@@ -184,23 +210,21 @@ func (c *Cache) Retag(oldAddr, newAddr arch.PhysAddr) (moved bool, ev Eviction, 
 // SetDirty marks a present line dirty (used when a retagged block absorbs
 // the triggering store).
 func (c *Cache) SetDirty(addr arch.PhysAddr) bool {
-	set, way, ok := c.find(addr)
+	_, slot, ok := c.find(addr)
 	if !ok {
 		return false
 	}
-	c.data[set][way].dirty = true
+	c.dirty[slot] = true
 	return true
 }
 
-// DirtyLines returns the addresses of all dirty lines (test/debug aid and
-// used by flush-style promotions).
+// DirtyLines returns the addresses of all dirty lines in set-then-way
+// order (test/debug aid and used by flush-style promotions).
 func (c *Cache) DirtyLines() []arch.PhysAddr {
 	var out []arch.PhysAddr
-	for s := range c.data {
-		for w := range c.data[s] {
-			if l := c.data[s][w]; l.valid && l.dirty {
-				out = append(out, arch.PhysAddr(l.tag<<arch.LineShift))
-			}
+	for i, t := range c.tags {
+		if t != 0 && c.dirty[i] {
+			out = append(out, lineAddr(t))
 		}
 	}
 	return out

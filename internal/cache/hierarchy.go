@@ -46,16 +46,22 @@ func DefaultHierarchyConfig() HierarchyConfig {
 	}
 }
 
+// mshrEntry is one in-flight fetch: a demand miss, or a prefetch that
+// late demand accesses may have merged onto.
 type mshrEntry struct {
-	dones []sim.Cont
-	write bool
+	dones    []sim.Cont
+	write    bool
+	prefetch bool
 }
 
 // Hierarchy ties the three levels to a backend with MSHR-style merging of
-// concurrent misses to the same line. Its per-access event scheduling is
-// allocation-free: completions are continuations bound once at
-// construction with the line address as the packed argument, and MSHR
-// entries are recycled through a free list.
+// concurrent misses to the same line. Demand misses and prefetches share
+// one in-flight table keyed by line number: a line is never both, because
+// Prefetch skips lines with a demand miss in flight and a demand miss to
+// a line being prefetched merges onto the prefetch. Its per-access event
+// scheduling is allocation-free: completions are continuations bound
+// once at construction with the line address as the packed argument, and
+// in-flight entries are recycled through a free list.
 type Hierarchy struct {
 	engine   *sim.Engine
 	cfg      HierarchyConfig
@@ -63,8 +69,8 @@ type Hierarchy struct {
 	L2       *Cache
 	L3       *Cache
 	backend  Backend
-	mshr     map[arch.PhysAddr]*mshrEntry
-	pfBusy   map[arch.PhysAddr]*mshrEntry // in-flight prefetches (+ late demand waiters)
+	inflight arch.LineMap[*mshrEntry]
+	demand   int // in-flight entries that are demand misses
 	pf       MissObserver
 	freeMSHR []*mshrEntry
 
@@ -91,8 +97,6 @@ func NewHierarchy(engine *sim.Engine, cfg HierarchyConfig, backend Backend) *Hie
 		L2:         New("l2", cfg.L2.Size, cfg.L2.Ways, cfg.L2.NewRepl),
 		L3:         New("l3", cfg.L3.Size, cfg.L3.Ways, cfg.L3.NewRepl),
 		backend:    backend,
-		mshr:       make(map[arch.PhysAddr]*mshrEntry),
-		pfBusy:     make(map[arch.PhysAddr]*mshrEntry),
 		l1Hits:     engine.Stats.Counter("cache.l1.hits"),
 		l1Misses:   engine.Stats.Counter("cache.l1.misses"),
 		l2Hits:     engine.Stats.Counter("cache.l2.hits"),
@@ -116,15 +120,31 @@ func NewHierarchy(engine *sim.Engine, cfg HierarchyConfig, backend Backend) *Hie
 	return h
 }
 
-func (h *Hierarchy) newEntry(write bool) *mshrEntry {
+// track records a new in-flight fetch of addr's line.
+func (h *Hierarchy) track(addr arch.PhysAddr, write, prefetch bool) *mshrEntry {
+	var e *mshrEntry
 	if n := len(h.freeMSHR); n > 0 {
-		e := h.freeMSHR[n-1]
+		e = h.freeMSHR[n-1]
 		h.freeMSHR[n-1] = nil
 		h.freeMSHR = h.freeMSHR[:n-1]
-		e.write = write
-		return e
+	} else {
+		e = new(mshrEntry)
 	}
-	return &mshrEntry{write: write}
+	e.write, e.prefetch = write, prefetch
+	if !prefetch {
+		h.demand++
+	}
+	h.inflight.Put(lineOf(addr), e)
+	return e
+}
+
+// untrack removes addr's in-flight entry, returning it (nil if none).
+func (h *Hierarchy) untrack(addr arch.PhysAddr) *mshrEntry {
+	e, _ := h.inflight.Delete(lineOf(addr))
+	if e != nil && !e.prefetch {
+		h.demand--
+	}
+	return e
 }
 
 func (h *Hierarchy) freeEntry(e *mshrEntry) {
@@ -132,9 +152,11 @@ func (h *Hierarchy) freeEntry(e *mshrEntry) {
 		e.dones[i] = sim.Cont{}
 	}
 	e.dones = e.dones[:0]
-	e.write = false
 	h.freeMSHR = append(h.freeMSHR, e)
 }
+
+// lineOf is addr's line number, the in-flight table's key.
+func lineOf(addr arch.PhysAddr) uint64 { return uint64(addr) >> arch.LineShift }
 
 // SetPrefetcher attaches the L2-miss observer.
 func (h *Hierarchy) SetPrefetcher(pf MissObserver) { h.pf = pf }
@@ -156,34 +178,30 @@ func (h *Hierarchy) AccessCont(addr arch.PhysAddr, write bool, done sim.Cont) {
 		return
 	}
 	*h.l1Misses++
-	if e, ok := h.mshr[addr]; ok {
-		*h.mshrMerges++
+	if e, ok := h.inflight.Get(lineOf(addr)); ok {
 		e.write = e.write || write
 		if done.Valid() {
 			e.dones = append(e.dones, done)
 		}
-		return
-	}
-	// A demand access racing an in-flight prefetch rides the prefetch's
-	// completion instead of issuing a second fetch. It still trains the
-	// prefetcher — a late prefetch means the stream must run further
-	// ahead (the feedback in "feedback-directed prefetching").
-	if e, ok := h.pfBusy[addr]; ok {
+		if !e.prefetch {
+			*h.mshrMerges++
+			return
+		}
+		// A demand access racing an in-flight prefetch rides the
+		// prefetch's completion instead of issuing a second fetch. It
+		// still trains the prefetcher — a late prefetch means the stream
+		// must run further ahead (the feedback in "feedback-directed
+		// prefetching").
 		*h.pfMerges++
-		e.write = e.write || write
-		if done.Valid() {
-			e.dones = append(e.dones, done)
-		}
 		if h.pf != nil {
 			h.pf.OnMiss(addr)
 		}
 		return
 	}
-	e := h.newEntry(write)
+	e := h.track(addr, write, false)
 	if done.Valid() {
 		e.dones = append(e.dones, done)
 	}
-	h.mshr[addr] = e
 	h.descend(addr)
 }
 
@@ -211,8 +229,7 @@ func (h *Hierarchy) descend(addr arch.PhysAddr) {
 // complete fires when data for addr arrives from the given level (2 = L2,
 // 3 = L3, 4 = memory). It fills the upper levels and releases waiters.
 func (h *Hierarchy) complete(addr arch.PhysAddr, fromLevel int) {
-	e := h.mshr[addr]
-	delete(h.mshr, addr)
+	e := h.untrack(addr)
 	if fromLevel >= 4 {
 		h.fill(h.L3, addr, false)
 	}
@@ -257,13 +274,10 @@ func (h *Hierarchy) Prefetch(addr arch.PhysAddr) bool {
 	if h.L3.Present(addr) || h.L2.Present(addr) || h.L1.Present(addr) {
 		return false
 	}
-	if _, busy := h.pfBusy[addr]; busy {
+	if _, busy := h.inflight.Get(lineOf(addr)); busy {
 		return false
 	}
-	if _, demand := h.mshr[addr]; demand {
-		return false
-	}
-	h.pfBusy[addr] = h.newEntry(false)
+	h.track(addr, false, true)
 	*h.prefetches++
 	h.backend.Fetch(addr, sim.Bind(h.pfDoneFn, uint64(addr)))
 	return true
@@ -272,8 +286,7 @@ func (h *Hierarchy) Prefetch(addr arch.PhysAddr) bool {
 // prefetchDone fills a completed prefetch into L3 (and, when demand
 // waiters merged onto it, upward) and releases the waiters.
 func (h *Hierarchy) prefetchDone(addr arch.PhysAddr) {
-	e := h.pfBusy[addr]
-	delete(h.pfBusy, addr)
+	e := h.untrack(addr)
 	h.fill(h.L3, addr, false)
 	if e != nil {
 		if len(e.dones) > 0 {
@@ -297,8 +310,8 @@ func (h *Hierarchy) Install(addr arch.PhysAddr, dirty bool) {
 // PrefetchInFlight reports whether addr is currently being prefetched.
 // Backends use it to tell prefetch fills apart from demand fetches.
 func (h *Hierarchy) PrefetchInFlight(addr arch.PhysAddr) bool {
-	_, ok := h.pfBusy[addr.LineAligned()]
-	return ok
+	e, ok := h.inflight.Get(lineOf(addr))
+	return ok && e.prefetch
 }
 
 // Present reports whether any level holds the line.
@@ -343,4 +356,4 @@ func (h *Hierarchy) Invalidate(addr arch.PhysAddr) (present, dirty bool) {
 }
 
 // OutstandingMisses reports the number of in-flight demand misses.
-func (h *Hierarchy) OutstandingMisses() int { return len(h.mshr) }
+func (h *Hierarchy) OutstandingMisses() int { return h.demand }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/arch"
@@ -229,5 +230,157 @@ func TestOutstandingMisses(t *testing.T) {
 	e.Run()
 	if h.OutstandingMisses() != 0 {
 		t.Fatal("MSHRs not drained")
+	}
+}
+
+// missLog records the lines the prefetcher is trained on.
+type missLog struct{ addrs []arch.PhysAddr }
+
+func (m *missLog) OnMiss(addr arch.PhysAddr) { m.addrs = append(m.addrs, addr) }
+
+// TestInFlightTableKinds pins how demand misses and prefetches share the
+// one in-flight table: each kind merges, refuses and reports as it did
+// when they had a table each.
+func TestInFlightTableKinds(t *testing.T) {
+	e, h, b := newTestHierarchy()
+	log := &missLog{}
+	h.SetPrefetcher(log)
+	demand, pf := addrOf(1), addrOf(2)
+	done := 0
+	count := func() { done++ }
+
+	h.Access(demand, false, count)
+	if h.Prefetch(demand) {
+		t.Fatal("Prefetch accepted a line with a demand miss in flight")
+	}
+	if !h.Prefetch(pf) {
+		t.Fatal("Prefetch refused an idle line")
+	}
+	if h.PrefetchInFlight(demand) || !h.PrefetchInFlight(pf) {
+		t.Fatal("PrefetchInFlight must be true for the prefetch only")
+	}
+	if h.OutstandingMisses() != 1 {
+		t.Fatalf("OutstandingMisses = %d, want 1 (demand misses only)", h.OutstandingMisses())
+	}
+
+	h.Access(demand, false, count) // repeat demand access
+	h.Access(pf, true, count)      // demand access to the prefetching line
+	st := &e.Stats
+	if got := st.Get("cache.mshr_merges"); got != 1 {
+		t.Fatalf("cache.mshr_merges = %d, want 1", got)
+	}
+	if got := st.Get("cache.prefetch_demand_merges"); got != 1 {
+		t.Fatalf("cache.prefetch_demand_merges = %d, want 1", got)
+	}
+	// The demand miss trains on its way past L2; the merge onto the
+	// prefetch trains too, without a second fetch.
+	if len(log.addrs) != 2 || log.addrs[0] != demand || log.addrs[1] != pf {
+		t.Fatalf("prefetcher trained on %v, want [%#x %#x]", log.addrs, demand, pf)
+	}
+	if h.OutstandingMisses() != 1 {
+		t.Fatalf("OutstandingMisses after merges = %d, want 1", h.OutstandingMisses())
+	}
+
+	e.Run()
+	if done != 3 {
+		t.Fatalf("%d accesses completed, want 3", done)
+	}
+	if len(b.fetches) != 2 {
+		t.Fatalf("fetches = %d, want 2", len(b.fetches))
+	}
+	if !h.L1.Present(pf) || len(h.L1.DirtyLines()) != 1 {
+		t.Fatal("merged store did not fill the prefetched line dirty into L1")
+	}
+	if h.OutstandingMisses() != 0 || h.PrefetchInFlight(pf) {
+		t.Fatal("in-flight table not drained")
+	}
+	h.Snapshot() // quiescent: must not panic
+}
+
+func TestHierarchySnapshotPanicsInFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		start func(h *Hierarchy)
+	}{
+		{"demand", func(h *Hierarchy) { h.Access(addrOf(1), false, nil) }},
+		{"prefetch", func(h *Hierarchy) { h.Prefetch(addrOf(1)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, h, _ := newTestHierarchy()
+			tc.start(h)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Snapshot with a fetch in flight did not panic")
+				}
+			}()
+			h.Snapshot()
+		})
+	}
+}
+
+// fixedBackend completes every fetch after a fixed latency and drops
+// write-backs, so it adds no allocation of its own to a benchmark.
+type fixedBackend struct {
+	engine  *sim.Engine
+	latency sim.Cycle
+}
+
+func (b fixedBackend) Fetch(_ arch.PhysAddr, done sim.Cont) { b.engine.ScheduleCont(b.latency, done) }
+func (b fixedBackend) WriteBack(arch.PhysAddr)              {}
+
+// BenchmarkHierarchyAccess measures the cache hierarchy alone: one op is
+// a batch of 16 demand accesses (one in four a store) and 4 prefetches
+// issued in one cycle, then the engine drained. Addresses come from a
+// seeded mix of four sequential streams and uniform random lines over
+// 8 MB, four times L3, so every level hits, misses and evicts. CI gates
+// on it reporting 0 allocs/op.
+func BenchmarkHierarchyAccess(b *testing.B) {
+	const (
+		lines  = 8 << 20 >> arch.LineShift
+		batch  = 16
+		ahead  = 4
+		trace  = 1 << 16
+		stores = 4 // one store in every `stores` accesses
+	)
+	e := sim.NewEngine()
+	h := NewHierarchy(e, DefaultHierarchyConfig(), fixedBackend{engine: e, latency: 200})
+	rng := rand.New(rand.NewSource(1))
+	var streams [4]uint64
+	for i := range streams {
+		streams[i] = uint64(rng.Intn(lines))
+	}
+	addrs := make([]arch.PhysAddr, trace)
+	for i := range addrs {
+		line := uint64(rng.Intn(lines))
+		if s := &streams[rng.Intn(len(streams))]; rng.Intn(4) != 0 {
+			*s = (*s + 1) % lines
+			line = *s
+		}
+		addrs[i] = addrOf(line)
+	}
+	var completed int
+	done := sim.ContOf(func() { completed++ })
+	next := 0
+	run := func() {
+		for j := 0; j < batch; j++ {
+			h.AccessCont(addrs[next], next%stores == 0, done)
+			next = (next + 1) % trace
+		}
+		for j := 0; j < ahead; j++ {
+			h.Prefetch(addrs[(next+j*batch)%trace])
+		}
+		e.Run()
+	}
+	for i := 0; i < trace/batch; i++ { // warm every level and the free lists
+		run()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		run()
+	}
+	b.StopTimer()
+	if completed == 0 || h.OutstandingMisses() != 0 {
+		b.Fatalf("completed %d, outstanding %d", completed, h.OutstandingMisses())
 	}
 }

@@ -1,25 +1,22 @@
 package cache
 
 // lru implements least-recently-used replacement with per-line
-// timestamps.
+// timestamps, stored flat like the tag store: way w of set s at
+// s*ways+w.
 type lru struct {
-	stamp [][]uint64
+	stamp []uint64
+	ways  int
 	clock uint64
 }
 
 // NewLRU constructs an LRU policy for a (sets × ways) cache.
 func NewLRU(sets, ways int) Replacement {
-	s := make([][]uint64, sets)
-	backing := make([]uint64, sets*ways)
-	for i := range s {
-		s[i], backing = backing[:ways], backing[ways:]
-	}
-	return &lru{stamp: s}
+	return &lru{stamp: make([]uint64, sets*ways), ways: ways}
 }
 
 func (l *lru) touch(set, way int) {
 	l.clock++
-	l.stamp[set][way] = l.clock
+	l.stamp[set*l.ways+way] = l.clock
 }
 
 func (l *lru) OnHit(set, way int)  { l.touch(set, way) }
@@ -27,10 +24,11 @@ func (l *lru) OnMiss(set int)      {}
 func (l *lru) OnFill(set, way int) { l.touch(set, way) }
 
 func (l *lru) Victim(set int) int {
-	best, bestStamp := 0, l.stamp[set][0]
-	for w := 1; w < len(l.stamp[set]); w++ {
-		if l.stamp[set][w] < bestStamp {
-			best, bestStamp = w, l.stamp[set][w]
+	row := l.stamp[set*l.ways : (set+1)*l.ways]
+	best, bestStamp := 0, row[0]
+	for w := 1; w < len(row); w++ {
+		if row[w] < bestStamp {
+			best, bestStamp = w, row[w]
 		}
 	}
 	return best
@@ -47,27 +45,21 @@ const (
 	brripEpsilon = 32   // BRRIP inserts "long" once every 32 fills
 )
 
+// drrip keeps one RRPV per line, flat like the tag store.
 type drrip struct {
-	rrpv    [][]uint8
+	rrpv    []uint8
+	ways    int
 	psel    int
 	fillSeq uint64
-	sets    int
-
-	// pendingMiss remembers, per set, that the next fill follows a miss in
-	// a leader set so PSEL is updated once per miss.
 }
 
 // NewDRRIP constructs a DRRIP policy for a (sets × ways) cache.
 func NewDRRIP(sets, ways int) Replacement {
-	r := make([][]uint8, sets)
-	backing := make([]uint8, sets*ways)
-	for i := range backing {
-		backing[i] = rrpvMax
-	}
+	r := make([]uint8, sets*ways)
 	for i := range r {
-		r[i], backing = backing[:ways], backing[ways:]
+		r[i] = rrpvMax
 	}
-	return &drrip{rrpv: r, psel: pselMax / 2, sets: sets}
+	return &drrip{rrpv: r, ways: ways, psel: pselMax / 2}
 }
 
 // leader classifies a set: +1 SRRIP leader, -1 BRRIP leader, 0 follower.
@@ -82,7 +74,7 @@ func (d *drrip) leader(set int) int {
 	}
 }
 
-func (d *drrip) OnHit(set, way int) { d.rrpv[set][way] = 0 }
+func (d *drrip) OnHit(set, way int) { d.rrpv[set*d.ways+way] = 0 }
 
 func (d *drrip) OnMiss(set int) {
 	// A miss in a leader set is a vote against that leader's policy.
@@ -112,20 +104,21 @@ func (d *drrip) useSRRIP(set int) bool {
 
 func (d *drrip) OnFill(set, way int) {
 	d.fillSeq++
+	i := set*d.ways + way
 	if d.useSRRIP(set) {
-		d.rrpv[set][way] = rrpvLong
+		d.rrpv[i] = rrpvLong
 		return
 	}
 	// BRRIP: distant re-reference, with an occasional long insertion.
 	if d.fillSeq%brripEpsilon == 0 {
-		d.rrpv[set][way] = rrpvLong
+		d.rrpv[i] = rrpvLong
 	} else {
-		d.rrpv[set][way] = rrpvMax
+		d.rrpv[i] = rrpvMax
 	}
 }
 
 func (d *drrip) Victim(set int) int {
-	row := d.rrpv[set]
+	row := d.rrpv[set*d.ways : (set+1)*d.ways]
 	for {
 		for w, v := range row {
 			if v == rrpvMax {

@@ -28,20 +28,12 @@ type lruState struct {
 func (lruState) isReplState() {}
 
 func (l *lru) snapshotRepl() replState {
-	var flat []uint64
-	for _, row := range l.stamp {
-		flat = append(flat, row...)
-	}
-	return lruState{stamp: flat, clock: l.clock}
+	return lruState{stamp: append([]uint64(nil), l.stamp...), clock: l.clock}
 }
 
 func (l *lru) restoreRepl(s replState) {
 	st := s.(lruState)
-	i := 0
-	for _, row := range l.stamp {
-		copy(row, st.stamp[i:i+len(row)])
-		i += len(row)
-	}
+	copy(l.stamp, st.stamp)
 	l.clock = st.clock
 }
 
@@ -54,27 +46,20 @@ type drripState struct {
 func (drripState) isReplState() {}
 
 func (d *drrip) snapshotRepl() replState {
-	var flat []uint8
-	for _, row := range d.rrpv {
-		flat = append(flat, row...)
-	}
-	return drripState{rrpv: flat, psel: d.psel, fillSeq: d.fillSeq}
+	return drripState{rrpv: append([]uint8(nil), d.rrpv...), psel: d.psel, fillSeq: d.fillSeq}
 }
 
 func (d *drrip) restoreRepl(s replState) {
 	st := s.(drripState)
-	i := 0
-	for _, row := range d.rrpv {
-		copy(row, st.rrpv[i:i+len(row)])
-		i += len(row)
-	}
+	copy(d.rrpv, st.rrpv)
 	d.psel = st.psel
 	d.fillSeq = st.fillSeq
 }
 
 // Snapshot is an immutable capture of one cache level.
 type Snapshot struct {
-	lines        []line
+	tags         []uint64
+	dirty        []bool
 	hits, misses uint64
 	repl         replState
 }
@@ -87,24 +72,23 @@ func (c *Cache) Snapshot() *Snapshot {
 	if !ok {
 		panic(fmt.Sprintf("cache %s: replacement policy %T is not snapshottable", c.Name, c.repl))
 	}
-	var flat []line
-	for _, set := range c.data {
-		flat = append(flat, set...)
+	return &Snapshot{
+		tags:   append([]uint64(nil), c.tags...),
+		dirty:  append([]bool(nil), c.dirty...),
+		hits:   c.Hits,
+		misses: c.Misses,
+		repl:   rs.snapshotRepl(),
 	}
-	return &Snapshot{lines: flat, hits: c.Hits, misses: c.Misses, repl: rs.snapshotRepl()}
 }
 
 // Restore loads the captured state into this cache, which must have the
 // same geometry and replacement policy kind.
 func (c *Cache) Restore(s *Snapshot) {
-	if len(s.lines) != c.sets*c.ways {
+	if len(s.tags) != len(c.tags) {
 		panic(fmt.Sprintf("cache %s: restore geometry mismatch", c.Name))
 	}
-	i := 0
-	for _, set := range c.data {
-		copy(set, s.lines[i:i+len(set)])
-		i += len(set)
-	}
+	copy(c.tags, s.tags)
+	copy(c.dirty, s.dirty)
 	c.Hits, c.Misses = s.hits, s.misses
 	c.repl.(replSnapshotter).restoreRepl(s.repl)
 }
@@ -118,7 +102,7 @@ type HierarchySnapshot struct {
 // are still in flight — snapshots are only taken after the engine's
 // event queue has drained, at which point the MSHRs are empty.
 func (h *Hierarchy) Snapshot() *HierarchySnapshot {
-	if len(h.mshr) != 0 || len(h.pfBusy) != 0 {
+	if h.inflight.Len() != 0 {
 		panic("cache: hierarchy snapshot with in-flight misses")
 	}
 	return &HierarchySnapshot{L1: h.L1.Snapshot(), L2: h.L2.Snapshot(), L3: h.L3.Snapshot()}

@@ -137,11 +137,6 @@ func nativeOverlayMode(backend string) bool {
 	return backendName(backend) == "overlay"
 }
 
-// RunCompare is RunComparePool at Parallel 1.
-func RunCompare(params CompareParams) (*CompareReport, error) {
-	return RunComparePool(context.Background(), Pool{Parallel: 1}, params)
-}
-
 // RunComparePool measures every requested backend, one pool job per
 // backend. Each job's work nests under a "compare.<backend>" span, so
 // traces and span summaries name the backend they timed.

@@ -64,7 +64,7 @@ func mustSpec(t *testing.T, name string) workload.Spec {
 }
 
 func TestRunForkSuiteSubset(t *testing.T) {
-	results, err := RunForkSuite(QuickForkParams(), []string{"bwaves", "astar"})
+	results, err := RunForkSuitePool(context.Background(), Pool{Parallel: 1}, QuickForkParams(), []string{"bwaves", "astar"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRunForkSuiteSubset(t *testing.T) {
 }
 
 func TestRunForkSuiteUnknownName(t *testing.T) {
-	if _, err := RunForkSuite(QuickForkParams(), []string{"nope"}); err == nil {
+	if _, err := RunForkSuitePool(context.Background(), Pool{Parallel: 1}, QuickForkParams(), []string{"nope"}); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -209,7 +209,7 @@ func TestSuiteSubsetMatchesSortedSuite(t *testing.T) {
 }
 
 func TestSparsitySweepMonotone(t *testing.T) {
-	results, err := RunSparsitySweep(4, 128)
+	results, err := RunSparsitySweepPool(context.Background(), Pool{Parallel: 1}, 4, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,16 +235,16 @@ func TestSparsitySweepMonotone(t *testing.T) {
 }
 
 func TestSweepNeedsTwoPoints(t *testing.T) {
-	if _, err := RunSparsitySweep(1, 64); err == nil {
+	if _, err := RunSparsitySweepPool(context.Background(), Pool{Parallel: 1}, 1, 64); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
-func TestRunWithStats(t *testing.T) {
+func TestRunStatsExport(t *testing.T) {
 	spec := mustSpec(t, "hmmer")
 	cfg := spmvConfig(0)
 	cfg.MemoryPages = spec.Pages*2 + 16384
-	out, err := RunWithStats(spec, cfg, QuickForkParams(), true)
+	out, _, err := RunStatsExport(context.Background(), spec, cfg, QuickForkParams(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -340,12 +340,6 @@ func RunForkBenchmark(ctx context.Context, spec workload.Spec, params ForkParams
 	return ForkResult{Benchmark: spec.Name, Type: spec.Type, CoW: cow, OoW: oow}, nil
 }
 
-// RunForkSuite measures every benchmark (or the named subset)
-// sequentially. It is RunForkSuitePool at Parallel 1.
-func RunForkSuite(params ForkParams, names []string) ([]ForkResult, error) {
-	return RunForkSuitePool(context.Background(), Pool{Parallel: 1}, params, names)
-}
-
 // RunForkSuitePool measures every benchmark (or the named subset).
 //
 // By default each benchmark's warm-up runs once: stage one fans the
@@ -442,13 +436,6 @@ func RunForkCPI(spec workload.Spec, cfg core.Config, params ForkParams, overlayM
 	c.Run(params.MeasureInstructions, nil)
 	f.Engine.Run()
 	return c.CPI(), nil
-}
-
-// RunWithStats runs one benchmark under one mechanism with the given
-// config and returns the engine's full counter dump (debug/CLI aid).
-func RunWithStats(spec workload.Spec, cfg core.Config, params ForkParams, overlayMode bool) (string, error) {
-	out, _, err := RunStatsExport(context.Background(), spec, cfg, params, overlayMode)
-	return out, err
 }
 
 // RunStatsExport runs one benchmark under one mechanism and returns both

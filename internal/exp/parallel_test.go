@@ -26,11 +26,11 @@ func TestSweepParallelBitIdentical(t *testing.T) {
 }
 
 // TestForkSuiteParallelBitIdentical compares the simulated fork
-// metrics between the sequential wrapper and an 4-worker pool run.
+// metrics between a 1-worker and a 4-worker pool run.
 func TestForkSuiteParallelBitIdentical(t *testing.T) {
 	params := QuickForkParams()
 	names := []string{"hmmer", "mcf"}
-	seq, err := RunForkSuite(params, names)
+	seq, err := RunForkSuitePool(context.Background(), Pool{Parallel: 1}, params, names)
 	if err != nil {
 		t.Fatal(err)
 	}

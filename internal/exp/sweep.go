@@ -28,13 +28,6 @@ func (r SweepResult) Speedup() float64 {
 	return float64(r.DenseCycles) / float64(r.OverlayCycles)
 }
 
-// RunSparsitySweep measures `points` sparsity levels from dense (0 % zero
-// lines) to nearly empty, on rows×rows matrices. It is
-// RunSparsitySweepPool at Parallel 1.
-func RunSparsitySweep(points, rows int) ([]SweepResult, error) {
-	return RunSparsitySweepPool(context.Background(), Pool{Parallel: 1}, points, rows)
-}
-
 // sweepMatrix generates point i's matrix from its point-indexed seed.
 // Fully dense lines (L = 8) isolate the zero-line-skipping effect; the
 // exact generator reaches 0 % zero lines, which the clustered suite

@@ -44,6 +44,11 @@ type Prefetcher struct {
 	stats   *sim.Stats
 	streams []stream
 	clock   uint64
+
+	// issued is the "prefetch.issued" counter, fetched on the first
+	// prefetch issued so that a run that never prefetches exports no
+	// such key.
+	issued *uint64
 }
 
 // New builds a prefetcher that issues into target.
@@ -132,7 +137,10 @@ func (p *Prefetcher) issue(s *stream) {
 		s.aheadTo = next
 		p.target.Prefetch(arch.PhysAddr(uint64(next) << arch.LineShift))
 		if p.stats != nil {
-			p.stats.Inc("prefetch.issued")
+			if p.issued == nil {
+				p.issued = p.stats.Counter("prefetch.issued")
+			}
+			*p.issued++
 		}
 		issued++
 	}

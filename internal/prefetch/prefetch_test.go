@@ -146,3 +146,22 @@ func TestOverlayAddressesPrefetchable(t *testing.T) {
 		t.Fatal("prefetch address lost the overlay bit")
 	}
 }
+
+// TestIssuedCounterAppearsOnFirstPrefetch checks the lazily fetched
+// "prefetch.issued" handle: a prefetcher that only allocates streams
+// registers no such counter (so its run exports no such key), and the
+// first prefetch issued creates it.
+func TestIssuedCounterAppearsOnFirstPrefetch(t *testing.T) {
+	p, r, st := newPF()
+	p.OnMiss(lineAddr(100))
+	p.OnMiss(lineAddr(5000))
+	for _, name := range st.Names() {
+		if name == "prefetch.issued" {
+			t.Fatal("prefetch.issued registered before any prefetch was issued")
+		}
+	}
+	p.OnMiss(lineAddr(101))
+	if got := st.Get("prefetch.issued"); got != uint64(len(r.addrs)) || got == 0 {
+		t.Fatalf("prefetch.issued = %d, want %d", got, len(r.addrs))
+	}
+}

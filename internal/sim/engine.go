@@ -93,8 +93,9 @@ type Engine struct {
 	free      *node            // recycled event nodes
 	pending   int
 
-	// Memoised result of NextCycle; invalidated by pops, kept exact by
-	// Schedule (an earlier event simply lowers it).
+	// Memoised result of NextCycle; invalidated by a pop that empties
+	// its bucket, kept exact by Schedule (an earlier event simply lowers
+	// it).
 	nextAt    Cycle
 	nextValid bool
 
@@ -262,11 +263,13 @@ func (e *Engine) pop() *node {
 	if b.head == nil {
 		b.tail = nil
 		e.occ[idx>>6] &^= 1 << (idx & 63)
+		e.nextValid = false
 	}
+	// Otherwise the bucket's remaining events share cycle `at` and
+	// nothing can be scheduled in the past, so the memo stays exact.
 	n.next = nil
 	e.nearCount--
 	e.pending--
-	e.nextValid = false
 	return n
 }
 
