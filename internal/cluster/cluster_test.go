@@ -371,6 +371,76 @@ func TestWorkerLossReroutesPendingJobs(t *testing.T) {
 	}
 }
 
+// truncatingHandler is a worker whose GET .../result answers 200 with
+// only the first half of the result bytes: a body cut off in transit.
+type truncatingHandler struct{ h http.Handler }
+
+func (th truncatingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet || !strings.HasSuffix(r.URL.Path, "/result") {
+		th.h.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	th.h.ServeHTTP(rec, r)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(rec.Body.Bytes()[:rec.Body.Len()/2]) //nolint:errcheck
+}
+
+// TestInvalidResultReroutes proves the coordinator checks the result
+// bytes it fetches: a worker serving truncated JSON counts as a failed
+// fetch, the job completes on the other worker, and the store holds
+// that worker's valid bytes.
+func TestInvalidResultReroutes(t *testing.T) {
+	store, err := NewFSStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, bad := &countingRunner{}, &countingRunner{}
+	_, wGood, _ := newTestWorker(t, server.Config{Workers: 1, Runner: good.run})
+	sBad := server.New(server.Config{Workers: 1, Runner: bad.run})
+	wBad := httptest.NewServer(truncatingHandler{sBad.Handler()})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		sBad.Drain(ctx) //nolint:errcheck // best-effort cleanup
+		wBad.Close()
+	})
+	_, cts := newTestCoordinator(t, Config{Workers: []string{wGood.URL, wBad.URL}, Store: store})
+
+	// A spec the truncating worker ranks first for, so the job goes
+	// there before it can go anywhere else.
+	var body, key string
+	for rows := 16; key == ""; rows += 16 {
+		spec, err := exp.ParseJobSpec(strings.NewReader(sweepSpec(rows)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if Rank(spec.Key(), []string{wGood.URL, wBad.URL})[0] == wBad.URL {
+			body, key = sweepSpec(rows), spec.Key()
+		}
+	}
+
+	status, doc, _ := postSpec(t, cts.URL, body, true)
+	if status != http.StatusOK || doc.State != server.StateDone {
+		t.Fatalf("submit: status %d state %q error %q", status, doc.State, doc.Error)
+	}
+	if doc.Worker != wGood.URL {
+		t.Fatalf("job finished on %q, want re-routed to %q", doc.Worker, wGood.URL)
+	}
+	if bad.count() != 1 || good.count() != 1 {
+		t.Fatalf("engine runs: truncating worker %d, other %d; want 1 each", bad.count(), good.count())
+	}
+	stored, ok, err := store.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("store entry: ok %v, err %v", ok, err)
+	}
+	_, direct := getBody(t, cts.URL+"/v1/jobs/"+doc.ID+"/result")
+	if !json.Valid(stored) || string(stored) != string(direct) || len(doc.Result) == 0 {
+		t.Fatalf("store holds %d bytes (valid %v), coordinator serves %d",
+			len(stored), json.Valid(stored), len(direct))
+	}
+}
+
 // TestCoordinatorEventsStreamRelays proves a client watching the
 // coordinator's SSE feed sees the terminal event of a routed job.
 func TestCoordinatorEventsStreamRelays(t *testing.T) {

@@ -510,7 +510,8 @@ func (co *Coordinator) watch(ctx context.Context, j *cjob, worker, remoteID stri
 				result, rerr := co.fetchResult(ctx, worker, remoteID)
 				if rerr != nil {
 					// Completed on the worker but unretrievable (it died
-					// between the event and the fetch): re-run elsewhere.
+					// between the event and the fetch, or served invalid
+					// JSON): re-run elsewhere.
 					co.cfg.Logger.Warn("result fetch failed",
 						"job_id", j.id, "worker", worker, "err", rerr.Error())
 					co.markUnhealthy(worker, "result fetch failed")
@@ -597,7 +598,9 @@ func (co *Coordinator) follow(ctx context.Context, j *cjob, worker, remoteID str
 }
 
 // fetchResult retrieves the raw result bytes for a completed remote
-// job — exactly what the worker would serve any client.
+// job — exactly what the worker would serve any client. Bytes that are
+// not valid JSON count as a failed fetch: they would corrupt the store
+// and every job document that splices them in.
 func (co *Coordinator) fetchResult(ctx context.Context, worker, remoteID string) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, co.cfg.ForwardTimeout)
 	defer cancel()
@@ -615,7 +618,14 @@ func (co *Coordinator) fetchResult(ctx context.Context, worker, remoteID string)
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		return nil, fmt.Errorf("result: status %d", resp.StatusCode)
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	result, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	if err != nil {
+		return nil, err
+	}
+	if !json.Valid(result) {
+		return nil, fmt.Errorf("result: %d bytes of invalid JSON", len(result))
+	}
+	return result, nil
 }
 
 // cancelRemote forwards a cancellation, best-effort.

@@ -40,33 +40,6 @@ func Handler(co *Coordinator) http.Handler {
 // Handler is the method form of the package-level Handler.
 func (co *Coordinator) Handler() http.Handler { return Handler(co) }
 
-// statusWriter captures the response status; Flush is forwarded so
-// SSE keeps streaming through the wrap.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 type requestIDKey struct{}
 
 func requestID(r *http.Request) string {
@@ -84,44 +57,21 @@ func (co *Coordinator) instrument(next http.Handler) http.Handler {
 			reqID = obs.NewSpanID().String()
 		}
 		w.Header().Set("X-Request-ID", reqID)
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &server.StatusWriter{ResponseWriter: w}
 		start := time.Now()
 		co.addStat("coord.http_requests", 1)
 		ctx := context.WithValue(r.Context(), requestIDKey{}, reqID)
 		next.ServeHTTP(sw, r.WithContext(ctx))
-		if sw.status == 0 {
-			sw.status = http.StatusOK
+		if sw.Status == 0 {
+			sw.Status = http.StatusOK
 		}
 		co.statsMu.Lock()
-		co.statusCounts[sw.status]++
+		co.statusCounts[sw.Status]++
 		co.statsMu.Unlock()
 		co.cfg.Logger.Info("http request",
-			"method", r.Method, "path", r.URL.Path, "status", sw.status,
+			"method", r.Method, "path", r.URL.Path, "status", sw.Status,
 			"request_id", reqID, "dur_ms", time.Since(start).Milliseconds())
 	})
-}
-
-type errorBody struct {
-	Error    string   `json:"error"`
-	Problems []string `json:"problems,omitempty"`
-	JobID    string   `json:"job_id,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
-}
-
-func writeError(w http.ResponseWriter, status int, err error, jobID string) {
-	body := errorBody{Error: err.Error(), JobID: jobID}
-	var ve *exp.ValidationError
-	if errors.As(err, &ve) {
-		body.Problems = ve.Problems
-	}
-	writeJSON(w, status, body)
 }
 
 // healthDoc reports the coordinator's live state: fleet size and
@@ -155,7 +105,7 @@ func (co *Coordinator) health() healthDoc {
 }
 
 func (co *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, co.health())
+	server.WriteJSON(w, http.StatusOK, co.health())
 }
 
 // handleReady answers 503 while draining or while no worker is
@@ -164,10 +114,10 @@ func (co *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (co *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 	doc := co.health()
 	if doc.Draining || doc.HealthyWorkers == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, doc)
+		server.WriteJSON(w, http.StatusServiceUnavailable, doc)
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
+	server.WriteJSON(w, http.StatusOK, doc)
 }
 
 // handleSubmit mirrors a worker's POST /v1/jobs contract over the
@@ -180,7 +130,7 @@ func (co *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, err := exp.ParseJobSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err, "")
+		server.WriteError(w, http.StatusBadRequest, err, "")
 		return
 	}
 	remote, _ := obs.TraceparentFromHeader(r.Header)
@@ -194,7 +144,7 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if j != nil {
 			jobID = j.id
 		}
-		writeError(w, status, err, jobID)
+		server.WriteError(w, status, err, jobID)
 		return
 	}
 	co.mu.Lock()
@@ -222,7 +172,7 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	doc := j.doc(true)
 	co.mu.Unlock()
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, status, doc)
+	server.WriteDoc(w, status, doc)
 }
 
 func wantWait(r *http.Request) bool {
@@ -240,7 +190,7 @@ func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 		docs = append(docs, j.doc(false))
 	}
 	co.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]interface{}{"jobs": docs})
+	server.WriteJSON(w, http.StatusOK, map[string]interface{}{"jobs": docs})
 }
 
 func (co *Coordinator) lookup(w http.ResponseWriter, r *http.Request) (*cjob, bool) {
@@ -248,7 +198,7 @@ func (co *Coordinator) lookup(w http.ResponseWriter, r *http.Request) (*cjob, bo
 	j, ok := co.jobs[r.PathValue("id")]
 	co.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")), "")
+		server.WriteError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")), "")
 	}
 	return j, ok
 }
@@ -261,7 +211,7 @@ func (co *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 	co.mu.Lock()
 	doc := j.doc(true)
 	co.mu.Unlock()
-	writeJSON(w, http.StatusOK, doc)
+	server.WriteDoc(w, http.StatusOK, doc)
 }
 
 // handleResult serves the raw result bytes — exactly what the worker
@@ -277,7 +227,7 @@ func (co *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	result := j.result
 	co.mu.Unlock()
 	if state != server.StateDone {
-		writeError(w, http.StatusConflict,
+		server.WriteError(w, http.StatusConflict,
 			fmt.Errorf("job %s is %s; no result to serve", j.id, state), j.id)
 		return
 	}
@@ -288,17 +238,17 @@ func (co *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 func (co *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, err := co.cancelJob(r.PathValue("id"))
 	if errors.Is(err, errNoSuchJob) {
-		writeError(w, http.StatusNotFound, err, "")
+		server.WriteError(w, http.StatusNotFound, err, "")
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusConflict, err, j.id)
+		server.WriteError(w, http.StatusConflict, err, j.id)
 		return
 	}
 	co.mu.Lock()
 	doc := j.doc(false)
 	co.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, doc)
+	server.WriteJSON(w, http.StatusAccepted, doc)
 }
 
 // handleEvents re-publishes a routed job's lifecycle as the
@@ -312,7 +262,7 @@ func (co *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError,
+		server.WriteError(w, http.StatusInternalServerError,
 			errors.New("streaming unsupported by this connection"), j.id)
 		return
 	}
@@ -359,14 +309,14 @@ func (co *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 				ProgressEvent: prog, JobID: j.id, Worker: worker,
 				TraceID: j.traceID(), RequestID: j.requestID,
 			}
-			if err := writeSSE(w, "progress", payload); err != nil {
+			if err := server.WriteSSE(w, "progress", payload); err != nil {
 				return
 			}
 			sent, sentAny = prog, true
 			fl.Flush()
 		}
 		if terminal {
-			if writeSSE(w, state, finalDoc) == nil {
+			if server.WriteDocEvent(w, state, finalDoc) == nil {
 				fl.Flush()
 			}
 			return
@@ -379,20 +329,11 @@ func (co *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func writeSSE(w http.ResponseWriter, event string, data interface{}) error {
-	b, err := json.Marshal(data)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-	return err
-}
-
 // handleWorkers lists the fleet, stable by URL.
 func (co *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	docs := co.workerDocs()
 	sort.Slice(docs, func(i, k int) bool { return docs[i].URL < docs[k].URL })
-	writeJSON(w, http.StatusOK, map[string]interface{}{"workers": docs})
+	server.WriteJSON(w, http.StatusOK, map[string]interface{}{"workers": docs})
 }
 
 // handleRegister accepts a worker announcement: {"url": "http://..."}.
@@ -404,13 +345,13 @@ func (co *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding registration: %w", err), "")
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding registration: %w", err), "")
 		return
 	}
 	if body.URL == "" {
-		writeError(w, http.StatusBadRequest, errors.New("registration needs a url"), "")
+		server.WriteError(w, http.StatusBadRequest, errors.New("registration needs a url"), "")
 		return
 	}
 	co.RegisterWorker(body.URL)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "registered", "url": body.URL})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "registered", "url": body.URL})
 }

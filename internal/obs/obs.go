@@ -3,9 +3,10 @@
 // work in the system — a CLI invocation, an HTTP job, a harness
 // sub-job, an experiment phase. Each unit opens a Span carrying a
 // W3C-style trace context (trace ID + parent span ID), recorded into a
-// lock-free bounded span store and exported as Chrome trace_event JSON
-// (mergeable with the simulator's event ring), as a compact JSONL span
-// log, and as a nested JSON tree for the job service's trace endpoint.
+// bounded span store that grows as spans end, and exported as Chrome
+// trace_event JSON (mergeable with the simulator's event ring), as a
+// compact JSONL span log, and as a nested JSON tree for the job
+// service's trace endpoint.
 //
 // Spans wrap host-side work at experiment/phase granularity only —
 // never per-event engine code — so the simulated-cycle hot path stays
@@ -19,7 +20,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
@@ -168,18 +169,19 @@ func (s *Span) End() {
 // DefaultSpanCap is the default per-tracer span capacity.
 const DefaultSpanCap = 4096
 
-// Tracer collects the finished spans of one trace into a lock-free
-// bounded store: each span claims a slot with one atomic increment and
-// publishes it with one atomic flag store, so concurrent harness
-// workers record without contention and readers (the trace endpoint,
-// exports) snapshot without stopping them. A full store drops further
-// spans and counts them; a nil *Tracer is a disabled tracer.
+// Tracer collects the finished spans of one trace into a bounded
+// store: a mutex-guarded slice that grows as spans end, so a tracer
+// costs memory for the spans it holds, not for its capacity. Spans end
+// at phase granularity, never per simulated event, so the lock is
+// uncontended in practice. A full store drops further spans and counts
+// them; a nil *Tracer is a disabled tracer.
 type Tracer struct {
-	traceID TraceID
-	slots   []Span
-	ready   []atomic.Uint32
-	next    atomic.Uint64
-	dropped atomic.Uint64
+	traceID  TraceID
+	capacity int
+
+	mu      sync.Mutex
+	spans   []Span
+	dropped uint64
 }
 
 // NewTracer builds a tracer for one trace. A zero traceID draws a
@@ -191,11 +193,7 @@ func NewTracer(traceID TraceID, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultSpanCap
 	}
-	return &Tracer{
-		traceID: traceID,
-		slots:   make([]Span, capacity),
-		ready:   make([]atomic.Uint32, capacity),
-	}
+	return &Tracer{traceID: traceID, capacity: capacity}
 }
 
 // TraceID returns the trace this tracer collects (zero when nil).
@@ -228,14 +226,14 @@ func (t *Tracer) record(sp Span) {
 	if t == nil {
 		return
 	}
-	i := t.next.Add(1) - 1
-	if i >= uint64(len(t.slots)) {
-		t.dropped.Add(1)
+	sp.tracer = nil
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.spans) >= t.capacity {
+		t.dropped++
 		return
 	}
-	sp.tracer = nil
-	t.slots[i] = sp
-	t.ready[i].Store(1)
+	t.spans = append(t.spans, sp)
 }
 
 // Dropped reports how many spans the full store discarded.
@@ -243,26 +241,21 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped.Load()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dropped
 }
 
 // Spans snapshots the finished spans in publication order. Safe to
-// call while other goroutines are still recording; an in-flight,
-// not-yet-published slot is skipped.
+// call while other goroutines are still recording.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	n := t.next.Load()
-	if n > uint64(len(t.slots)) {
-		n = uint64(len(t.slots))
-	}
-	out := make([]Span, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if t.ready[i].Load() == 1 {
-			out = append(out, t.slots[i])
-		}
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]Span, len(t.spans))
+	copy(out, t.spans)
 	return out
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -129,6 +130,24 @@ func TestTracerDropsWhenFull(t *testing.T) {
 	if tr.Dropped() != 3 {
 		t.Fatalf("dropped = %d, want 3", tr.Dropped())
 	}
+}
+
+// TestTracerSizedToItsSpans pins that a tracer's memory follows the
+// spans it holds, not its capacity: the servers keep every job's
+// tracer for as long as the job record lives.
+func TestTracerSizedToItsSpans(t *testing.T) {
+	tracers := make([]*Tracer, 100)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range tracers {
+		tracers[i] = NewTracer(TraceID{1}, 512)
+		tracers[i].StartSpan(SpanContext{}, "job").End()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(tracers)); per > 4<<10 {
+		t.Fatalf("a 512-span tracer holding one span allocated %d bytes", per)
+	}
+	runtime.KeepAlive(tracers)
 }
 
 func TestTracerConcurrentRecording(t *testing.T) {

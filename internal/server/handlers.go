@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -38,33 +37,6 @@ func Handler(s *Server) http.Handler {
 // Handler is the method form of the package-level Handler.
 func (s *Server) Handler() http.Handler { return Handler(s) }
 
-// statusWriter captures the response status for the request middleware.
-// It forwards Flush so SSE streaming keeps working through the wrap.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // requestIDKey carries the request's ID through the handler context.
 type requestIDKey struct{}
 
@@ -84,49 +56,25 @@ func instrument(s *Server, next http.Handler) http.Handler {
 			reqID = obs.NewSpanID().String()
 		}
 		w.Header().Set("X-Request-ID", reqID)
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &StatusWriter{ResponseWriter: w}
 		start := time.Now()
 		s.addStat("server.http_requests", 1)
 		ctx := contextWithRequestID(r.Context(), reqID)
 		next.ServeHTTP(sw, r.WithContext(ctx))
-		if sw.status == 0 {
-			sw.status = http.StatusOK
+		if sw.Status == 0 {
+			sw.Status = http.StatusOK
 		}
 		s.statsMu.Lock()
-		s.statusCounts[sw.status]++
+		s.statusCounts[sw.Status]++
 		s.statsMu.Unlock()
 		s.cfg.Logger.Info("http request",
-			"method", r.Method, "path", r.URL.Path, "status", sw.status,
+			"method", r.Method, "path", r.URL.Path, "status", sw.Status,
 			"request_id", reqID, "dur_ms", time.Since(start).Milliseconds())
 	})
 }
 
 func contextWithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, requestIDKey{}, id)
-}
-
-// errorBody is every non-2xx JSON response.
-type errorBody struct {
-	Error    string   `json:"error"`
-	Problems []string `json:"problems,omitempty"`
-	JobID    string   `json:"job_id,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
-}
-
-func writeError(w http.ResponseWriter, status int, err error, jobID string) {
-	body := errorBody{Error: err.Error(), JobID: jobID}
-	var ve *exp.ValidationError
-	if errors.As(err, &ve) {
-		body.Problems = ve.Problems
-	}
-	writeJSON(w, status, body)
 }
 
 // healthDoc reports the process's live state: queue occupancy, job
@@ -167,7 +115,7 @@ func (s *Server) health() healthDoc {
 // with the drain state and queue occupancy in the body. Readiness —
 // "send me traffic" — is /readyz, which flips to 503 during drain.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.health())
+	WriteJSON(w, http.StatusOK, s.health())
 }
 
 // handleReady is readiness: 503 once Drain begins (new submissions
@@ -175,10 +123,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	doc := s.health()
 	if doc.Draining {
-		writeJSON(w, http.StatusServiceUnavailable, doc)
+		WriteJSON(w, http.StatusServiceUnavailable, doc)
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
+	WriteJSON(w, http.StatusOK, doc)
 }
 
 // handleSubmit accepts a JSON job spec. With ?wait=true the response
@@ -196,7 +144,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, err := exp.ParseJobSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err, "")
+		WriteError(w, http.StatusBadRequest, err, "")
 		return
 	}
 	remote, _ := obs.TraceparentFromHeader(r.Header)
@@ -210,7 +158,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if j != nil {
 			jobID = j.id
 		}
-		writeError(w, status, err, jobID)
+		WriteError(w, status, err, jobID)
 		return
 	}
 	obs.PropagateTraceparent(w.Header(), j.span.Context())
@@ -237,7 +185,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	doc := j.doc(true)
 	s.mu.Unlock()
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, status, doc)
+	WriteDoc(w, status, doc)
 }
 
 func wantWait(r *http.Request) bool {
@@ -255,7 +203,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		docs = append(docs, j.doc(false))
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]interface{}{"jobs": docs})
+	WriteJSON(w, http.StatusOK, map[string]interface{}{"jobs": docs})
 }
 
 // lookup resolves the path's job id, answering 404 itself on a miss.
@@ -264,7 +212,7 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*job, bool) {
 	j, ok := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")), "")
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")), "")
 	}
 	return j, ok
 }
@@ -277,7 +225,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	doc := j.doc(true)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, doc)
+	WriteDoc(w, http.StatusOK, doc)
 }
 
 // handleResult serves the raw export document — exactly the bytes the
@@ -293,7 +241,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	result := j.result
 	s.mu.Unlock()
 	if state != StateDone {
-		writeError(w, http.StatusConflict,
+		WriteError(w, http.StatusConflict,
 			fmt.Errorf("job %s is %s; no result to serve", j.id, state), j.id)
 		return
 	}
@@ -334,7 +282,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if j.tracer == nil {
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound,
 			fmt.Errorf("tracing is disabled; job %s carries no trace", j.id), j.id)
 		return
 	}
@@ -342,23 +290,23 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if doc.Spans == nil {
 		doc.Spans = []*obs.SpanNode{}
 	}
-	writeJSON(w, http.StatusOK, doc)
+	WriteJSON(w, http.StatusOK, doc)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, err := s.cancelJob(r.PathValue("id"))
 	if errors.Is(err, errNoSuchJob) {
-		writeError(w, http.StatusNotFound, err, "")
+		WriteError(w, http.StatusNotFound, err, "")
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusConflict, err, j.id)
+		WriteError(w, http.StatusConflict, err, j.id)
 		return
 	}
 	s.mu.Lock()
 	doc := j.doc(false)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, doc)
+	WriteJSON(w, http.StatusAccepted, doc)
 }
 
 // handleEvents streams the job's lifecycle as Server-Sent Events:
@@ -373,7 +321,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError,
+		WriteError(w, http.StatusInternalServerError,
 			errors.New("streaming unsupported by this connection"), j.id)
 		return
 	}
@@ -420,14 +368,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				ProgressEvent: prog, JobID: j.id,
 				TraceID: j.traceID(), RequestID: j.requestID,
 			}
-			if err := writeSSE(w, "progress", payload); err != nil {
+			if err := WriteSSE(w, "progress", payload); err != nil {
 				return
 			}
 			sent, sentAny = prog, true
 			fl.Flush()
 		}
 		if terminal {
-			if writeSSE(w, state, finalDoc) == nil {
+			if WriteDocEvent(w, state, finalDoc) == nil {
 				fl.Flush()
 			}
 			return
@@ -438,16 +386,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// writeSSE emits one event: `event: <name>` + single-line JSON data.
-func writeSSE(w http.ResponseWriter, event string, data interface{}) error {
-	b, err := json.Marshal(data)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-	return err
 }
 
 // handleMetrics renders the telemetry registry — server counters and

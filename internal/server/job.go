@@ -116,6 +116,8 @@ type SpanSummary struct {
 }
 
 // JobDoc is the wire representation of a job (see docs/API.md).
+// Result must stay the last field: WriteDoc and WriteDocEvent splice it
+// in after encoding/json has rendered the others.
 type JobDoc struct {
 	ID          string          `json:"id"`
 	State       string          `json:"state"`

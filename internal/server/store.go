@@ -9,10 +9,11 @@ package server
 //
 // Semantics the server relies on:
 //
-//   - Get returns (result, true, nil) only for a previously Put key.
-//     A missing key is (nil, false, nil); a corrupt or unreadable
-//     entry is an error, which the server treats as a miss (the job
-//     re-runs and Put overwrites the bad entry).
+//   - Get returns (result, true, nil) only for a previously Put key,
+//     and only valid JSON: job documents splice the bytes in
+//     unchecked. A missing key is (nil, false, nil); a corrupt or
+//     unreadable entry is an error, which the server treats as a miss
+//     (the job re-runs and Put overwrites the bad entry).
 //   - Put is atomic: a concurrent Get sees the old entry or the new
 //     one, never a torn write. Re-putting a key is idempotent — the
 //     simulator is deterministic, so both writers hold the same bytes.
