@@ -576,3 +576,171 @@ func TestRegisterLoopAnnouncesWorker(t *testing.T) {
 		t.Fatalf("submit after registration: status %d state %q", status, doc.State)
 	}
 }
+
+// postRejected submits a spec the tier is expected to refuse and
+// returns the status, the headers and the error body's job_id.
+func postRejected(t *testing.T, base, body string) (int, http.Header, string) {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s/v1/jobs: %v", base, err)
+	}
+	defer resp.Body.Close()
+	var eb struct {
+		Error string `json:"error"`
+		JobID string `json:"job_id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == "" {
+		t.Fatalf("status %d: no error body (%v)", resp.StatusCode, err)
+	}
+	return resp.StatusCode, resp.Header, eb.JobID
+}
+
+// listedJobs counts the jobs a tier lists.
+func listedJobs(t *testing.T, base string) int {
+	t.Helper()
+	var listing struct {
+		Jobs []server.JobDoc `json:"jobs"`
+	}
+	_, raw := getBody(t, base+"/v1/jobs")
+	if err := json.Unmarshal(raw, &listing); err != nil {
+		t.Fatalf("job listing %q: %v", raw, err)
+	}
+	return len(listing.Jobs)
+}
+
+// TestSaturatedFleetRegistersNothing proves a coordinator rejection
+// rolls back as a worker's does: with its one worker busy and its
+// queue full, the coordinator answers 429 with Retry-After, names no
+// job, and lists only the two jobs it accepted.
+func TestSaturatedFleetRegistersNothing(t *testing.T) {
+	runner := newGatedRunner()
+	_, w1, _ := newTestWorker(t, server.Config{Workers: 1, QueueDepth: 1, Runner: runner.run})
+	_, cts := newTestCoordinator(t, Config{Workers: []string{w1.URL}})
+	t.Cleanup(func() { close(runner.release) })
+
+	if status, _, _ := postSpec(t, cts.URL, sweepSpec(8), false); status != http.StatusAccepted {
+		t.Fatalf("job 1: status %d, want 202", status)
+	}
+	// The worker dequeues job 1 before job 2 may fill its queue.
+	for deadline := time.Now().Add(5 * time.Second); runner.count() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never started job 1")
+		}
+	}
+	if status, _, _ := postSpec(t, cts.URL, sweepSpec(16), false); status != http.StatusAccepted {
+		t.Fatalf("job 2: status %d, want 202", status)
+	}
+
+	status, hdr, jobID := postRejected(t, cts.URL, sweepSpec(24))
+	if status != http.StatusTooManyRequests || hdr.Get("Retry-After") != "2" {
+		t.Fatalf("job 3: status %d Retry-After %q, want 429 and 2", status, hdr.Get("Retry-After"))
+	}
+	if jobID != "" {
+		t.Fatalf("rejected submission names job %q; nothing should be registered", jobID)
+	}
+	if n := listedJobs(t, cts.URL); n != 2 {
+		t.Fatalf("coordinator lists %d jobs, want 2 (429 must roll back)", n)
+	}
+}
+
+// TestNoWorkersRegistersNothing proves the 503 for an empty fleet
+// names no job and leaves the job list empty.
+func TestNoWorkersRegistersNothing(t *testing.T) {
+	_, cts := newTestCoordinator(t, Config{})
+	status, _, jobID := postRejected(t, cts.URL, sweepSpec(32))
+	if status != http.StatusServiceUnavailable || jobID != "" {
+		t.Fatalf("submit with no workers: status %d job %q, want 503 and none", status, jobID)
+	}
+	if n := listedJobs(t, cts.URL); n != 0 {
+		t.Fatalf("coordinator lists %d jobs, want 0", n)
+	}
+}
+
+// TestJoinerOfRejectedJobSeesFailure proves that requests which joined
+// a job while its forward was still running, with ?wait=true and
+// without, are answered with the forward's refusal rather than a job:
+// 429 with Retry-After, and no job ID in the body, Location or
+// single-flight header. The refused job's ID is never handed out, and
+// the next job takes a fresh one.
+func TestJoinerOfRejectedJobSeesFailure(t *testing.T) {
+	posted := make(chan struct{}, 1)
+	release := make(chan struct{})
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			return // readiness probes: 200
+		}
+		posted <- struct{}{}
+		<-release
+		server.WriteError(w, http.StatusTooManyRequests, fmt.Errorf("job queue is full"), "")
+	}))
+	defer stub.Close()
+	// A stored result lets the coordinator accept one job without the
+	// stub worker.
+	store, err := NewFSStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := exp.ParseJobSpec(strings.NewReader(sweepSpec(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(stored.Key(), []byte(`{"stub":true}`)); err != nil {
+		t.Fatal(err)
+	}
+	_, cts := newTestCoordinator(t, Config{Workers: []string{stub.URL}, Store: store})
+
+	type answer struct {
+		status int
+		hdr    http.Header
+		jobID  string // the error body's job_id or the document's id
+	}
+	// submit runs on its own goroutine, so it reports with t.Error.
+	submit := func(query string) answer {
+		resp, err := http.Post(cts.URL+"/v1/jobs"+query, "application/json", strings.NewReader(sweepSpec(40)))
+		if err != nil {
+			t.Error(err)
+			return answer{}
+		}
+		defer resp.Body.Close()
+		var body struct {
+			JobID string `json:"job_id"`
+			ID    string `json:"id"`
+		}
+		json.NewDecoder(resp.Body).Decode(&body) //nolint:errcheck // checked through the fields
+		return answer{resp.StatusCode, resp.Header, body.JobID + body.ID}
+	}
+	leader := make(chan answer, 1)
+	go func() { leader <- submit("") }()
+	<-posted
+	joiners := make(chan answer, 2)
+	for _, query := range []string{"?wait=true", ""} {
+		go func() { joiners <- submit(query) }()
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if _, raw := getBody(t, cts.URL+"/metrics"); strings.Contains(string(raw), "overlaysim_coord_singleflight_hits 2\n") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the other submissions never joined the forwarding job")
+		}
+	}
+	close(release)
+
+	for i, a := range []answer{<-leader, <-joiners, <-joiners} {
+		if a.status != http.StatusTooManyRequests || a.hdr.Get("Retry-After") != "2" {
+			t.Fatalf("submission %d: status %d Retry-After %q, want 429 and 2", i, a.status, a.hdr.Get("Retry-After"))
+		}
+		if a.jobID != "" || a.hdr.Get("Location") != "" || a.hdr.Get("X-Overlaysim-Singleflight") != "" {
+			t.Fatalf("submission %d names job %q (Location %q, single-flight %q); a refused job has no ID",
+				i, a.jobID, a.hdr.Get("Location"), a.hdr.Get("X-Overlaysim-Singleflight"))
+		}
+	}
+	if n := listedJobs(t, cts.URL); n != 0 {
+		t.Fatalf("coordinator lists %d jobs, want 0", n)
+	}
+	// The refused job took cjob-000001, and no one may get it again.
+	if status, doc, _ := postSpec(t, cts.URL, sweepSpec(8), false); status != http.StatusOK || doc.ID != "cjob-000002" {
+		t.Fatalf("next submission: status %d job %q, want 200 and cjob-000002", status, doc.ID)
+	}
+}

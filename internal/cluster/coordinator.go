@@ -9,13 +9,12 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/sim"
 )
 
 // Config sizes a Coordinator. The zero value is usable except for
@@ -45,25 +44,18 @@ type Config struct {
 	// worker dies mid-job (0 = 3).
 	ForwardAttempts int
 
-	// ForwardTimeout caps one forwarding POST or result fetch
-	// (0 = 30s). The SSE watch itself is unbounded — jobs run as long
-	// as they run.
-	ForwardTimeout time.Duration
-
 	// Logger receives structured records for routing decisions, health
 	// transitions and HTTP requests (nil = discarded).
 	Logger *slog.Logger
 
-	// TraceCap bounds each job's span buffer (0 = 512);
 	// DisableTracing turns the coordinator's spans off entirely.
-	TraceCap       int
 	DisableTracing bool
-
-	// Client overrides the HTTP client used to talk to workers (nil =
-	// a default with no global timeout; per-call contexts bound the
-	// non-streaming requests).
-	Client *http.Client
 }
+
+// forwardTimeout caps one forwarding POST, result fetch or metrics
+// scrape. The SSE watch itself is unbounded — jobs run as long as they
+// run.
+const forwardTimeout = 30 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.HealthInterval <= 0 {
@@ -75,97 +67,69 @@ func (c Config) withDefaults() Config {
 	if c.ForwardAttempts <= 0 {
 		c.ForwardAttempts = 3
 	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 30 * time.Second
-	}
 	if c.Logger == nil {
 		c.Logger = obs.Nop()
-	}
-	if c.TraceCap <= 0 {
-		c.TraceCap = 512
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	return c
 }
 
-// workerState is one shard as the coordinator sees it.
-type workerState struct {
-	url        string
-	healthy    bool
-	registered bool // arrived via POST /v1/workers (vs static config)
-	lastSeen   time.Time
-	jobs       uint64 // jobs this coordinator routed here
-}
-
-// WorkerDoc is the wire form of a shard in GET /v1/workers.
+// WorkerDoc is one shard as the coordinator sees it, and its wire form
+// in GET /v1/workers.
 type WorkerDoc struct {
 	URL        string    `json:"url"`
 	Healthy    bool      `json:"healthy"`
-	Registered bool      `json:"registered"`
+	Registered bool      `json:"registered"` // arrived via POST /v1/workers (vs static config)
 	LastSeen   time.Time `json:"last_seen,omitempty"`
-	Jobs       uint64    `json:"jobs"`
+	Jobs       uint64    `json:"jobs"` // jobs this coordinator routed here
 }
 
-// Coordinator routes jobs across a worker fleet. Construct with New
-// (the health loop starts immediately), serve its Handler, stop with
-// Drain.
+// Coordinator routes jobs across a worker fleet. It is the remote
+// executor behind a server.Server frontend, which keeps the job API,
+// the store tier, single-flight and drain; the Coordinator forwards
+// admitted jobs, follows them on their workers and keeps the fleet's
+// health. Construct with New (the health loop starts immediately),
+// serve its Handler, stop with Drain.
 type Coordinator struct {
+	srv    *server.Server
 	cfg    Config
-	client *http.Client
+	client *http.Client // per-call contexts bound the non-streaming requests
 
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
-	// statsMu guards the telemetry registry plus the labelled tallies
-	// rendered beside it (HTTP statuses, per-worker routing counts).
-	statsMu      sync.Mutex
-	stats        *sim.Stats
-	statusCounts map[int]uint64
-
-	mu       sync.Mutex
-	workers  map[string]*workerState
-	jobs     map[string]*cjob
-	order    []*cjob
-	inflight map[string]*cjob // digest → routed, not yet terminal
-	draining bool
-	seq      int
-
-	wg sync.WaitGroup
+	mu      sync.Mutex // guards workers
+	workers map[string]*WorkerDoc
 }
 
 // New builds the coordinator and starts its health-check loop.
 func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
-	ctx, cancel := context.WithCancel(context.Background())
 	co := &Coordinator{
-		cfg:          cfg,
-		client:       cfg.Client,
-		baseCtx:      ctx,
-		baseCancel:   cancel,
-		stats:        &sim.Stats{},
-		statusCounts: make(map[int]uint64),
-		workers:      make(map[string]*workerState),
-		jobs:         make(map[string]*cjob),
-		inflight:     make(map[string]*cjob),
+		cfg:     cfg,
+		client:  &http.Client{},
+		workers: make(map[string]*WorkerDoc),
 	}
 	for _, u := range cfg.Workers {
 		// Statically configured workers start healthy and are corrected
 		// by the first probe; jobs submitted before it complete their
 		// own liveness discovery by failing over.
-		co.workers[u] = &workerState{url: u, healthy: true}
+		co.workers[u] = &WorkerDoc{URL: u, Healthy: true}
 	}
-	co.wg.Add(1)
-	go co.healthLoop()
+	// No memory tier: the store answers repeats, and the worker that
+	// owns a spec keeps it in its own LRU.
+	co.srv = server.NewFrontend(server.Tier{
+		JobPrefix: "cjob-", RootSpan: "coordinator.job", StatPrefix: "coord.",
+		Store: cfg.Store, RetryAfter: cfg.RetryAfter,
+		Logger: cfg.Logger, DisableTracing: cfg.DisableTracing,
+	}, co)
+	co.srv.Go(co.healthLoop)
 	return co
 }
 
-func (co *Coordinator) addStat(name string, n uint64) {
-	co.statsMu.Lock()
-	co.stats.Add(name, n)
-	co.statsMu.Unlock()
-}
+// Handler returns the coordinator's HTTP routes: the single-node
+// /v1/jobs surface plus the fleet endpoints (see docs/CLUSTER.md).
+func (co *Coordinator) Handler() http.Handler { return co.srv.Handler() }
+
+// Drain stops intake, gives routed jobs until ctx expires to finish
+// before cancelling them on their workers, and stops the health loop.
+func (co *Coordinator) Drain(ctx context.Context) error { return co.srv.Drain(ctx) }
 
 // RegisterWorker adds (or refreshes) a shard. A re-registration marks
 // the worker healthy immediately — it is how a restarted worker
@@ -176,39 +140,43 @@ func (co *Coordinator) RegisterWorker(url string) {
 	defer co.mu.Unlock()
 	w, ok := co.workers[url]
 	if !ok {
-		w = &workerState{url: url, registered: true}
+		w = &WorkerDoc{URL: url}
 		co.workers[url] = w
 		co.cfg.Logger.Info("worker registered", "worker", url, "fleet", len(co.workers))
 	}
-	if !w.healthy {
-		co.cfg.Logger.Info("worker healthy", "worker", url, "via", "registration")
-	}
-	w.healthy = true
-	w.registered = true
-	w.lastSeen = time.Now()
+	w.Registered = true
+	co.markHealthyLocked(w, "registration")
 }
 
-// workerDocs snapshots the fleet for the API.
+// markHealthyLocked records a passed probe or a registration. Caller
+// holds the mutex.
+func (co *Coordinator) markHealthyLocked(w *WorkerDoc, via string) {
+	if !w.Healthy {
+		co.cfg.Logger.Info("worker healthy", "worker", w.URL, "via", via)
+	}
+	w.Healthy = true
+	w.LastSeen = time.Now()
+}
+
+// workerDocs snapshots the fleet, sorted by URL.
 func (co *Coordinator) workerDocs() []WorkerDoc {
 	co.mu.Lock()
-	defer co.mu.Unlock()
 	docs := make([]WorkerDoc, 0, len(co.workers))
 	for _, w := range co.workers {
-		docs = append(docs, WorkerDoc{
-			URL: w.url, Healthy: w.healthy, Registered: w.registered,
-			LastSeen: w.lastSeen, Jobs: w.jobs,
-		})
+		docs = append(docs, *w)
 	}
+	co.mu.Unlock()
+	sort.Slice(docs, func(i, k int) bool { return docs[i].URL < docs[k].URL })
 	return docs
 }
 
-// healthyWorkers snapshots the URLs currently believed routable.
+// healthyWorkersLocked snapshots the URLs currently believed routable.
 // Caller holds the mutex.
 func (co *Coordinator) healthyWorkersLocked() []string {
 	urls := make([]string, 0, len(co.workers))
 	for _, w := range co.workers {
-		if w.healthy {
-			urls = append(urls, w.url)
+		if w.Healthy {
+			urls = append(urls, w.URL)
 		}
 	}
 	return urls
@@ -220,11 +188,11 @@ func (co *Coordinator) markUnhealthy(url, why string) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	w, ok := co.workers[url]
-	if !ok || !w.healthy {
+	if !ok || !w.Healthy {
 		return
 	}
-	w.healthy = false
-	co.addStat("coord.worker_down", 1)
+	w.Healthy = false
+	co.srv.AddStat("coord.worker_down", 1)
 	co.cfg.Logger.Warn("worker unhealthy", "worker", url, "why", why)
 }
 
@@ -232,13 +200,12 @@ func (co *Coordinator) markUnhealthy(url, why string) {
 // that answers 200 is routable; anything else — including a draining
 // worker's 503 — takes it out of the rendezvous ranking until it
 // recovers.
-func (co *Coordinator) healthLoop() {
-	defer co.wg.Done()
+func (co *Coordinator) healthLoop(ctx context.Context) {
 	t := time.NewTicker(co.cfg.HealthInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-co.baseCtx.Done():
+		case <-ctx.Done():
 			return
 		case <-t.C:
 		}
@@ -249,21 +216,13 @@ func (co *Coordinator) healthLoop() {
 		}
 		co.mu.Unlock()
 		for _, u := range urls {
-			healthy := co.probe(u)
+			if !co.probe(ctx, u) {
+				co.markUnhealthy(u, "readyz probe failed")
+				continue
+			}
 			co.mu.Lock()
-			w, ok := co.workers[u]
-			if ok {
-				if healthy {
-					if !w.healthy {
-						co.cfg.Logger.Info("worker healthy", "worker", u, "via", "probe")
-					}
-					w.healthy = true
-					w.lastSeen = time.Now()
-				} else if w.healthy {
-					w.healthy = false
-					co.addStat("coord.worker_down", 1)
-					co.cfg.Logger.Warn("worker unhealthy", "worker", u, "why", "readyz probe failed")
-				}
+			if w, ok := co.workers[u]; ok {
+				co.markHealthyLocked(w, "probe")
 			}
 			co.mu.Unlock()
 		}
@@ -271,8 +230,8 @@ func (co *Coordinator) healthLoop() {
 }
 
 // probe is one readiness check.
-func (co *Coordinator) probe(url string) bool {
-	ctx, cancel := context.WithTimeout(co.baseCtx, co.cfg.HealthInterval)
+func (co *Coordinator) probe(ctx context.Context, url string) bool {
+	ctx, cancel := context.WithTimeout(ctx, co.cfg.HealthInterval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/readyz", nil)
 	if err != nil {
@@ -287,140 +246,89 @@ func (co *Coordinator) probe(url string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// Submission outcomes forward() distinguishes for the HTTP layer.
+// Admission outcomes forward() distinguishes for the HTTP layer.
 var (
 	errAllSaturated   = errors.New("every reachable shard is saturated; retry shortly")
 	errNoWorkers      = errors.New("no healthy workers")
-	errDraining       = errors.New("coordinator is draining; not accepting jobs")
 	errAttemptsSpent  = errors.New("job re-routed too many times")
 	errWorkerRejected = errors.New("worker rejected the spec")
 )
 
-// submit registers a submission, answering from the persistent store
-// or joining an in-flight duplicate when possible; otherwise it
-// forwards the job to its rendezvous shard synchronously and hands
-// the accepted job to a watcher goroutine. The returned status is the
-// HTTP status to answer with; joined marks a single-flight join.
-func (co *Coordinator) submit(spec exp.JobSpec, requestID string, remote obs.SpanContext) (j *cjob, status int, joined bool, err error) {
-	key := spec.Key()
-	co.mu.Lock()
-	co.addStat("coord.jobs_submitted", 1)
-	if co.draining {
-		co.mu.Unlock()
-		return nil, http.StatusServiceUnavailable, false, errDraining
-	}
-	if dup, ok := co.inflight[key]; ok {
-		// Single-flight: identical concurrent submissions collapse onto
-		// the routed job; one engine run serves them all.
-		co.addStat("coord.singleflight_hits", 1)
-		co.cfg.Logger.Info("job joined in-flight duplicate",
-			"job_id", dup.id, "request_id", requestID, "experiment", spec.Experiment)
-		co.mu.Unlock()
-		return dup, http.StatusAccepted, true, nil
-	}
-	if co.cfg.Store != nil {
-		switch result, ok, serr := co.cfg.Store.Get(key); {
-		case serr != nil:
-			co.addStat("coord.store_errors", 1)
-			co.cfg.Logger.Warn("result store read failed",
-				"key", key, "request_id", requestID, "err", serr.Error())
-		case ok:
-			co.addStat("coord.store_hits", 1)
-			j := co.newJobLocked(spec, key, requestID, remote)
-			j.completeFromStoreLocked(result)
-			co.cfg.Logger.Info("job served from store",
-				"job_id", j.id, "request_id", requestID, "experiment", spec.Experiment)
-			co.mu.Unlock()
-			return j, http.StatusOK, false, nil
-		}
-	}
-	j = co.newJobLocked(spec, key, requestID, remote)
-	co.inflight[key] = j
-	co.mu.Unlock()
+// routed is one job's routing state, owned by the goroutine that
+// forwards or follows it.
+type routed struct {
+	j        *server.Job
+	worker   string // shard currently (or last) running the job
+	remoteID string // the worker's job ID
+	attempts int    // forwards consumed, including re-routes
+}
 
-	// First forward happens on the submitter's request so saturation
-	// (429) and fleet loss (503) surface synchronously with the right
-	// status; after acceptance a watcher owns the job.
-	ctx, cancel := context.WithCancel(co.baseCtx)
-	co.mu.Lock()
-	j.cancel = cancel
-	co.mu.Unlock()
-	worker, remoteID, ferr := co.forward(ctx, j)
-	if ferr != nil {
-		cancel()
-		co.fail(j, ferr)
+// Admit forwards a registered job to its rendezvous shard on the
+// submitter's request, so that saturation (429), a spec the workers
+// reject (502) and the loss of the fleet (503) answer synchronously;
+// an accepted job is then followed by a watcher until it is terminal.
+func (co *Coordinator) Admit(ctx context.Context, j *server.Job) (int, error) {
+	rt := &routed{j: j}
+	if err := co.forward(ctx, rt); err != nil {
 		switch {
-		case errors.Is(ferr, errAllSaturated):
-			return j, http.StatusTooManyRequests, false, ferr
-		case errors.Is(ferr, errWorkerRejected):
-			return j, http.StatusBadGateway, false, ferr
-		default:
-			return j, http.StatusServiceUnavailable, false, ferr
+		case errors.Is(err, errAllSaturated):
+			return http.StatusTooManyRequests, err
+		case errors.Is(err, errWorkerRejected):
+			return http.StatusBadGateway, err
 		}
+		return http.StatusServiceUnavailable, err
 	}
-	co.wg.Add(1)
-	go func() {
-		defer co.wg.Done()
-		defer cancel()
-		co.watch(ctx, j, worker, remoteID)
-	}()
-	return j, http.StatusAccepted, false, nil
+	co.srv.Go(func(context.Context) { co.watch(ctx, rt) })
+	return http.StatusAccepted, nil
 }
 
 // forward routes one job to the best healthy shard: rendezvous order,
 // skipping workers that refuse. A connection error or 5xx marks the
 // worker unhealthy and moves on; 429 notes saturation and moves on.
-// On acceptance the worker's job ID is returned for watching.
-func (co *Coordinator) forward(ctx context.Context, j *cjob) (worker, remoteID string, err error) {
-	body, err := json.Marshal(j.spec)
+// On acceptance the job is marked running on that worker and the
+// worker's job ID is kept for watching.
+func (co *Coordinator) forward(ctx context.Context, rt *routed) error {
+	spec := rt.j.Spec()
+	body, err := json.Marshal(spec)
 	if err != nil {
-		return "", "", fmt.Errorf("encoding spec: %w", err)
+		return fmt.Errorf("encoding spec: %w", err)
 	}
 	co.mu.Lock()
-	candidates := Rank(j.key, co.healthyWorkersLocked())
-	attempt := j.attempts
+	candidates := Rank(rt.j.Key(), co.healthyWorkersLocked())
 	co.mu.Unlock()
 	if len(candidates) == 0 {
-		return "", "", errNoWorkers
+		return errNoWorkers
 	}
 	saturated := false
 	for _, w := range candidates {
-		if attempt >= co.cfg.ForwardAttempts {
-			return "", "", errAttemptsSpent
+		if rt.attempts >= co.cfg.ForwardAttempts {
+			return errAttemptsSpent
 		}
-		attempt++
-		doc, status, ferr := co.postJob(ctx, w, body, j)
-		co.mu.Lock()
-		j.attempts = attempt
-		co.mu.Unlock()
+		rt.attempts++
+		doc, status, ferr := co.postJob(ctx, w, body, rt.j)
 		switch {
 		case ferr != nil:
 			if ctx.Err() != nil {
-				return "", "", ctx.Err()
+				return ctx.Err()
 			}
 			co.markUnhealthy(w, ferr.Error())
 			continue
 		case status == http.StatusOK || status == http.StatusAccepted:
+			rt.worker, rt.remoteID = w, doc.ID
+			co.srv.Start(rt.j, w)
 			co.mu.Lock()
-			j.worker = w
-			j.remoteID = doc.ID
-			if j.state == server.StateQueued {
-				j.state = server.StateRunning
-				j.started = time.Now()
-			}
-			j.notifySubs()
 			if ws, ok := co.workers[w]; ok {
-				ws.jobs++
+				ws.Jobs++
 			}
 			co.mu.Unlock()
-			co.addStat("coord.jobs_forwarded", 1)
+			co.srv.AddStat("coord.jobs_forwarded", 1)
 			co.cfg.Logger.Info("job forwarded",
-				"job_id", j.id, "worker", w, "remote_id", doc.ID,
-				"attempt", attempt, "cached", doc.Cached)
-			return w, doc.ID, nil
+				"job_id", rt.j.ID(), "worker", w, "remote_id", doc.ID,
+				"attempt", rt.attempts, "cached", doc.Cached)
+			return nil
 		case status == http.StatusTooManyRequests:
 			saturated = true
-			co.cfg.Logger.Info("worker saturated", "job_id", j.id, "worker", w)
+			co.cfg.Logger.Info("worker saturated", "job_id", rt.j.ID(), "worker", w)
 			continue
 		case status == http.StatusServiceUnavailable:
 			co.markUnhealthy(w, "draining")
@@ -429,7 +337,7 @@ func (co *Coordinator) forward(ctx context.Context, j *cjob) (worker, remoteID s
 			// The coordinator validated this spec; a worker 400 means
 			// version skew, and another worker may be newer.
 			co.cfg.Logger.Warn("worker rejected spec",
-				"job_id", j.id, "worker", w, "err", doc.Error)
+				"job_id", rt.j.ID(), "worker", w, "err", doc.Error)
 			err = fmt.Errorf("%w: %s", errWorkerRejected, doc.Error)
 			continue
 		default:
@@ -439,11 +347,11 @@ func (co *Coordinator) forward(ctx context.Context, j *cjob) (worker, remoteID s
 	}
 	switch {
 	case saturated:
-		return "", "", errAllSaturated
+		return errAllSaturated
 	case err != nil:
-		return "", "", err
+		return err
 	default:
-		return "", "", errNoWorkers
+		return errNoWorkers
 	}
 }
 
@@ -451,9 +359,9 @@ func (co *Coordinator) forward(ctx context.Context, j *cjob) (worker, remoteID s
 // traceparent rides along, so the worker's job trace joins the
 // coordinator's; the worker's error body (if any) is decoded into the
 // returned doc's Error.
-func (co *Coordinator) postJob(ctx context.Context, worker string, body []byte, j *cjob) (server.JobDoc, int, error) {
+func (co *Coordinator) postJob(ctx context.Context, worker string, body []byte, j *server.Job) (server.JobDoc, int, error) {
 	var doc server.JobDoc
-	ctx, cancel := context.WithTimeout(ctx, co.cfg.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(ctx, forwardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		worker+"/v1/jobs", bytes.NewReader(body))
@@ -461,13 +369,11 @@ func (co *Coordinator) postJob(ctx context.Context, worker string, body []byte, 
 		return doc, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if j.requestID != "" {
-		req.Header.Set("X-Request-ID", j.requestID)
+	if id := j.RequestID(); id != "" {
+		req.Header.Set("X-Request-ID", id)
 	}
-	co.mu.Lock()
-	fwd := j.tracer.StartSpan(j.span.Context(), "forward")
+	fwd := j.StartSpan("forward")
 	fwd.SetAttr("worker", worker)
-	co.mu.Unlock()
 	obs.PropagateTraceparent(req.Header, fwd.Context())
 	resp, err := co.client.Do(req)
 	fwd.End()
@@ -501,66 +407,57 @@ func (co *Coordinator) postJob(ctx context.Context, worker string, body []byte, 
 // terminal event means the worker died: it is marked unhealthy and
 // the job re-forwards to the next shard in rendezvous order, which is
 // safe because the simulation is deterministic.
-func (co *Coordinator) watch(ctx context.Context, j *cjob, worker, remoteID string) {
+func (co *Coordinator) watch(ctx context.Context, rt *routed) {
 	for {
-		state, doc, err := co.follow(ctx, j, worker, remoteID)
+		state, doc, err := co.follow(ctx, rt)
 		if err == nil {
 			switch state {
 			case server.StateDone:
-				result, rerr := co.fetchResult(ctx, worker, remoteID)
-				if rerr != nil {
-					// Completed on the worker but unretrievable (it died
-					// between the event and the fetch, or served invalid
-					// JSON): re-run elsewhere.
-					co.cfg.Logger.Warn("result fetch failed",
-						"job_id", j.id, "worker", worker, "err", rerr.Error())
-					co.markUnhealthy(worker, "result fetch failed")
-				} else {
-					co.complete(j, result)
+				result, rerr := co.fetchResult(ctx, rt)
+				if rerr == nil {
+					co.srv.Finish(rt.j, result, nil)
 					return
 				}
+				// Completed on the worker but unretrievable (it died
+				// between the event and the fetch, or served invalid
+				// JSON): re-run elsewhere.
+				co.cfg.Logger.Warn("result fetch failed",
+					"job_id", rt.j.ID(), "worker", rt.worker, "err", rerr.Error())
+				co.markUnhealthy(rt.worker, "result fetch failed")
 			case server.StateFailed:
-				co.fail(j, errors.New(doc.Error))
+				co.srv.Finish(rt.j, nil, errors.New(doc.Error))
 				return
 			case server.StateCancelled:
-				co.mu.Lock()
-				co.terminalizeLocked(j, server.StateCancelled, doc.Error)
-				co.mu.Unlock()
-				co.addStat("coord.jobs_cancelled", 1)
+				co.srv.Finish(rt.j, nil, context.Canceled)
 				return
 			}
 		}
 		if ctx.Err() != nil {
 			// Cancelled coordinator-side (DELETE or drain): tell the
 			// worker, best-effort, and finish.
-			co.cancelRemote(worker, remoteID)
-			co.mu.Lock()
-			co.terminalizeLocked(j, server.StateCancelled, context.Canceled.Error())
-			co.mu.Unlock()
-			co.addStat("coord.jobs_cancelled", 1)
+			co.cancelRemote(rt)
+			co.srv.Finish(rt.j, nil, context.Canceled)
 			return
 		}
 		if err != nil {
-			co.markUnhealthy(worker, fmt.Sprintf("event stream broke: %v", err))
+			co.markUnhealthy(rt.worker, fmt.Sprintf("event stream broke: %v", err))
 		}
-		co.addStat("coord.forward_retries", 1)
-		co.cfg.Logger.Warn("re-routing job", "job_id", j.id, "lost_worker", worker)
-		var ferr error
-		worker, remoteID, ferr = co.forward(ctx, j)
-		if ferr != nil {
-			co.fail(j, fmt.Errorf("re-routing after worker loss: %w", ferr))
+		co.srv.AddStat("coord.forward_retries", 1)
+		co.cfg.Logger.Warn("re-routing job", "job_id", rt.j.ID(), "lost_worker", rt.worker)
+		if ferr := co.forward(ctx, rt); ferr != nil {
+			co.srv.Finish(rt.j, nil, fmt.Errorf("re-routing after worker loss: %w", ferr))
 			return
 		}
 	}
 }
 
 // follow consumes one worker's SSE stream for the job until a
-// terminal event or a stream error. Progress events update the local
-// record; the terminal event's state and doc are returned.
-func (co *Coordinator) follow(ctx context.Context, j *cjob, worker, remoteID string) (string, server.JobDoc, error) {
+// terminal event or a stream error. Progress events update the
+// frontend's record; the terminal event's state and doc are returned.
+func (co *Coordinator) follow(ctx context.Context, rt *routed) (string, server.JobDoc, error) {
 	var doc server.JobDoc
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		worker+"/v1/jobs/"+remoteID+"/events", nil)
+		rt.worker+"/v1/jobs/"+rt.remoteID+"/events", nil)
 	if err != nil {
 		return "", doc, err
 	}
@@ -583,10 +480,7 @@ func (co *Coordinator) follow(ctx context.Context, j *cjob, worker, remoteID str
 		case "progress":
 			var p server.ProgressEvent
 			if json.Unmarshal(ev.data, &p) == nil {
-				co.mu.Lock()
-				j.progress, j.hasProg = p, true
-				j.notifySubs()
-				co.mu.Unlock()
+				co.srv.Progress(rt.j, p)
 			}
 		case server.StateDone, server.StateFailed, server.StateCancelled:
 			if err := json.Unmarshal(ev.data, &doc); err != nil {
@@ -601,11 +495,11 @@ func (co *Coordinator) follow(ctx context.Context, j *cjob, worker, remoteID str
 // job — exactly what the worker would serve any client. Bytes that are
 // not valid JSON count as a failed fetch: they would corrupt the store
 // and every job document that splices them in.
-func (co *Coordinator) fetchResult(ctx context.Context, worker, remoteID string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, co.cfg.ForwardTimeout)
+func (co *Coordinator) fetchResult(ctx context.Context, rt *routed) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, forwardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		worker+"/v1/jobs/"+remoteID+"/result", nil)
+		rt.worker+"/v1/jobs/"+rt.remoteID+"/result", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -629,11 +523,11 @@ func (co *Coordinator) fetchResult(ctx context.Context, worker, remoteID string)
 }
 
 // cancelRemote forwards a cancellation, best-effort.
-func (co *Coordinator) cancelRemote(worker, remoteID string) {
-	ctx, cancel := context.WithTimeout(context.Background(), co.cfg.ForwardTimeout)
+func (co *Coordinator) cancelRemote(rt *routed) {
+	ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		worker+"/v1/jobs/"+remoteID, nil)
+		rt.worker+"/v1/jobs/"+rt.remoteID, nil)
 	if err != nil {
 		return
 	}
@@ -643,109 +537,59 @@ func (co *Coordinator) cancelRemote(worker, remoteID string) {
 	}
 }
 
-// complete finishes a job with its result: write-through to the
-// store, then publish.
-func (co *Coordinator) complete(j *cjob, result []byte) {
-	if co.cfg.Store != nil {
-		if serr := co.cfg.Store.Put(j.key, result); serr != nil {
-			co.addStat("coord.store_errors", 1)
-			co.cfg.Logger.Warn("result store write failed", "key", j.key, "err", serr.Error())
-		} else {
-			co.addStat("coord.store_puts", 1)
+// healthDoc reports the coordinator's live state: fleet size and
+// routed-job counts.
+type healthDoc struct {
+	Status         string `json:"status"`
+	Workers        int    `json:"workers"`
+	HealthyWorkers int    `json:"healthy_workers"`
+	Running        int    `json:"running"`
+	Draining       bool   `json:"draining"`
+}
+
+// Health adds the fleet's size. A coordinator is ready only while a
+// worker is healthy — a load balancer in front of several coordinators
+// should skip one that cannot place jobs.
+func (co *Coordinator) Health(h server.Health) (any, bool) {
+	d := healthDoc{Status: h.Status, Running: h.Queued + h.Running, Draining: h.Draining}
+	co.mu.Lock()
+	d.Workers = len(co.workers)
+	for _, w := range co.workers {
+		if w.Healthy {
+			d.HealthyWorkers++
 		}
 	}
-	co.mu.Lock()
-	j.result = result
-	co.terminalizeLocked(j, server.StateDone, "")
 	co.mu.Unlock()
-	co.addStat("coord.jobs_completed", 1)
-	co.cfg.Logger.Info("job finished", "job_id", j.id, "worker", j.worker,
-		"state", server.StateDone, "attempts", j.attempts)
+	return d, d.HealthyWorkers > 0
 }
 
-// fail finishes a job with an error.
-func (co *Coordinator) fail(j *cjob, err error) {
-	co.mu.Lock()
-	co.terminalizeLocked(j, server.StateFailed, err.Error())
-	co.mu.Unlock()
-	co.addStat("coord.jobs_failed", 1)
-	co.cfg.Logger.Error("job failed", "job_id", j.id, "err", err.Error())
+// Routes adds the fleet endpoints.
+func (co *Coordinator) Routes(mux *http.ServeMux) {
+	mux.HandleFunc("GET /v1/workers", co.handleWorkers)
+	mux.HandleFunc("POST /v1/workers", co.handleRegister)
 }
 
-// cancelJob cancels a routed job. The watcher observes the context
-// cancellation, forwards DELETE to the worker and terminalizes.
-func (co *Coordinator) cancelJob(id string) (*cjob, error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	j, ok := co.jobs[id]
-	if !ok {
-		return nil, errNoSuchJob
-	}
-	if j.terminal() {
-		return j, fmt.Errorf("job %s is already %s", id, j.state)
-	}
-	if j.cancel != nil {
-		j.cancel()
-	}
-	return j, nil
+// handleWorkers lists the fleet, stable by URL.
+func (co *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
+	server.WriteJSON(w, http.StatusOK, map[string]interface{}{"workers": co.workerDocs()})
 }
 
-var errNoSuchJob = errors.New("no such job")
-
-// Drain stops intake, cancels the health loop, and gives routed jobs
-// until ctx expires to finish before cancelling them.
-func (co *Coordinator) Drain(ctx context.Context) error {
-	co.mu.Lock()
-	co.draining = true
-	co.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		co.waitJobs()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		co.mu.Lock()
-		forced := 0
-		for _, j := range co.order {
-			if !j.terminal() && j.cancel != nil {
-				j.cancel()
-				forced++
-			}
-		}
-		co.mu.Unlock()
-		err = fmt.Errorf("drain grace period expired; cancelled %d routed jobs", forced)
+// handleRegister accepts a worker announcement: {"url": "http://..."}.
+// Registration is idempotent and doubles as a keep-alive.
+func (co *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
+	var body struct {
+		URL string `json:"url"`
 	}
-	co.baseCancel()
-	co.wg.Wait()
-	return err
-}
-
-// waitJobs blocks until every registered job is terminal.
-func (co *Coordinator) waitJobs() {
-	for {
-		co.mu.Lock()
-		var pending *cjob
-		for _, j := range co.order {
-			if !j.terminal() {
-				pending = j
-				break
-			}
-		}
-		co.mu.Unlock()
-		if pending == nil {
-			return
-		}
-		<-pending.done
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&body); err != nil {
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding registration: %w", err), "")
+		return
 	}
-}
-
-// Draining reports whether Drain has begun.
-func (co *Coordinator) Draining() bool {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.draining
+	if body.URL == "" {
+		server.WriteError(w, http.StatusBadRequest, errors.New("registration needs a url"), "")
+		return
+	}
+	co.RegisterWorker(body.URL)
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "registered", "url": body.URL})
 }

@@ -1,15 +1,20 @@
 // Package cluster shards overlaysim job execution across a fleet of
 // serve processes (see docs/CLUSTER.md).
 //
-// A Coordinator fronts N workers — ordinary `overlaysim serve`
-// processes — with the same /v1/jobs API a single node exposes.
-// Each submission is routed by rendezvous-hashing its canonical spec
-// digest (exp.JobSpec.Key) over the healthy workers, so identical
-// specs land on the same shard and its in-memory caches; losing a
-// worker re-ranks only that worker's keys. Progress streams back over
-// the worker's SSE feed and is re-published on the coordinator's own
-// /v1/jobs/{id}/events, so clients keep one connection even when a
-// job is re-routed mid-flight.
+// A Coordinator is the remote executor behind internal/server's job
+// frontend, so it fronts N workers — ordinary `overlaysim serve`
+// processes — with the same /v1/jobs API a single node exposes; the
+// frontend's submission path, job records, drain and handlers are the
+// ones a worker runs. What the Coordinator adds is the routing: each
+// admitted job is forwarded to the worker its canonical spec digest
+// (exp.JobSpec.Key) rendezvous-hashes to among the healthy workers, so
+// identical specs land on the same shard and its in-memory caches, and
+// losing a worker re-ranks only that worker's keys. Progress is
+// followed over the worker's SSE feed and re-published on the
+// coordinator's own /v1/jobs/{id}/events, so clients keep one
+// connection even when a job is re-routed mid-flight. The coordinator
+// has no in-memory result tier of its own: its store answers repeats,
+// and a repeat's owning worker holds it in its LRU.
 //
 // Three properties make sharding sound here: the simulator is
 // deterministic (any worker computes bit-identical results for a

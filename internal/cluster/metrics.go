@@ -12,31 +12,22 @@ import (
 	"repro/internal/sim"
 )
 
-// handleMetrics renders the coordinator's own registry (routing
-// counters, HTTP statuses, per-worker job tallies, fleet gauges)
-// followed by the fleet aggregate: every worker's /metrics scraped,
+// WriteMetrics renders the fleet gauges and per-worker routing
+// tallies, then the fleet aggregate: every worker's /metrics scraped,
 // parsed and merged — counters summed, histogram buckets re-cumulated
 // over the union of bounds — so one scrape of the coordinator equals
 // the sum of the worker registries. An unreachable worker is skipped
 // and counted in overlaysim_coord_scrape_errors; the aggregate then
-// covers the workers that answered.
-func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-
-	co.mu.Lock()
-	workers := make([]string, 0, len(co.workers))
+// covers the workers that answered. The frontend has rendered the
+// coordinator's own registry above them.
+func (co *Coordinator) WriteMetrics(w io.Writer, r *http.Request) {
+	workers := co.workerDocs()
 	healthy := 0
-	perWorkerJobs := make(map[string]uint64, len(co.workers))
-	for u, ws := range co.workers {
-		workers = append(workers, u)
-		if ws.healthy {
+	for _, d := range workers {
+		if d.Healthy {
 			healthy++
 		}
-		perWorkerJobs[u] = ws.jobs
 	}
-	co.mu.Unlock()
-	sort.Strings(workers)
-
 	fmt.Fprintf(w, "# HELP overlaysim_coord_workers registered shards\n"+
 		"# TYPE overlaysim_coord_workers gauge\noverlaysim_coord_workers %d\n", len(workers))
 	fmt.Fprintf(w, "# HELP overlaysim_coord_workers_healthy shards passing readiness probes\n"+
@@ -44,35 +35,19 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if len(workers) > 0 {
 		const m = "overlaysim_coord_worker_jobs_total"
 		fmt.Fprintf(w, "# HELP %s jobs routed per shard\n# TYPE %s counter\n", m, m)
-		for _, u := range workers {
-			fmt.Fprintf(w, "%s{worker=\"%s\"} %d\n", m, sim.PromEscapeLabel(u), perWorkerJobs[u])
+		for _, d := range workers {
+			fmt.Fprintf(w, "%s{worker=\"%s\"} %d\n", m, sim.PromEscapeLabel(d.URL), d.Jobs)
 		}
 	}
-	co.statsMu.Lock()
-	if len(co.statusCounts) > 0 {
-		const m = "overlaysim_coord_http_responses_total"
-		fmt.Fprintf(w, "# HELP %s HTTP responses by status code\n# TYPE %s counter\n", m, m)
-		codes := make([]int, 0, len(co.statusCounts))
-		for code := range co.statusCounts {
-			codes = append(codes, code)
-		}
-		sort.Ints(codes)
-		for _, code := range codes {
-			fmt.Fprintf(w, "%s{code=\"%s\"} %d\n",
-				m, sim.PromEscapeLabel(strconv.Itoa(code)), co.statusCounts[code])
-		}
-	}
-	sim.WritePrometheus(w, "overlaysim_", co.stats) //nolint:errcheck // client gone
-	co.statsMu.Unlock()
 
 	// Fleet aggregate: scrape, merge, render.
 	scrapes := make([]scrape, 0, len(workers))
 	errs := 0
-	for _, u := range workers {
-		sc, err := co.scrapeWorker(r.Context(), u)
+	for _, d := range workers {
+		sc, err := co.scrapeWorker(r.Context(), d.URL)
 		if err != nil {
 			errs++
-			fmt.Fprintf(w, "# fleet scrape failed: %s\n", u)
+			fmt.Fprintf(w, "# fleet scrape failed: %s\n", d.URL)
 			continue
 		}
 		scrapes = append(scrapes, sc)
@@ -89,7 +64,7 @@ type scrape struct {
 }
 
 func (co *Coordinator) scrapeWorker(ctx context.Context, worker string) (scrape, error) {
-	ctx, cancel := context.WithTimeout(ctx, co.cfg.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(ctx, forwardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/metrics", nil)
 	if err != nil {

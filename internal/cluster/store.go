@@ -106,28 +106,3 @@ func (s *FSStore) Put(key string, result []byte) error {
 	}
 	return nil
 }
-
-// Len counts stored entries — an operator convenience for the
-// coordinator's worker listing and tests, not a hot path.
-func (s *FSStore) Len() int {
-	n := 0
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
-	for _, e := range entries {
-		if !e.IsDir() || len(e.Name()) != 2 {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.dir, e.Name()))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			if filepath.Ext(f.Name()) == ".json" {
-				n++
-			}
-		}
-	}
-	return n
-}

@@ -36,16 +36,26 @@ func TestFSStoreRoundTrip(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(s.Dir(), key[:2], key+".json")); err != nil {
 		t.Fatalf("expected disk layout missing: %v", err)
 	}
-	if n := s.Len(); n != 1 {
-		t.Fatalf("Len = %d, want 1", n)
+	if n := countEntries(t, s.Dir()); n != 1 {
+		t.Fatalf("store holds %d entries, want 1", n)
 	}
 	// Re-put is idempotent.
 	if err := s.Put(key, []byte(want)); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.Len(); n != 1 {
-		t.Fatalf("Len after re-put = %d, want 1", n)
+	if n := countEntries(t, s.Dir()); n != 1 {
+		t.Fatalf("store holds %d entries after re-put, want 1", n)
 	}
+}
+
+// countEntries counts the entry files under a store directory.
+func countEntries(t *testing.T, dir string) int {
+	t.Helper()
+	entries, err := filepath.Glob(filepath.Join(dir, "??", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(entries)
 }
 
 func TestFSStoreSurvivesReopen(t *testing.T) {

@@ -18,8 +18,9 @@ import (
 // few hundred bytes.
 const maxSpecBytes = 1 << 20
 
-// Handler returns the service's HTTP routes (see docs/API.md).
-func Handler(s *Server) http.Handler {
+// Handler returns the service's HTTP routes (see docs/API.md): the
+// job routes every tier shares plus the executor's own.
+func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
@@ -29,13 +30,10 @@ func Handler(s *Server) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	return instrument(s, mux)
+	s.exec.Routes(mux)
+	return s.instrument(mux)
 }
-
-// Handler is the method form of the package-level Handler.
-func (s *Server) Handler() http.Handler { return Handler(s) }
 
 // requestIDKey carries the request's ID through the handler context.
 type requestIDKey struct{}
@@ -49,16 +47,16 @@ func requestID(r *http.Request) string {
 // echoes it as X-Request-ID, counts the request and its response
 // status — every status, labelled by code, satisfying the error-path
 // accounting — and logs one structured record per request.
-func instrument(s *Server, next http.Handler) http.Handler {
+func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reqID := r.Header.Get("X-Request-ID")
 		if reqID == "" {
 			reqID = obs.NewSpanID().String()
 		}
 		w.Header().Set("X-Request-ID", reqID)
-		sw := &StatusWriter{ResponseWriter: w}
+		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
-		s.addStat("server.http_requests", 1)
+		s.AddStat(s.counter.requests, 1)
 		ctx := contextWithRequestID(r.Context(), reqID)
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		if sw.Status == 0 {
@@ -67,7 +65,7 @@ func instrument(s *Server, next http.Handler) http.Handler {
 		s.statsMu.Lock()
 		s.statusCounts[sw.Status]++
 		s.statsMu.Unlock()
-		s.cfg.Logger.Info("http request",
+		s.tier.Logger.Info("http request",
 			"method", r.Method, "path", r.URL.Path, "status", sw.Status,
 			"request_id", reqID, "dur_ms", time.Since(start).Milliseconds())
 	})
@@ -77,52 +75,43 @@ func contextWithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, requestIDKey{}, id)
 }
 
-// healthDoc reports the process's live state: queue occupancy, job
-// counts by phase, and whether a drain has begun.
-type healthDoc struct {
-	Status        string `json:"status"`
-	QueueDepth    int    `json:"queue_depth"`
-	QueueCapacity int    `json:"queue_capacity"`
-	Queued        int    `json:"queued"`
-	Running       int    `json:"running"`
-	Draining      bool   `json:"draining"`
-}
-
-func (s *Server) health() healthDoc {
+// health counts the registered jobs by phase and hands them to the
+// executor, which builds the health document. The service is ready
+// when it is not draining and the executor can take work.
+func (s *Server) health() (doc any, ready bool) {
+	h := Health{Status: "ok"}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	d := healthDoc{
-		Status:        "ok",
-		QueueDepth:    len(s.queue),
-		QueueCapacity: cap(s.queue),
-		Draining:      s.draining,
-	}
-	if s.draining {
-		d.Status = "draining"
-	}
 	for _, j := range s.order {
 		switch j.state {
 		case StateQueued:
-			d.Queued++
+			h.Queued++
 		case StateRunning:
-			d.Running++
+			h.Running++
 		}
 	}
-	return d
+	h.Draining = s.draining
+	s.mu.Unlock()
+	if h.Draining {
+		h.Status = "draining"
+	}
+	doc, ready = s.exec.Health(h)
+	return doc, ready && !h.Draining
 }
 
 // handleHealth is liveness: always 200 while the process can answer,
-// with the drain state and queue occupancy in the body. Readiness —
-// "send me traffic" — is /readyz, which flips to 503 during drain.
+// with the drain state and the executor's occupancy in the body.
+// Readiness — "send me traffic" — is /readyz.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, s.health())
+	doc, _ := s.health()
+	WriteJSON(w, http.StatusOK, doc)
 }
 
 // handleReady is readiness: 503 once Drain begins (new submissions
-// are already being refused), 200 otherwise.
+// are already being refused) or while the executor cannot take work,
+// 200 otherwise.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	doc := s.health()
-	if doc.Draining {
+	doc, ready := s.health()
+	if !ready {
 		WriteJSON(w, http.StatusServiceUnavailable, doc)
 		return
 	}
@@ -134,10 +123,12 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // an accepted job answers 202 immediately. Cache hits always answer
 // 200 with the completed job document; the X-Overlaysim-Cache header
 // names the tier that answered (`hit` = in-memory LRU, `hit-store` =
-// persistent store, `miss` = the engine ran). A concurrent identical
-// submission joins the job already in flight (single-flight — the
-// engine runs once) and is marked with an X-Overlaysim-Singleflight
-// header naming the shared job. A valid `traceparent` request header
+// persistent store, `miss` = the executor ran the job). A concurrent
+// identical submission joins the job already in flight (single-flight
+// — the engine runs once) and is marked with an
+// X-Overlaysim-Singleflight header naming the shared job. A rejection
+// (429 with Retry-After, 503, or the executor's own status) registers
+// nothing. A valid `traceparent` request header
 // is adopted as the job trace's ID (the job's root span becomes a
 // child of the client's span); the response echoes the job's own trace
 // position in the same header.
@@ -152,13 +143,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After",
-				strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+				strconv.Itoa(int((s.tier.RetryAfter+time.Second-1)/time.Second)))
 		}
-		jobID := ""
-		if j != nil {
-			jobID = j.id
-		}
-		WriteError(w, status, err, jobID)
+		WriteError(w, status, err, "")
 		return
 	}
 	obs.PropagateTraceparent(w.Header(), j.span.Context())
@@ -207,7 +194,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // lookup resolves the path's job id, answering 404 itself on a miss.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*job, bool) {
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
@@ -247,50 +234,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(result) //nolint:errcheck
-}
-
-// TraceDoc is the wire form of a job's span trace: identifiers plus
-// the recorded spans nested by parentage (see docs/OBSERVABILITY.md).
-type TraceDoc struct {
-	JobID     string          `json:"job_id"`
-	TraceID   string          `json:"trace_id"`
-	RequestID string          `json:"request_id,omitempty"`
-	State     string          `json:"state"`
-	Dropped   uint64          `json:"dropped_spans,omitempty"`
-	Spans     []*obs.SpanNode `json:"spans"`
-}
-
-// handleTrace serves the job's span tree. Running jobs answer with the
-// spans recorded so far (the still-open root appears once the job
-// finishes); disabled tracing answers 404.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	doc := TraceDoc{
-		JobID:     j.id,
-		TraceID:   j.traceID(),
-		RequestID: j.requestID,
-		State:     j.state,
-	}
-	var spans []obs.Span
-	if j.tracer != nil {
-		spans = j.liveSpans()
-		doc.Dropped = j.tracer.Dropped()
-	}
-	s.mu.Unlock()
-	if j.tracer == nil {
-		WriteError(w, http.StatusNotFound,
-			fmt.Errorf("tracing is disabled; job %s carries no trace", j.id), j.id)
-		return
-	}
-	doc.Spans = obs.BuildTree(spans)
-	if doc.Spans == nil {
-		doc.Spans = []*obs.SpanNode{}
-	}
-	WriteJSON(w, http.StatusOK, doc)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -341,10 +284,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	// Progress payloads carry the job's identifiers so a stream
-	// consumer can correlate events with log records and the trace.
+	// consumer can correlate events with log records and the trace;
+	// a routed job's also name the worker running it.
 	type progressPayload struct {
 		ProgressEvent
 		JobID     string `json:"job_id"`
+		Worker    string `json:"worker,omitempty"`
 		TraceID   string `json:"trace_id,omitempty"`
 		RequestID string `json:"request_id,omitempty"`
 	}
@@ -354,6 +299,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		s.mu.Lock()
 		prog, hasProg := j.progress, j.hasProg
+		worker := j.worker
 		terminal := j.terminal()
 		var finalDoc JobDoc
 		var state string
@@ -365,7 +311,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 		if hasProg && (!sentAny || prog != sent) {
 			payload := progressPayload{
-				ProgressEvent: prog, JobID: j.id,
+				ProgressEvent: prog, JobID: j.id, Worker: worker,
 				TraceID: j.traceID(), RequestID: j.requestID,
 			}
 			if err := WriteSSE(w, "progress", payload); err != nil {
@@ -388,32 +334,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleMetrics renders the telemetry registry — server counters and
-// histograms plus simulator stats merged in from completed jobs — in
-// Prometheus text format, with live queue gauges on top.
+// handleMetrics renders, in Prometheus text format, the frontend's
+// series — HTTP responses by status, jobs by backend, and the
+// telemetry registry: frontend counters and histograms plus whatever
+// the executor merged into it — followed by the executor's own.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprintf(w, "# HELP overlaysim_server_queue_depth jobs waiting in the bounded queue\n"+
-		"# TYPE overlaysim_server_queue_depth gauge\noverlaysim_server_queue_depth %d\n",
-		len(s.queue))
-	fmt.Fprintf(w, "# HELP overlaysim_server_queue_capacity bounded queue capacity\n"+
-		"# TYPE overlaysim_server_queue_capacity gauge\noverlaysim_server_queue_capacity %d\n",
-		cap(s.queue))
-	if s.snapshots != nil {
-		fmt.Fprintf(w, "# HELP overlaysim_server_snapshot_cache_hits warm-state family lookups served from cache\n"+
-			"# TYPE overlaysim_server_snapshot_cache_hits counter\noverlaysim_server_snapshot_cache_hits %d\n",
-			s.snapshots.Hits())
-		fmt.Fprintf(w, "# HELP overlaysim_server_snapshot_cache_misses warm-state family lookups that built a snapshot\n"+
-			"# TYPE overlaysim_server_snapshot_cache_misses counter\noverlaysim_server_snapshot_cache_misses %d\n",
-			s.snapshots.Misses())
-		fmt.Fprintf(w, "# HELP overlaysim_server_snapshot_cache_entries cached warm-state families\n"+
-			"# TYPE overlaysim_server_snapshot_cache_entries gauge\noverlaysim_server_snapshot_cache_entries %d\n",
-			s.snapshots.Len())
-	}
 	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
 	if len(s.statusCounts) > 0 {
-		const m = "overlaysim_server_http_responses_total"
+		m := "overlaysim_" + sim.PromName(s.tier.StatPrefix+"http_responses_total")
 		fmt.Fprintf(w, "# HELP %s HTTP responses by status code\n# TYPE %s counter\n", m, m)
 		codes := make([]int, 0, len(s.statusCounts))
 		for code := range s.statusCounts {
@@ -426,7 +355,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(s.backendCounts) > 0 {
-		const m = "overlaysim_server_jobs_total"
+		m := "overlaysim_" + sim.PromName(s.tier.StatPrefix+"jobs_total")
 		fmt.Fprintf(w, "# HELP %s jobs submitted by translation backend\n# TYPE %s counter\n", m, m)
 		backends := make([]string, 0, len(s.backendCounts))
 		for b := range s.backendCounts {
@@ -439,4 +368,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sim.WritePrometheus(w, "overlaysim_", s.stats) //nolint:errcheck // client gone
+	s.statsMu.Unlock()
+	s.exec.WriteMetrics(w, r)
 }

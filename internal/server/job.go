@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"time"
 
 	"repro/internal/exp"
@@ -35,9 +34,11 @@ type ProgressEvent struct {
 	Failed int `json:"failed"`
 }
 
-// job is the server-side record of one submission. All fields after
-// the immutable header are guarded by the Server's mutex.
-type job struct {
+// Job is a frontend's record of one submission, on either tier. The
+// header is immutable; every other field is guarded by the Server's
+// mutex, and an executor outside this package changes them only
+// through the Server's Start, Progress and Finish.
+type Job struct {
 	id        string
 	spec      exp.JobSpec
 	key       string
@@ -46,6 +47,7 @@ type job struct {
 	state     string
 	cached    bool
 	cacheSrc  string // CacheMemory or CacheStore, "" when not cached
+	worker    string // remote executor: the shard running (or that ran) the job
 	errMsg    string
 	submitted time.Time
 	started   time.Time
@@ -54,23 +56,49 @@ type job struct {
 	hasProg   bool
 	result    []byte // rendered sim.Export JSON, exactly as the CLI's -json writes it
 
-	// tracer records the job's spans; span is the root "job" span and
-	// queueSpan the submit→dequeue wait. spans/dropped snapshot the
-	// trace at the terminal transition (nil until then). All nil when
-	// tracing is disabled — every obs operation on them no-ops.
+	// tracer records the job's spans; span is the root span, named by
+	// the tier, and queueSpan the local executor's submit→dequeue wait.
+	// spans/dropped snapshot the trace at the terminal transition (nil
+	// until then). All nil when tracing is disabled — every obs
+	// operation on them no-ops.
 	tracer    *obs.Tracer
 	span      *obs.Span
 	queueSpan *obs.Span
 	spans     []obs.Span
 	dropped   uint64
 
-	cancel context.CancelFunc
+	cancel context.CancelFunc         // cancels the context the executor was handed
 	subs   map[chan struct{}]struct{} // SSE subscribers (signal channels, cap 1)
 	done   chan struct{}              // closed exactly once on terminal transition
+
+	// admitted is closed once the executor has taken or refused the job
+	// (nil for cached jobs, which no executor sees). A refused job keeps
+	// the status and error its submitters are answered with.
+	admitted      chan struct{}
+	refusedStatus int
+	refused       error
+}
+
+// ID returns the job's identifier.
+func (j *Job) ID() string { return j.id }
+
+// Spec returns the submitted spec.
+func (j *Job) Spec() exp.JobSpec { return j.spec }
+
+// Key returns the spec's canonical digest.
+func (j *Job) Key() string { return j.key }
+
+// RequestID returns the ID of the request that submitted the job.
+func (j *Job) RequestID() string { return j.requestID }
+
+// StartSpan opens a span under the job's root span (nil, a no-op span,
+// when tracing is disabled).
+func (j *Job) StartSpan(name string) *obs.Span {
+	return j.tracer.StartSpan(j.span.Context(), name)
 }
 
 // traceID renders the job's trace ID, "" when tracing is disabled.
-func (j *job) traceID() string {
+func (j *Job) traceID() string {
 	if j.tracer == nil {
 		return ""
 	}
@@ -80,9 +108,10 @@ func (j *job) traceID() string {
 // endTrace closes any still-open lifecycle spans and snapshots the
 // trace; it runs exactly once, at the job's terminal transition.
 // Span.End is idempotent, so spans already closed on the happy path
-// (queue.wait at dequeue, run/encode in runJob) are unaffected.
+// (queue.wait at dequeue, run/encode in the local executor) are
+// unaffected.
 // Caller holds the Server mutex.
-func (j *job) endTrace() {
+func (j *Job) endTrace() {
 	if j.tracer == nil {
 		return
 	}
@@ -95,7 +124,7 @@ func (j *job) endTrace() {
 // liveSpans snapshots the recorded spans: the terminal snapshot when
 // the job is finished, the tracer's current contents while it runs.
 // Caller holds the Server mutex.
-func (j *job) liveSpans() []obs.Span {
+func (j *Job) liveSpans() []obs.Span {
 	if j.spans != nil {
 		return j.spans
 	}
@@ -103,7 +132,7 @@ func (j *job) liveSpans() []obs.Span {
 }
 
 // terminal reports whether the job reached a final state.
-func (j *job) terminal() bool {
+func (j *Job) terminal() bool {
 	return j.state == StateDone || j.state == StateFailed || j.state == StateCancelled
 }
 
@@ -140,7 +169,7 @@ type JobDoc struct {
 // doc renders the job for the wire. withResult controls whether the
 // (potentially large) result document rides along; listings omit it.
 // Caller holds the Server mutex.
-func (j *job) doc(withResult bool) JobDoc {
+func (j *Job) doc(withResult bool) JobDoc {
 	d := JobDoc{
 		ID:          j.id,
 		State:       j.state,
@@ -148,6 +177,7 @@ func (j *job) doc(withResult bool) JobDoc {
 		CacheSource: j.cacheSrc,
 		Spec:        j.spec,
 		Key:         j.key,
+		Worker:      j.worker,
 		Error:       j.errMsg,
 		TraceID:     j.traceID(),
 		RequestID:   j.requestID,
@@ -190,7 +220,7 @@ func (j *job) doc(withResult bool) JobDoc {
 // notifySubs pokes every subscriber without blocking: each channel has
 // capacity one, so a slow reader coalesces updates instead of stalling
 // the worker. Caller holds the Server mutex.
-func (j *job) notifySubs() {
+func (j *Job) notifySubs() {
 	for ch := range j.subs {
 		select {
 		case ch <- struct{}{}:
@@ -198,6 +228,3 @@ func (j *job) notifySubs() {
 		}
 	}
 }
-
-// jobID formats the sequential job identifier.
-func jobID(seq int) string { return fmt.Sprintf("job-%06d", seq) }

@@ -1,118 +1,94 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
-	"runtime"
+	"net/http"
 	"sync"
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// Runner executes one validated job spec. The default is
-// exp.JobSpec.Run; tests substitute stubs to script slow, failing or
-// progress-reporting jobs without simulating.
-type Runner func(ctx context.Context, spec exp.JobSpec, pool exp.Pool) (*exp.JobOutput, error)
+// traceCap bounds each job's span buffer in spans.
+const traceCap = 512
 
-// Config sizes the service. The zero value is usable: every field has
-// a production default.
-type Config struct {
-	// Workers is the number of jobs simulated concurrently
-	// (0 = GOMAXPROCS). Each job may additionally fan out its own
-	// simulations per its spec's parallel field.
-	Workers int
+// Executor runs the jobs a Server admits. The local executor (New)
+// runs them on this machine; the coordinator's remote executor
+// (internal/cluster) forwards them to a worker fleet. The Server owns
+// everything a client sees of a job; an executor reports back through
+// the Server's Start, Progress and Finish.
+type Executor interface {
+	// Admit takes a new, still queued job. It is called without the
+	// Server's lock and may block: the remote executor forwards the job
+	// before it returns. ctx is the job's context, cancelled when the
+	// job is cancelled or ends. On rejection it returns the HTTP status
+	// and error to answer with, and the Server registers nothing.
+	Admit(ctx context.Context, j *Job) (status int, err error)
 
-	// QueueDepth bounds how many accepted jobs may wait behind the
-	// running ones (0 = 16). A full queue rejects submissions with
-	// 429 + Retry-After instead of buffering without bound.
-	QueueDepth int
+	// Health builds the document /healthz and /readyz answer with from
+	// the frontend's counts, and reports whether the executor can take
+	// work: /readyz answers 503 when it cannot.
+	Health(h Health) (doc any, ready bool)
 
-	// JobTimeout caps one job's wall clock (0 = unbounded). Enforced
-	// by the harness's per-job timeout; an expired job fails with
-	// context.DeadlineExceeded.
-	JobTimeout time.Duration
+	// Routes adds the executor's own endpoints.
+	Routes(mux *http.ServeMux)
 
-	// CacheSize bounds the result cache in entries (0 = 128,
-	// negative disables caching).
+	// WriteMetrics renders the executor's series on /metrics, after
+	// the frontend's status counts and registry.
+	WriteMetrics(w io.Writer, r *http.Request)
+}
+
+// Tier names what sets one frontend apart besides its executor.
+type Tier struct {
+	JobPrefix  string // job IDs are JobPrefix + six digits
+	RootSpan   string // name of each job's root span
+	StatPrefix string // prefix of the frontend's registry counters
+
+	// CacheSize bounds the in-memory result tier in entries. Zero means
+	// the tier has no memory tier at all; a negative size keeps one
+	// that holds nothing, so its misses are still counted.
 	CacheSize int
 
-	// SnapshotCacheSize bounds the warm-state snapshot cache in family
-	// entries (0 = 32, negative disables snapshot reuse). Cached family
-	// snapshots let jobs that share a configuration family skip warm-up
-	// simulation; results are bit-identical either way.
-	SnapshotCacheSize int
-
-	// RetryAfter is the backpressure hint returned with 429
-	// (0 = 2s).
-	RetryAfter time.Duration
-
-	// Runner overrides job execution (nil = exp.JobSpec.Run).
-	Runner Runner
-
-	// Store is the persistent result tier under the LRU cache (nil =
-	// none). Completed results are written through to it, and an LRU
-	// miss consults it before running the engine, so cache hits
-	// survive restarts and are deduplicated across every process
-	// sharing the store.
+	// Store is the persistent result tier (nil = none). A miss in
+	// memory consults it before the job is registered, and a completed
+	// result is written through to it before it is published.
 	Store ResultStore
 
-	// Logger receives structured log records for submissions, job
-	// lifecycle transitions and HTTP requests (nil = records are
-	// discarded).
-	Logger *slog.Logger
+	// Backends tallies submissions by translation backend and tags
+	// each job's root span with its backend.
+	Backends bool
 
-	// TraceCap bounds each job's span buffer in spans (0 = 512).
-	TraceCap int
-
-	// DisableTracing turns per-job span recording off; jobs then carry
-	// no trace and GET /v1/jobs/{id}/trace answers 404.
+	RetryAfter     time.Duration // backpressure hint sent with a 429
+	Logger         *slog.Logger  // nil = records are discarded
 	DisableTracing bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 16
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 128
-	}
-	if c.SnapshotCacheSize == 0 {
-		c.SnapshotCacheSize = 32
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 2 * time.Second
-	}
-	if c.Runner == nil {
-		c.Runner = func(ctx context.Context, spec exp.JobSpec, pool exp.Pool) (*exp.JobOutput, error) {
-			return spec.Run(ctx, pool)
-		}
-	}
-	if c.Logger == nil {
-		c.Logger = obs.Nop()
-	}
-	if c.TraceCap <= 0 {
-		c.TraceCap = 512
-	}
-	return c
+// Health is the frontend's half of a health document.
+type Health struct {
+	Status   string // "ok", or "draining" once Drain has begun
+	Queued   int    // registered jobs not yet started
+	Running  int    // started jobs not yet terminal
+	Draining bool
 }
 
-// Server runs experiment jobs submitted over HTTP. Construct with New
-// (workers start immediately), serve its Handler, and stop with Drain.
+// Server is the job frontend of both `serve` and `coordinator`: the
+// /v1/jobs API, the result tiers and single-flight, the job table, and
+// drain. Construct one with New (local execution) or NewFrontend, serve
+// its Handler, and stop it with Drain.
 type Server struct {
-	cfg Config
+	tier    Tier
+	exec    Executor
+	counter counters
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
+	wg         sync.WaitGroup // goroutines started with Go
 
 	// statsMu guards the telemetry registry; sim.Stats itself is not
 	// concurrency-safe. statusCounts and backendCounts ride under the
@@ -125,54 +101,69 @@ type Server struct {
 	backendCounts map[string]uint64
 
 	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []*job          // submission order, for listing
-	inflight map[string]*job // canonical key → queued/running job
-	cache    *resultCache
-	// snapshots caches warm family state across jobs: two sweep jobs
-	// over the same matrix dimension share one warm-up. Entries are
-	// immutable, so concurrent jobs fork the same family safely.
-	snapshots *exp.SnapshotCache
-	queue     chan *job
-	draining  bool
-	seq       int
-
-	wg sync.WaitGroup
+	jobs     map[string]*Job
+	order    []*Job          // submission order, for listing
+	inflight map[string]*Job // canonical key → queued/running job
+	cache    *resultCache    // nil without a memory tier
+	draining bool
+	seq      int
 }
 
-// New builds the server and starts its worker pool.
-func New(cfg Config) *Server {
-	cfg = cfg.withDefaults()
+// counters holds the names of the frontend's registry counters, each
+// Tier.StatPrefix plus a fixed suffix, built once so that no request
+// concatenates a name.
+type counters struct {
+	requests, submitted, cacheHits, cacheMisses, joined,
+	storeHits, storePuts, storeErrors, completed, failed, cancelled string
+}
+
+func newCounters(p string) counters {
+	return counters{
+		requests: p + "http_requests", submitted: p + "jobs_submitted",
+		cacheHits: p + "cache_hits", cacheMisses: p + "cache_misses",
+		joined: p + "singleflight_hits", storeHits: p + "store_hits",
+		storePuts: p + "store_puts", storeErrors: p + "store_errors",
+		completed: p + "jobs_completed", failed: p + "jobs_failed",
+		cancelled: p + "jobs_cancelled",
+	}
+}
+
+// NewFrontend builds a frontend over exec.
+func NewFrontend(tier Tier, exec Executor) *Server {
+	if tier.Logger == nil {
+		tier.Logger = obs.Nop()
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:           cfg,
+		tier:          tier,
+		exec:          exec,
+		counter:       newCounters(tier.StatPrefix),
 		baseCtx:       ctx,
 		baseCancel:    cancel,
 		stats:         &sim.Stats{},
 		statusCounts:  make(map[int]uint64),
 		backendCounts: make(map[string]uint64),
-		jobs:          make(map[string]*job),
-		inflight:      make(map[string]*job),
-		cache:         newResultCache(cfg.CacheSize),
-		queue:         make(chan *job, cfg.QueueDepth),
+		jobs:          make(map[string]*Job),
+		inflight:      make(map[string]*Job),
 	}
-	if cfg.SnapshotCacheSize > 0 {
-		s.snapshots = exp.NewSnapshotCache(cfg.SnapshotCacheSize)
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for j := range s.queue {
-				s.runJob(j)
-			}
-		}()
+	if tier.CacheSize != 0 {
+		s.cache = newResultCache(tier.CacheSize)
 	}
 	return s
 }
 
-// addStat bumps a server counter under the registry lock.
-func (s *Server) addStat(name string, n uint64) {
+// Go runs fn on a goroutine that Drain waits for. Its context is
+// cancelled once Drain has let the jobs finish (or given up on them).
+func (s *Server) Go(fn func(ctx context.Context)) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		fn(s.baseCtx)
+	}()
+}
+
+// AddStat bumps a counter in the frontend's registry.
+func (s *Server) AddStat(name string, n uint64) {
 	s.statsMu.Lock()
 	s.stats.Add(name, n)
 	s.statsMu.Unlock()
@@ -185,87 +176,111 @@ func (s *Server) observe(name string, v uint64) {
 	s.statsMu.Unlock()
 }
 
-// submit registers a new job or replies out of cache. requestID tags
-// the job with the submitting request; remote, when valid, is the
+var errDraining = errors.New("server is draining; not accepting jobs")
+
+// submit registers a new job or answers from a result tier. requestID
+// tags the job with the submitting request; remote, when valid, is the
 // client's traceparent, adopted as the job trace's ID and root parent.
-// It returns the job (possibly an already-terminal cache-backed record,
-// or — joined=true — the in-flight job an identical concurrent
-// submission collapsed onto), a suggested HTTP status, and an error for
-// rejections (full queue, draining).
-func (s *Server) submit(spec exp.JobSpec, requestID string, remote obs.SpanContext) (j *job, status int, joined bool, err error) {
+// The order is fixed: drain check, memory tier, single-flight join,
+// persistent store, executor admission, registration. A job enters the
+// job table only once its executor has taken it, so a refused one was
+// never listed and its ID is never handed out, nor reused. It returns
+// the job (possibly an already-terminal cache-backed record, or —
+// joined=true — the in-flight job an identical concurrent submission
+// collapsed onto), a suggested HTTP status, and an error for
+// rejections.
+func (s *Server) submit(spec exp.JobSpec, requestID string, remote obs.SpanContext) (j *Job, status int, joined bool, err error) {
 	key := spec.Key()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.addStat("server.jobs_submitted", 1)
-	s.statsMu.Lock()
-	s.backendCounts[specBackendLabel(spec)]++
-	s.statsMu.Unlock()
+	s.AddStat(s.counter.submitted, 1)
+	if s.tier.Backends {
+		s.statsMu.Lock()
+		s.backendCounts[specBackendLabel(spec)]++
+		s.statsMu.Unlock()
+	}
 
 	if s.draining {
-		return nil, 503, false, errors.New("server is draining; not accepting jobs")
+		s.mu.Unlock()
+		return nil, http.StatusServiceUnavailable, false, errDraining
 	}
-	if result, ok := s.cache.get(key); ok {
-		s.addStat("server.cache_hits", 1)
-		return s.cachedJobLocked(spec, key, requestID, remote, result, CacheMemory), 200, false, nil
+	if s.cache != nil {
+		if result, ok := s.cache.get(key); ok {
+			s.AddStat(s.counter.cacheHits, 1)
+			j = s.cachedJobLocked(spec, key, requestID, remote, result, CacheMemory)
+			s.mu.Unlock()
+			return j, http.StatusOK, false, nil
+		}
+		s.AddStat(s.counter.cacheMisses, 1)
 	}
-	s.addStat("server.cache_misses", 1)
 	if dup, ok := s.inflight[key]; ok {
 		// Single-flight: a concurrent identical submission joins the
 		// job already in flight instead of being rejected — the engine
 		// runs once and every submitter polls or waits on the same
 		// record.
-		s.addStat("server.singleflight_hits", 1)
-		s.cfg.Logger.Info("job joined in-flight duplicate",
+		s.AddStat(s.counter.joined, 1)
+		s.tier.Logger.Info("job joined in-flight duplicate",
 			"job_id", dup.id, "trace_id", dup.traceID(), "request_id", requestID,
 			"experiment", spec.Experiment)
-		return dup, 202, true, nil
+		s.mu.Unlock()
+		// The executor may still be deciding on the job: a joiner is
+		// answered with the same outcome as the submitter it joined.
+		<-dup.admitted
+		if dup.refused != nil {
+			return nil, dup.refusedStatus, false, dup.refused
+		}
+		return dup, http.StatusAccepted, true, nil
 	}
-	if s.cfg.Store != nil {
-		// The persistent tier sits under the LRU: a hit promotes the
-		// entry into memory and answers like any cache hit; a store
+	if s.tier.Store != nil {
+		// The persistent tier sits under the memory tier: a hit is
+		// promoted into memory and answers like any cache hit; a store
 		// error (corrupt entry, unreadable mount) is a miss — the job
 		// re-runs and the write-through repairs the entry. The read is
 		// a small local file; holding the registration lock across it
 		// keeps the miss→inflight transition atomic.
-		switch result, ok, serr := s.cfg.Store.Get(key); {
+		switch result, ok, serr := s.tier.Store.Get(key); {
 		case serr != nil:
-			s.addStat("server.store_errors", 1)
-			s.cfg.Logger.Warn("result store read failed",
+			s.AddStat(s.counter.storeErrors, 1)
+			s.tier.Logger.Warn("result store read failed",
 				"key", key, "request_id", requestID, "err", serr.Error())
 		case ok:
-			s.addStat("server.store_hits", 1)
-			s.cache.put(key, result)
-			return s.cachedJobLocked(spec, key, requestID, remote, result, CacheStore), 200, false, nil
+			s.AddStat(s.counter.storeHits, 1)
+			if s.cache != nil {
+				s.cache.put(key, result)
+			}
+			j = s.cachedJobLocked(spec, key, requestID, remote, result, CacheStore)
+			s.mu.Unlock()
+			return j, http.StatusOK, false, nil
 		}
 	}
 
-	j = s.newJobLocked(spec, key, requestID)
-	select {
-	case s.queue <- j:
-	default:
-		// Roll the registration back: the job never existed.
-		delete(s.jobs, j.id)
-		s.order = s.order[:len(s.order)-1]
-		s.seq--
-		s.addStat("server.queue_rejections", 1)
-		return nil, 429, false, fmt.Errorf("job queue is full (%d waiting)", cap(s.queue))
-	}
-	s.startTrace(j, remote)
-	j.span.SetAttr("cache", "miss")
-	j.queueSpan = j.tracer.StartSpan(j.span.Context(), "queue.wait")
+	j = s.newJobLocked(spec, key, requestID, remote)
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	j.cancel = cancel
+	j.admitted = make(chan struct{})
 	s.inflight[key] = j
-	s.cfg.Logger.Info("job accepted",
-		"job_id", j.id, "trace_id", j.traceID(), "request_id", requestID,
-		"experiment", spec.Experiment, "queue_depth", len(s.queue))
-	return j, 202, false, nil
+	s.mu.Unlock()
+
+	status, err = s.exec.Admit(ctx, j)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer close(j.admitted)
+	if err != nil {
+		// Refused: the job never existed. Ending it frees its key and
+		// context; it was never in the job table.
+		j.refusedStatus, j.refused = status, err
+		s.endLocked(j, nil, err)
+		return nil, status, false, err
+	}
+	s.registerLocked(j)
+	return j, http.StatusAccepted, false, nil
 }
 
 // cachedJobLocked registers an already-terminal job backed by a cached
 // result. src names the tier that answered (CacheMemory or CacheStore).
 // Caller holds the Server mutex.
-func (s *Server) cachedJobLocked(spec exp.JobSpec, key, requestID string, remote obs.SpanContext, result []byte, src string) *job {
-	j := s.newJobLocked(spec, key, requestID)
-	s.startTrace(j, remote)
+func (s *Server) cachedJobLocked(spec exp.JobSpec, key, requestID string, remote obs.SpanContext, result []byte, src string) *Job {
+	j := s.newJobLocked(spec, key, requestID, remote)
+	s.registerLocked(j)
 	if src == CacheMemory {
 		j.span.SetAttr("cache", "hit")
 	} else {
@@ -279,7 +294,7 @@ func (s *Server) cachedJobLocked(spec exp.JobSpec, key, requestID string, remote
 	j.result = result
 	j.endTrace()
 	close(j.done)
-	s.cfg.Logger.Info("job served from cache",
+	s.tier.Logger.Info("job served from cache",
 		"job_id", j.id, "trace_id", j.traceID(), "request_id", requestID,
 		"experiment", spec.Experiment, "cache_source", src)
 	return j
@@ -298,30 +313,19 @@ func specBackendLabel(spec exp.JobSpec) string {
 	return "none"
 }
 
-// startTrace equips a freshly registered job with its tracer and root
-// "job" span. With tracing disabled the job simply carries no tracer
-// and every span operation no-ops.
-func (s *Server) startTrace(j *job, remote obs.SpanContext) {
-	if s.cfg.DisableTracing {
-		return
-	}
-	j.tracer = obs.NewTracer(remote.TraceID, s.cfg.TraceCap)
-	j.span = j.tracer.StartSpan(remote, "job")
-	j.span.SetAttr("job_id", j.id)
-	j.span.SetAttr("experiment", j.spec.Experiment)
-	if b := j.spec.Normalized().Backend; b != "" {
-		j.span.SetAttr("backend", b)
-	}
-	if j.requestID != "" {
-		j.span.SetAttr("request_id", j.requestID)
-	}
+// jobID formats the sequential job identifier.
+func (s *Server) jobID(seq int) string {
+	return fmt.Sprintf("%s%06d", s.tier.JobPrefix, seq)
 }
 
-// newJobLocked allocates and registers a queued job record.
-func (s *Server) newJobLocked(spec exp.JobSpec, key, requestID string) *job {
+// newJobLocked allocates a queued job record, with the next job ID, its
+// tracer and its root span; registerLocked adds it to the job table.
+// With tracing disabled the job carries no tracer and every span
+// operation no-ops. Caller holds the mutex.
+func (s *Server) newJobLocked(spec exp.JobSpec, key, requestID string, remote obs.SpanContext) *Job {
 	s.seq++
-	j := &job{
-		id:        jobID(s.seq),
+	j := &Job{
+		id:        s.jobID(s.seq),
 		spec:      spec,
 		key:       key,
 		requestID: requestID,
@@ -330,102 +334,116 @@ func (s *Server) newJobLocked(spec exp.JobSpec, key, requestID string) *job {
 		subs:      make(map[chan struct{}]struct{}),
 		done:      make(chan struct{}),
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j)
+	if !s.tier.DisableTracing {
+		j.tracer = obs.NewTracer(remote.TraceID, traceCap)
+		j.span = j.tracer.StartSpan(remote, s.tier.RootSpan)
+		j.span.SetAttr("job_id", j.id)
+		j.span.SetAttr("experiment", spec.Experiment)
+		if s.tier.Backends {
+			if b := spec.Normalized().Backend; b != "" {
+				j.span.SetAttr("backend", b)
+			}
+		}
+		if requestID != "" {
+			j.span.SetAttr("request_id", requestID)
+		}
+	}
 	return j
 }
 
-// runJob executes one dequeued job through the harness: a single
-// harness job wraps the runner, contributing panic→error conversion
-// and the per-job timeout, while the experiment underneath fans its
-// own simulations across the spec's parallelism.
-func (s *Server) runJob(j *job) {
+// registerLocked adds j to the job table, where clients can list and
+// look it up. Caller holds the mutex.
+func (s *Server) registerLocked(j *Job) {
+	s.jobs[j.id] = j
+	s.order = append(s.order, j)
+}
+
+// Start marks an admitted job running on worker ("" for local runs),
+// closing its queue-wait span. A job started again — the remote
+// executor re-routing it — keeps its state and start time. Start
+// reports false, changing nothing, when the job has already ended.
+func (s *Server) Start(j *Job, worker string) bool {
 	s.mu.Lock()
-	if j.state != StateQueued { // cancelled while waiting
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if j.terminal() {
+		return false
+	}
+	j.worker = worker
+	if j.state == StateQueued {
+		j.state = StateRunning
+		j.started = time.Now()
+	}
+	j.queueSpan.End()
+	j.notifySubs()
+	return true
+}
+
+// Progress publishes a progress update to the job's subscribers.
+func (s *Server) Progress(j *Job, p ProgressEvent) {
+	s.mu.Lock()
+	j.progress, j.hasProg = p, true
+	j.notifySubs()
+	s.mu.Unlock()
+}
+
+// Finish is an admitted job's terminal transition: with err nil the
+// result is written through to the persistent store before it is
+// published, so a process that restarts right after answering can
+// still serve the same bytes; then the job ends (see endLocked) and
+// the outcome is counted and logged. A failed write is logged and
+// counted, not fatal. A job that already ended is left as it is.
+func (s *Server) Finish(j *Job, result []byte, err error) {
+	if err == nil && s.tier.Store != nil {
+		if serr := s.tier.Store.Put(j.key, result); serr != nil {
+			s.AddStat(s.counter.storeErrors, 1)
+			s.tier.Logger.Warn("result store write failed",
+				"key", j.key, "job_id", j.id, "err", serr.Error())
+		} else {
+			s.AddStat(s.counter.storePuts, 1)
+		}
+	}
+	s.mu.Lock()
+	ended := s.endLocked(j, result, err)
+	state, wallMS := j.state, j.finished.Sub(j.started).Milliseconds()
+	s.mu.Unlock()
+	if !ended {
 		return
 	}
-	j.state = StateRunning
-	j.started = time.Now()
-	j.queueSpan.End() // dequeue closes the queue-wait span
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	j.cancel = cancel
-	j.notifySubs()
-	queueWait := j.started.Sub(j.submitted)
-	s.mu.Unlock()
-	defer cancel()
-
-	s.addStat("server.engine_runs", 1)
-	s.observe("server.queue_wait_ms", uint64(queueWait.Milliseconds()))
-
-	// The runner's context carries the job trace and a job-scoped
-	// logger, so harness.job spans and experiment phase spans nest
-	// under this "run" span and every log record downstream is tagged
-	// with the job's identifiers.
-	logger := s.cfg.Logger.With(
-		"job_id", j.id, "trace_id", j.traceID(), "request_id", j.requestID)
-	runSpan := j.tracer.StartSpan(j.span.Context(), "run")
-	ctx = obs.WithLogger(ctx, logger)
-	if j.tracer != nil {
-		ctx = obs.NewContext(ctx, j.tracer)
-		ctx = obs.ContextWithSpan(ctx, runSpan)
+	ids := []any{"job_id", j.id, "trace_id", j.traceID(), "request_id", j.requestID}
+	switch state {
+	case StateDone:
+		s.AddStat(s.counter.completed, 1)
+		s.tier.Logger.Info("job finished", append(ids, "state", state, "wall_ms", wallMS)...)
+	case StateCancelled:
+		s.AddStat(s.counter.cancelled, 1)
+		s.tier.Logger.Info("job finished", append(ids, "state", state, "wall_ms", wallMS)...)
+	default:
+		s.AddStat(s.counter.failed, 1)
+		s.tier.Logger.Error("job failed", append(ids, "wall_ms", wallMS, "err", err.Error())...)
 	}
-	logger.Info("job dequeued", "queue_wait_ms", queueWait.Milliseconds())
+}
 
-	pool := exp.Pool{
-		Parallel:  1, // overridden by the spec's parallel field when set
-		Snapshots: s.snapshots,
-		OnProgress: func(done, total, failed int) {
-			s.mu.Lock()
-			j.progress = ProgressEvent{Done: done, Total: total, Failed: failed}
-			j.hasProg = true
-			j.notifySubs()
-			s.mu.Unlock()
-		},
+// endLocked moves j to its terminal state exactly once — done with
+// result when err is nil, cancelled when err is a cancellation, failed
+// otherwise — releases its context, closes done and wakes every
+// subscriber. It reports false when j had already ended. Caller holds
+// the mutex.
+func (s *Server) endLocked(j *Job, result []byte, err error) bool {
+	if j.terminal() {
+		return false
 	}
-	results := harness.Run(ctx, harness.Options{Parallel: 1, Timeout: s.cfg.JobTimeout},
-		[]harness.Job[*exp.JobOutput]{func(ctx context.Context) (*exp.JobOutput, error) {
-			return s.cfg.Runner(ctx, j.spec, pool)
-		}})
-	out, err := results[0].Value, results[0].Err
-	runSpan.End()
-
-	var rendered []byte
-	if err == nil && out != nil && out.Export != nil {
-		encSpan := j.tracer.StartSpan(j.span.Context(), "encode")
-		var buf bytes.Buffer
-		if werr := out.Export.WriteJSON(&buf); werr != nil {
-			err = fmt.Errorf("rendering result: %w", werr)
-		} else {
-			rendered = buf.Bytes()
-		}
-		encSpan.End()
-	} else if err == nil {
-		err = errors.New("runner returned no result")
-	}
-
-	// Write the rendered result through to the persistent tier before
-	// publishing it, so a process that restarts right after answering
-	// can still serve the same bytes from the store. A failed write is
-	// logged and counted, not fatal — the LRU still has the entry.
-	if err == nil && s.cfg.Store != nil {
-		if serr := s.cfg.Store.Put(j.key, rendered); serr != nil {
-			s.addStat("server.store_errors", 1)
-			logger.Warn("result store write failed", "key", j.key, "err", serr.Error())
-		} else {
-			s.addStat("server.store_puts", 1)
-		}
-	}
-
-	s.mu.Lock()
 	delete(s.inflight, j.key)
-	j.cancel = nil
+	if j.cancel != nil {
+		j.cancel()
+	}
 	j.finished = time.Now()
 	switch {
 	case err == nil:
 		j.state = StateDone
-		j.result = rendered
-		s.cache.put(j.key, rendered)
+		j.result = result
+		if s.cache != nil {
+			s.cache.put(j.key, result)
+		}
 	case errors.Is(err, context.Canceled):
 		j.state = StateCancelled
 		j.errMsg = err.Error()
@@ -433,121 +451,102 @@ func (s *Server) runJob(j *job) {
 		j.state = StateFailed
 		j.errMsg = err.Error()
 	}
-	state := j.state
 	j.endTrace()
 	close(j.done)
 	j.notifySubs()
-	s.mu.Unlock()
+	return true
+}
 
-	s.observe("server.job_wall_ms", uint64(j.finished.Sub(j.started).Milliseconds()))
-	wallMS := j.finished.Sub(j.started).Milliseconds()
-	switch state {
-	case StateDone:
-		s.addStat("server.jobs_completed", 1)
-		logger.Info("job finished", "state", state, "wall_ms", wallMS)
-	case StateCancelled:
-		s.addStat("server.jobs_cancelled", 1)
-		logger.Info("job finished", "state", state, "wall_ms", wallMS)
-	default:
-		s.addStat("server.jobs_failed", 1)
-		logger.Error("job failed", "wall_ms", wallMS, "err", err.Error())
+// cancelLocked cancels a live job: a queued one ends now, a running
+// one has its context cancelled and is ended by its executor. Caller
+// holds the mutex.
+func (s *Server) cancelLocked(j *Job) {
+	if j.state == StateQueued {
+		s.endLocked(j, nil, context.Canceled)
+		s.AddStat(s.counter.cancelled, 1)
+		return
 	}
-	if err == nil && out.Stats != nil {
-		s.statsMu.Lock()
-		s.stats.Merge(out.Stats)
-		s.statsMu.Unlock()
-	}
+	j.cancel()
 }
 
 // cancelJob cancels a queued or running job. It returns the job and
 // nil on success, or an error describing why nothing was cancelled.
-func (s *Server) cancelJob(id string) (*job, error) {
+func (s *Server) cancelJob(id string) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
 		return nil, errNoSuchJob
 	}
-	switch j.state {
-	case StateQueued:
-		// The worker that eventually dequeues it will skip it.
-		j.state = StateCancelled
-		j.errMsg = context.Canceled.Error()
-		j.finished = time.Now()
-		delete(s.inflight, j.key)
-		j.endTrace()
-		close(j.done)
-		j.notifySubs()
-		s.addStat("server.jobs_cancelled", 1)
-		return j, nil
-	case StateRunning:
-		j.cancel() // the worker performs the terminal transition
-		return j, nil
-	default:
+	if j.terminal() {
 		return j, fmt.Errorf("job %s is already %s", id, j.state)
 	}
+	s.cancelLocked(j)
+	return j, nil
 }
 
 var errNoSuchJob = errors.New("no such job")
 
-// Drain stops intake and shuts the pool down: new submissions get 503,
-// queued and running jobs are given until ctx expires to finish, and
-// anything still running afterwards is cancelled. Drain returns nil on
-// a clean drain and an error when the grace period expired (in-flight
+// Drain stops intake and shuts the service down: new submissions get
+// 503, registered jobs are given until ctx expires to finish, and
+// anything still live afterwards is cancelled. Drain returns nil on a
+// clean drain and an error when the grace period expired (in-flight
 // simulations do not observe cancellation mid-engine-run, so a forced
-// drain may abandon worker goroutines to process exit).
+// drain may abandon goroutines to process exit).
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.queue)
-	}
+	s.draining = true
 	s.mu.Unlock()
 
-	done := make(chan struct{})
+	settled := make(chan struct{})
 	go func() {
-		s.wg.Wait()
-		close(done)
+		s.waitJobs()
+		close(settled)
 	}()
 	select {
-	case <-done:
+	case <-settled:
 		s.baseCancel()
+		s.wg.Wait()
 		return nil
 	case <-ctx.Done():
 	}
 
-	// Grace expired: cancel everything still alive and give workers a
-	// moment to notice before abandoning them.
+	// Grace expired: cancel everything still alive and give the
+	// executor a moment to notice before abandoning it.
 	s.mu.Lock()
 	forced := 0
-	for _, j := range s.order {
-		switch j.state {
-		case StateRunning:
-			j.cancel()
-			forced++
-		case StateQueued:
-			j.state = StateCancelled
-			j.errMsg = context.Canceled.Error()
-			j.finished = time.Now()
-			delete(s.inflight, j.key)
-			j.endTrace()
-			close(j.done)
-			j.notifySubs()
-			forced++
-		}
+	for _, j := range s.inflight {
+		s.cancelLocked(j)
+		forced++
 	}
 	s.mu.Unlock()
 	s.baseCancel()
+	stopped := make(chan struct{})
+	go func() {
+		s.wg.Wait()
+		close(stopped)
+	}()
 	select {
-	case <-done:
+	case <-stopped:
 	case <-time.After(2 * time.Second):
 	}
 	return fmt.Errorf("drain grace period expired; cancelled %d in-flight jobs", forced)
 }
 
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
+// waitJobs blocks until every job is terminal, those still being
+// admitted included: inflight holds exactly the live jobs.
+func (s *Server) waitJobs() {
+	for {
+		s.mu.Lock()
+		var pending *Job
+		for _, j := range s.inflight {
+			pending = j
+			break
+		}
+		s.mu.Unlock()
+		if pending == nil {
+			return
+		}
+		<-pending.done
+	}
 }

@@ -776,7 +776,8 @@ func TestSnapshotReuseAcrossJobs(t *testing.T) {
 	if code, _, _ := postSpec(t, ts, `{"experiment":"sweep","points":3,"rows":32}`, true); code != http.StatusOK {
 		t.Fatalf("job 2: status = %d, want 200", code)
 	}
-	if hits, misses := s.snapshots.Hits(), s.snapshots.Misses(); hits != 1 || misses != 1 {
+	snapshots := s.exec.(*local).snapshots
+	if hits, misses := snapshots.Hits(), snapshots.Misses(); hits != 1 || misses != 1 {
 		t.Errorf("snapshot cache hits/misses = %d/%d, want 1/1", hits, misses)
 	}
 

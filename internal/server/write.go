@@ -11,28 +11,28 @@ import (
 	"repro/internal/exp"
 )
 
-// StatusWriter captures the response status for request middleware.
+// statusWriter captures the response status for request middleware.
 // It forwards Flush so SSE streaming keeps working through the wrap.
-type StatusWriter struct {
+type statusWriter struct {
 	http.ResponseWriter
 	Status int
 }
 
-func (w *StatusWriter) WriteHeader(code int) {
+func (w *statusWriter) WriteHeader(code int) {
 	if w.Status == 0 {
 		w.Status = code
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *StatusWriter) Write(b []byte) (int, error) {
+func (w *statusWriter) Write(b []byte) (int, error) {
 	if w.Status == 0 {
 		w.Status = http.StatusOK
 	}
 	return w.ResponseWriter.Write(b)
 }
 
-func (w *StatusWriter) Flush() {
+func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
