@@ -203,8 +203,11 @@ func (d daemon) run(f daemonFlags, logger *slog.Logger, stdout io.Writer) error 
 	drainErr := svc.Drain(graceCtx)
 
 	// All jobs are terminal now, so event streams and waiting submits
-	// unblock promptly; Shutdown just flushes the last responses.
-	shutCtx, cancelShut := context.WithTimeout(context.Background(), 5*time.Second)
+	// unblock promptly; Shutdown just flushes the last responses. It
+	// also waits for any connection a client dialled but never used,
+	// which net/http counts as idle only after 5 s, so the deadline
+	// leaves room beyond that.
+	shutCtx, cancelShut := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancelShut()
 	if err := hs.Shutdown(shutCtx); err != nil && drainErr == nil {
 		drainErr = err

@@ -596,8 +596,8 @@ func postRejected(t *testing.T, base, body string) (int, http.Header, string) {
 	return resp.StatusCode, resp.Header, eb.JobID
 }
 
-// listedJobs counts the jobs a tier lists.
-func listedJobs(t *testing.T, base string) int {
+// listed returns the jobs a tier lists.
+func listed(t *testing.T, base string) []server.JobDoc {
 	t.Helper()
 	var listing struct {
 		Jobs []server.JobDoc `json:"jobs"`
@@ -606,7 +606,7 @@ func listedJobs(t *testing.T, base string) int {
 	if err := json.Unmarshal(raw, &listing); err != nil {
 		t.Fatalf("job listing %q: %v", raw, err)
 	}
-	return len(listing.Jobs)
+	return listing.Jobs
 }
 
 // TestSaturatedFleetRegistersNothing proves a coordinator rejection
@@ -639,7 +639,7 @@ func TestSaturatedFleetRegistersNothing(t *testing.T) {
 	if jobID != "" {
 		t.Fatalf("rejected submission names job %q; nothing should be registered", jobID)
 	}
-	if n := listedJobs(t, cts.URL); n != 2 {
+	if n := len(listed(t, cts.URL)); n != 2 {
 		t.Fatalf("coordinator lists %d jobs, want 2 (429 must roll back)", n)
 	}
 }
@@ -652,7 +652,7 @@ func TestNoWorkersRegistersNothing(t *testing.T) {
 	if status != http.StatusServiceUnavailable || jobID != "" {
 		t.Fatalf("submit with no workers: status %d job %q, want 503 and none", status, jobID)
 	}
-	if n := listedJobs(t, cts.URL); n != 0 {
+	if n := len(listed(t, cts.URL)); n != 0 {
 		t.Fatalf("coordinator lists %d jobs, want 0", n)
 	}
 }
@@ -736,7 +736,7 @@ func TestJoinerOfRejectedJobSeesFailure(t *testing.T) {
 				i, a.jobID, a.hdr.Get("Location"), a.hdr.Get("X-Overlaysim-Singleflight"))
 		}
 	}
-	if n := listedJobs(t, cts.URL); n != 0 {
+	if n := len(listed(t, cts.URL)); n != 0 {
 		t.Fatalf("coordinator lists %d jobs, want 0", n)
 	}
 	// The refused job took cjob-000001, and no one may get it again.

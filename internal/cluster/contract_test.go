@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -45,42 +46,58 @@ func (m *memStore) setFailPut(fail bool) {
 	m.mu.Unlock()
 }
 
-// blockedRows marks the spec the contract runner holds until its job
-// is cancelled.
-const blockedRows = 512
+// The contract runner holds a spec with blockedRows until its job is
+// cancelled, and one with heldRows until the tier's release channel is
+// closed; it answers any other at once.
+const (
+	blockedRows = 512
+	heldRows    = 520
+)
 
-func contractRunner(ctx context.Context, spec exp.JobSpec, pool exp.Pool) (*exp.JobOutput, error) {
-	if spec.Rows == blockedRows {
-		<-ctx.Done()
-		return nil, ctx.Err()
+func contractRunner(release <-chan struct{}) server.Runner {
+	return func(ctx context.Context, spec exp.JobSpec, pool exp.Pool) (*exp.JobOutput, error) {
+		switch spec.Rows {
+		case blockedRows:
+			<-ctx.Done()
+			return nil, ctx.Err()
+		case heldRows:
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return stubOutput(spec), nil
 	}
-	return stubOutput(spec), nil
 }
 
 // contractTier is one frontend under test: start brings it up over
-// contractRunner with store as its persistent tier and returns its base
-// URL and its Drain; the other fields are what the tiers answer
-// differently.
+// run, with two job slots and store as its persistent tier, and returns
+// its base URL and its Drain; the other fields are what the tiers
+// answer differently.
 type contractTier struct {
-	name  string
-	stats string // registry counter prefix as /metrics renders it
-	hit   string // X-Overlaysim-Cache of a resubmitted spec
-	jobs  string // job-ID prefix
-	start func(t *testing.T, store server.ResultStore) (string, func(context.Context) error)
+	name   string
+	stats  string   // registry counter prefix as /metrics renders it
+	hit    string   // X-Overlaysim-Cache of a resubmitted spec
+	jobs   string   // job-ID prefix
+	routes []string // per-job GET routes, after /v1/jobs/{id}
+	start  func(t *testing.T, store server.ResultStore, run server.Runner) (string, func(context.Context) error)
 }
 
 var contractTiers = []contractTier{
 	{
 		name: "worker", stats: "overlaysim_server_", hit: "hit", jobs: "job-",
-		start: func(t *testing.T, store server.ResultStore) (string, func(context.Context) error) {
-			s, ts, _ := newTestWorker(t, server.Config{Workers: 1, Runner: contractRunner, Store: store})
+		routes: []string{"", "/result", "/events", "/trace"},
+		start: func(t *testing.T, store server.ResultStore, run server.Runner) (string, func(context.Context) error) {
+			s, ts, _ := newTestWorker(t, server.Config{Workers: 2, Runner: run, Store: store})
 			return ts.URL, s.Drain
 		},
 	},
 	{
 		name: "coordinator", stats: "overlaysim_coord_", hit: "hit-store", jobs: "cjob-",
-		start: func(t *testing.T, store server.ResultStore) (string, func(context.Context) error) {
-			_, w1, _ := newTestWorker(t, server.Config{Workers: 1, Runner: contractRunner})
+		routes: []string{"", "/result", "/events"},
+		start: func(t *testing.T, store server.ResultStore, run server.Runner) (string, func(context.Context) error) {
+			_, w1, _ := newTestWorker(t, server.Config{Workers: 2, Runner: run})
 			co, cts := newTestCoordinator(t, Config{Workers: []string{w1.URL}, Store: store})
 			return cts.URL, co.Drain
 		},
@@ -94,16 +111,24 @@ func TestFrontendContract(t *testing.T) {
 	for _, tier := range contractTiers {
 		t.Run(tier.name, func(t *testing.T) {
 			store := &memStore{entries: make(map[string][]byte)}
-			base, drain := tier.start(t, store)
+			release := make(chan struct{})
+			base, drain := tier.start(t, store, contractRunner(release))
+
+			// A job left running from the start, through every step.
+			status, running, _ := postSpec(t, base, sweepSpec(heldRows), false)
+			if status != http.StatusAccepted {
+				t.Fatalf("running submit: status %d, want 202", status)
+			}
+			waitState(t, base, running.ID, server.StateRunning)
 
 			// Submit with wait: the job runs and is done.
-			status, doc, hdr := postSpec(t, base, sweepSpec(64), true)
-			if status != http.StatusOK || doc.State != server.StateDone || hdr.Get("X-Overlaysim-Cache") != "miss" {
+			status, first, hdr := postSpec(t, base, sweepSpec(64), true)
+			if status != http.StatusOK || first.State != server.StateDone || hdr.Get("X-Overlaysim-Cache") != "miss" {
 				t.Fatalf("submit: status %d state %q cache %q, want 200/done/miss",
-					status, doc.State, hdr.Get("X-Overlaysim-Cache"))
+					status, first.State, hdr.Get("X-Overlaysim-Cache"))
 			}
-			if !strings.HasPrefix(doc.ID, tier.jobs) {
-				t.Fatalf("job ID %q lacks prefix %q", doc.ID, tier.jobs)
+			if !strings.HasPrefix(first.ID, tier.jobs) {
+				t.Fatalf("job ID %q lacks prefix %q", first.ID, tier.jobs)
 			}
 			// A resubmission is answered from a result tier.
 			status, dup, hdr := postSpec(t, base, sweepSpec(64), false)
@@ -113,14 +138,7 @@ func TestFrontendContract(t *testing.T) {
 			}
 
 			// An unknown ID is 404 everywhere.
-			for _, path := range []string{"", "/result", "/events"} {
-				if code, _ := getBody(t, base+"/v1/jobs/nosuch"+path); code != http.StatusNotFound {
-					t.Errorf("GET /v1/jobs/nosuch%s: status %d, want 404", path, code)
-				}
-			}
-			if code := deleteJob(t, base, "nosuch"); code != http.StatusNotFound {
-				t.Errorf("DELETE unknown job: status %d, want 404", code)
-			}
+			notFound(t, base, "nosuch", tier.routes)
 
 			// A running job has no result yet; cancelling it ends the
 			// stream with a cancelled event, and cancelling again conflicts.
@@ -145,7 +163,7 @@ func TestFrontendContract(t *testing.T) {
 			// A store that cannot write loses nothing but durability: the
 			// job completes, its result is served, the failure is counted.
 			store.setFailPut(true)
-			status, doc, _ = postSpec(t, base, sweepSpec(72), true)
+			status, doc, _ := postSpec(t, base, sweepSpec(72), true)
 			if status != http.StatusOK || doc.State != server.StateDone {
 				t.Fatalf("submit over failing store: status %d state %q", status, doc.State)
 			}
@@ -154,6 +172,33 @@ func TestFrontendContract(t *testing.T) {
 			}
 			if got := counter(t, base, tier.stats+"store_errors"); got != 1 {
 				t.Errorf("%sstore_errors = %v, want 1", tier.stats, got)
+			}
+
+			// Retention: once RetainedJobs + 1 more jobs have finished, the
+			// oldest finished record is gone as if it never existed, the
+			// job still running is kept and completes normally, and IDs
+			// are not reused.
+			var last server.JobDoc
+			for i := 0; i <= server.RetainedJobs; i++ {
+				if status, last, _ = postSpec(t, base, sweepSpec(64), false); status != http.StatusOK {
+					t.Fatalf("hit %d: status %d, want 200", i, status)
+				}
+			}
+			notFound(t, base, first.ID, tier.routes)
+			if listing := listed(t, base); len(listing) != server.RetainedJobs+1 || !slices.ContainsFunc(listing,
+				func(d server.JobDoc) bool { return d.ID == running.ID }) {
+				t.Fatalf("listing holds %d jobs, want %d with running job %s",
+					len(listing), server.RetainedJobs+1, running.ID)
+			}
+			close(release)
+			if ev := terminalEvent(t, base, running.ID); ev != server.StateDone {
+				t.Fatalf("running job's terminal event %q, want done", ev)
+			}
+			if code, raw := getBody(t, base+"/v1/jobs/"+running.ID+"/result"); code != http.StatusOK || len(raw) == 0 {
+				t.Fatalf("result of the running job: status %d, %d bytes", code, len(raw))
+			}
+			if _, next, _ := postSpec(t, base, sweepSpec(64), false); next.ID <= last.ID {
+				t.Errorf("next job ID %s, want one after %s", next.ID, last.ID)
 			}
 
 			// Drain: intake and readiness close, liveness stays.
@@ -172,6 +217,19 @@ func TestFrontendContract(t *testing.T) {
 				t.Errorf("healthz while draining: status %d, want 200", code)
 			}
 		})
+	}
+}
+
+// notFound checks that id answers 404 on every per-job route.
+func notFound(t *testing.T, base, id string, routes []string) {
+	t.Helper()
+	for _, path := range routes {
+		if code, _ := getBody(t, base+"/v1/jobs/"+id+path); code != http.StatusNotFound {
+			t.Errorf("GET /v1/jobs/%s%s: status %d, want 404", id, path, code)
+		}
+	}
+	if code := deleteJob(t, base, id); code != http.StatusNotFound {
+		t.Errorf("DELETE /v1/jobs/%s: status %d, want 404", id, code)
 	}
 }
 

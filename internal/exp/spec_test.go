@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -199,6 +200,29 @@ func TestParseJobSpec(t *testing.T) {
 			t.Errorf("%s: accepted %s", name, body)
 		}
 	}
+}
+
+// FuzzParseJobSpec holds the parser every submission goes through to
+// two properties: on any body it returns a spec or an error without
+// panicking, and an accepted spec re-parses from its CanonicalJSON to
+// the same Key, so the canonical form is itself a submission of the
+// same result.
+func FuzzParseJobSpec(f *testing.F) {
+	f.Add([]byte(`{"experiment":"fork","bench":"hmmer","warm":20000,"measure":50000}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, err := ParseJobSpec(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		canon := spec.CanonicalJSON()
+		again, err := ParseJobSpec(bytes.NewReader(canon))
+		if err != nil {
+			t.Fatalf("canonical form %s of accepted %q rejected: %v", canon, body, err)
+		}
+		if again.Key() != spec.Key() {
+			t.Fatalf("canonical form %s of %q has key %s, want %s", canon, body, again.Key(), spec.Key())
+		}
+	})
 }
 
 // TestSpecRunMatchesDirectRunner runs a tiny sweep through JobSpec.Run

@@ -42,3 +42,28 @@ func TestTraceparentFromHeaderRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// FuzzTraceparent holds the parser of the traceparent header any
+// client may send to two properties: on any value it neither panics
+// nor returns anything but a valid context or, with ok=false, the zero
+// one; and an accepted value re-parses from SpanContext.Traceparent to
+// the same context.
+func FuzzTraceparent(f *testing.F) {
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	f.Fuzz(func(t *testing.T, v string) {
+		sc, ok := ParseTraceparent(v)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("rejected %q but returned %+v", v, sc)
+			}
+			return
+		}
+		if sc.TraceID.IsZero() || sc.SpanID.IsZero() {
+			t.Fatalf("accepted %q as %+v, which has a zero ID", v, sc)
+		}
+		if again, ok := ParseTraceparent(sc.Traceparent()); !ok || again != sc {
+			t.Fatalf("%q parsed to %+v; its rendering %q re-parses to %+v (ok=%v)",
+				v, sc, sc.Traceparent(), again, ok)
+		}
+	})
+}

@@ -75,13 +75,16 @@ func contextWithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, requestIDKey{}, id)
 }
 
-// health counts the registered jobs by phase and hands them to the
-// executor, which builds the health document. The service is ready
+// health counts the registered live jobs by phase and hands them to
+// the executor, which builds the health document. The service is ready
 // when it is not draining and the executor can take work.
 func (s *Server) health() (doc any, ready bool) {
 	h := Health{Status: "ok"}
 	s.mu.Lock()
-	for _, j := range s.order {
+	for _, j := range s.inflight {
+		if j.elem == nil {
+			continue // still being admitted: not registered yet
+		}
 		switch j.state {
 		case StateQueued:
 			h.Queued++
@@ -185,9 +188,9 @@ func wantWait(r *http.Request) bool {
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	docs := make([]JobDoc, 0, len(s.order))
-	for _, j := range s.order {
-		docs = append(docs, j.doc(false))
+	docs := make([]JobDoc, 0, s.order.Len())
+	for e := s.order.Front(); e != nil; e = e.Next() {
+		docs = append(docs, e.Value.(*Job).doc(false))
 	}
 	s.mu.Unlock()
 	WriteJSON(w, http.StatusOK, map[string]interface{}{"jobs": docs})

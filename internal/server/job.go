@@ -1,6 +1,7 @@
 package server
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"time"
@@ -67,6 +68,7 @@ type Job struct {
 	spans     []obs.Span
 	dropped   uint64
 
+	elem   *list.Element              // place in the Server's listing; nil until registered
 	cancel context.CancelFunc         // cancels the context the executor was handed
 	subs   map[chan struct{}]struct{} // SSE subscribers (signal channels, cap 1)
 	done   chan struct{}              // closed exactly once on terminal transition

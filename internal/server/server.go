@@ -1,6 +1,7 @@
 package server
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -17,6 +18,16 @@ import (
 
 // traceCap bounds each job's span buffer in spans.
 const traceCap = 512
+
+// RetainedJobs bounds the finished job records a frontend keeps. Once
+// more have finished, the oldest-finished record leaves the job table:
+// it is no longer listed, and its ID answers 404 like an unknown one.
+// Live jobs are never retired, and IDs are never reused. The count is
+// a retention window, sized for the readers of a just-finished record:
+// a polling client, and the coordinator, which fetches a worker's
+// terminal event and result milliseconds after the worker finishes the
+// job (DESIGN.md §11).
+const RetainedJobs = 1024
 
 // Executor runs the jobs a Server admits. The local executor (New)
 // runs them on this machine; the coordinator's remote executor
@@ -101,8 +112,10 @@ type Server struct {
 	backendCounts map[string]uint64
 
 	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []*Job          // submission order, for listing
+	jobs     map[string]*Job // ID → live or retained finished job
+	order    *list.List      // the same jobs in registration order, for listing
+	finished []*Job          // ring of the last RetainedJobs finished jobs
+	next     int             // finished's oldest slot, the next one overwritten
 	inflight map[string]*Job // canonical key → queued/running job
 	cache    *resultCache    // nil without a memory tier
 	draining bool
@@ -144,6 +157,8 @@ func NewFrontend(tier Tier, exec Executor) *Server {
 		statusCounts:  make(map[int]uint64),
 		backendCounts: make(map[string]uint64),
 		jobs:          make(map[string]*Job),
+		order:         list.New(),
+		finished:      make([]*Job, RetainedJobs),
 		inflight:      make(map[string]*Job),
 	}
 	if tier.CacheSize != 0 {
@@ -280,7 +295,6 @@ func (s *Server) submit(spec exp.JobSpec, requestID string, remote obs.SpanConte
 // Caller holds the Server mutex.
 func (s *Server) cachedJobLocked(spec exp.JobSpec, key, requestID string, remote obs.SpanContext, result []byte, src string) *Job {
 	j := s.newJobLocked(spec, key, requestID, remote)
-	s.registerLocked(j)
 	if src == CacheMemory {
 		j.span.SetAttr("cache", "hit")
 	} else {
@@ -294,6 +308,7 @@ func (s *Server) cachedJobLocked(spec exp.JobSpec, key, requestID string, remote
 	j.result = result
 	j.endTrace()
 	close(j.done)
+	s.registerLocked(j)
 	s.tier.Logger.Info("job served from cache",
 		"job_id", j.id, "trace_id", j.traceID(), "request_id", requestID,
 		"experiment", spec.Experiment, "cache_source", src)
@@ -352,10 +367,30 @@ func (s *Server) newJobLocked(spec exp.JobSpec, key, requestID string, remote ob
 }
 
 // registerLocked adds j to the job table, where clients can list and
-// look it up. Caller holds the mutex.
+// look it up. A job that is already terminal — a cache hit, or a job
+// that ended while its executor was admitting it — is retained at
+// once. Caller holds the mutex.
 func (s *Server) registerLocked(j *Job) {
 	s.jobs[j.id] = j
-	s.order = append(s.order, j)
+	j.elem = s.order.PushBack(j)
+	if j.terminal() {
+		s.retainLocked(j)
+	}
+}
+
+// retainLocked puts a registered job that has just become terminal in
+// the finish-order ring. The record it displaces, the oldest finished
+// one once more than RetainedJobs are kept, leaves the job table;
+// goroutines still holding it (waiting submitters, event streams) keep
+// a complete record. Caller holds the mutex.
+func (s *Server) retainLocked(j *Job) {
+	old := s.finished[s.next]
+	s.finished[s.next] = j
+	s.next = (s.next + 1) % len(s.finished)
+	if old != nil {
+		delete(s.jobs, old.id)
+		s.order.Remove(old.elem)
+	}
 }
 
 // Start marks an admitted job running on worker ("" for local runs),
@@ -425,9 +460,9 @@ func (s *Server) Finish(j *Job, result []byte, err error) {
 
 // endLocked moves j to its terminal state exactly once — done with
 // result when err is nil, cancelled when err is a cancellation, failed
-// otherwise — releases its context, closes done and wakes every
-// subscriber. It reports false when j had already ended. Caller holds
-// the mutex.
+// otherwise — releases its context, closes done, wakes every
+// subscriber and, if j is registered, retains it. It reports false
+// when j had already ended. Caller holds the mutex.
 func (s *Server) endLocked(j *Job, result []byte, err error) bool {
 	if j.terminal() {
 		return false
@@ -454,6 +489,9 @@ func (s *Server) endLocked(j *Job, result []byte, err error) bool {
 	j.endTrace()
 	close(j.done)
 	j.notifySubs()
+	if j.elem != nil {
+		s.retainLocked(j)
+	}
 	return true
 }
 

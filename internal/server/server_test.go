@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -220,6 +221,10 @@ func TestQueueFullRejects(t *testing.T) {
 	s.mu.Unlock()
 	if n != 2 {
 		t.Fatalf("registered jobs = %d, want 2 (429 must roll back)", n)
+	}
+	if _, body := getBody(t, ts.URL+"/healthz"); !strings.Contains(string(body), `"queued": 1,`) ||
+		!strings.Contains(string(body), `"running": 1,`) {
+		t.Fatalf("healthz = %s, want 1 queued and 1 running", body)
 	}
 
 	close(release)
@@ -532,6 +537,116 @@ func TestCacheEvictionBound(t *testing.T) {
 	}
 	if got := runner.count(); got != 3 {
 		t.Fatalf("engine ran %d times, want 3 (eviction forces a re-run)", got)
+	}
+}
+
+// TestJobTableBound submits three times RetainedJobs cache hits, from
+// several goroutines, beside a job held running: the table keeps the
+// running job and at most RetainedJobs finished ones, lists exactly
+// what it keeps, and retires the oldest-finished record first.
+func TestJobTableBound(t *testing.T) {
+	release := make(chan struct{})
+	runner := func(ctx context.Context, spec exp.JobSpec, pool exp.Pool) (*exp.JobOutput, error) {
+		if spec.Rows == 96 {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return stubOutput(spec), nil
+	}
+	s, ts := newTestServer(t, Config{Workers: 2, Runner: runner})
+
+	_, held, _ := postSpec(t, ts, sweepSpec(96), false)
+	_, first, _ := postSpec(t, ts, sweepSpec(64), true)
+	spec, err := exp.ParseJobSpec(strings.NewReader(sweepSpec(64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const submitters = 4
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3*RetainedJobs/submitters; i++ {
+				if j, _, _, err := s.submit(spec, "", obs.SpanContext{}); err != nil || !j.cached {
+					t.Errorf("hit %d: err %v, want a cached job", i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	table := func() (jobs, listed, live int, heldKept bool) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		_, heldKept = s.jobs[held.ID]
+		return len(s.jobs), s.order.Len(), len(s.inflight), heldKept
+	}
+	jobs, listed, live, heldKept := table()
+	if jobs > RetainedJobs+live || listed != jobs || live != 1 || !heldKept {
+		t.Fatalf("after %d hits: %d jobs, %d listed, %d live, held job kept %v; want at most %d + live, all listed, 1 live, kept",
+			3*RetainedJobs, jobs, listed, live, heldKept, RetainedJobs)
+	}
+	if code, _ := getBody(t, ts.URL+"/v1/jobs/"+first.ID); code != http.StatusNotFound {
+		t.Fatalf("oldest finished job %s: status %d, want 404 (retired)", first.ID, code)
+	}
+
+	// Once finished, the held job is the newest record and stays.
+	close(release)
+	s.mu.Lock()
+	j := s.jobs[held.ID]
+	s.mu.Unlock()
+	select {
+	case <-j.done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("released job %s never finished", held.ID)
+	}
+	if jobs, listed, live, heldKept := table(); jobs != RetainedJobs || listed != jobs || live != 0 || !heldKept {
+		t.Fatalf("after the held job finished: %d jobs, %d listed, %d live, held job kept %v; want %d, all listed, 0 live, kept",
+			jobs, listed, live, heldKept, RetainedJobs)
+	}
+}
+
+// finishingExecutor ends every job before its Admit returns, as the
+// coordinator's watcher can when a worker answers at once: the job is
+// terminal before the frontend registers it.
+type finishingExecutor struct{ s *Server }
+
+func (e *finishingExecutor) Admit(ctx context.Context, j *Job) (int, error) {
+	e.s.Finish(j, []byte(`{}`), nil)
+	return http.StatusAccepted, nil
+}
+
+func (e *finishingExecutor) Health(h Health) (any, bool)           { return h, true }
+func (e *finishingExecutor) Routes(*http.ServeMux)                 {}
+func (e *finishingExecutor) WriteMetrics(io.Writer, *http.Request) {}
+
+// TestJobEndedInAdmissionIsRetired: a job that ended before it was
+// registered is retained at registration, so it retires like any other.
+func TestJobEndedInAdmissionIsRetired(t *testing.T) {
+	exec := &finishingExecutor{}
+	s := NewFrontend(Tier{JobPrefix: "job-", DisableTracing: true}, exec)
+	exec.s = s
+	for i := 0; i <= RetainedJobs; i++ {
+		spec, err := exp.ParseJobSpec(strings.NewReader(sweepSpec(8 + i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, _, _, err := s.submit(spec, "", obs.SpanContext{}); err != nil || j.state != StateDone {
+			t.Fatalf("submit %d: err %v, want a done job", i, err)
+		}
+	}
+	s.mu.Lock()
+	jobs, listed := len(s.jobs), s.order.Len()
+	_, firstKept := s.jobs["job-000001"]
+	s.mu.Unlock()
+	if jobs != RetainedJobs || listed != jobs || firstKept {
+		t.Fatalf("after %d jobs: %d kept, %d listed, first kept %v; want %d, all listed, first retired",
+			RetainedJobs+1, jobs, listed, firstKept, RetainedJobs)
 	}
 }
 
