@@ -23,7 +23,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/sim"
 	"repro/internal/sparse"
-	"repro/internal/system"
 	"repro/internal/techniques/checkpoint"
 	"repro/internal/techniques/dedup"
 	"repro/internal/techniques/speculation"
@@ -34,11 +33,11 @@ import (
 // machine: caches, TLBs, DRAM, OMT, OMS) and prints nothing.
 func BenchmarkTable2Config(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := core.New(system.Default())
+		f, err := core.New(core.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
-		system.Describe(io.Discard, f.Config)
+		core.Describe(io.Discard, f.Config)
 	}
 }
 

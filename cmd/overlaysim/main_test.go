@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestForkJSONRoundTrip runs a quick fork experiment through the CLI and
 // validates the machine-readable export end to end: schema version, the
@@ -129,6 +132,14 @@ func TestExitCodes(t *testing.T) {
 		{"linesize negative matrices", []string{"linesize", "-matrices=-5"}, 2},
 		{"sweep one point", []string{"sweep", "-points=1"}, 2},
 		{"sweep tiny rows", []string{"sweep", "-rows=4"}, 2},
+		// A typed 0 is checked as given, not read as the default.
+		{"fork zero warm", []string{"fork", "-warm=0", "-bench=hmmer"}, 2},
+		{"fork zero measure", []string{"fork", "-measure=0", "-bench=hmmer"}, 2},
+		{"sweep zero points", []string{"sweep", "-points=0"}, 2},
+		{"sweep zero rows", []string{"sweep", "-rows=0"}, 2},
+		{"omsstress zero tenants", []string{"omsstress", "-tenants=0"}, 2},
+		{"omsstress zero ops", []string{"omsstress", "-ops=0"}, 2},
+		{"omsstress zero segments", []string{"omsstress", "-segments=0"}, 2},
 		{"dualcore bad flag", []string{"dualcore", "-nope"}, 2},
 		{"dualcore negative parallel", []string{"dualcore", "-parallel=-1"}, 2},
 		{"bench bad flag", []string{"bench", "-nope"}, 2},
@@ -390,5 +401,67 @@ func TestSpansOutputAndMergedTrace(t *testing.T) {
 	if simEvents == 0 || spanEvents == 0 {
 		t.Errorf("merged trace has %d sim events + %d span events, want both > 0",
 			simEvents, spanEvents)
+	}
+}
+
+// TestSweepTraceLog runs an experiment without simulator trace events
+// through -tracelog and -spans: the Chrome document is still written,
+// holding the host-side span records at pid 0.
+func TestSweepTraceLog(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "sweep.trace.json")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{
+		"sweep", "-points=2", "-rows=64",
+		"-tracelog=" + tracePath, "-spans=" + filepath.Join(dir, "spans.jsonl"),
+	}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("sweep exited %d, stderr: %s", code, stderr.String())
+	}
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph  string  `json:"ph"`
+			Pid float64 `json:"pid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("trace file (%d bytes) is not a Chrome document: %v", len(raw), err)
+	}
+	spans := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && ev.Pid == 0 {
+			spans++
+		}
+	}
+	if spans == 0 {
+		t.Errorf("trace file has no pid-0 span records: %s", raw)
+	}
+}
+
+// TestGoldenUsage pins the flag surface: the usage text overlaysim
+// prints with no arguments, which lists every subcommand's flags with
+// their defaults and help text. Regenerate with:
+// go test ./cmd/overlaysim -run TestGolden -update
+func TestGoldenUsage(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(nil, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
+	}
+	golden := filepath.Join("testdata", "usage.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, stderr.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden: %v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(stderr.Bytes(), want) {
+		t.Errorf("usage text differs from golden file %s\ngot:\n%s", golden, stderr.Bytes())
 	}
 }

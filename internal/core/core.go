@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/arch"
 	"repro/internal/cache"
@@ -107,6 +108,62 @@ func DefaultConfig() Config {
 		UtopiaRestWays:        4,
 		UtopiaRestWalkLatency: 150,
 	}
+}
+
+// HardwareCost reproduces the §4.5 storage accounting: the bytes of new
+// hardware state the overlay framework adds. For the paper's
+// configuration this totals 94.5 KB (4 KB OMT cache + 8.5 KB of TLB
+// OBitVectors + 82 KB of widened cache tags).
+type HardwareCost struct {
+	OMTCacheBytes  int // 512 bits per OMT cache entry
+	TLBExtraBytes  int // 64-bit OBitVector per TLB entry
+	TagExtraBytes  int // 16 extra tag bits per cache line
+	OverheadsTotal int
+}
+
+// Cost computes the hardware overhead of a configuration.
+func Cost(cfg Config) HardwareCost {
+	var c HardwareCost
+	// Each OMT cache entry: OPN (48) + OMS address (48) + OBitVector (64)
+	// + 64 five-bit slot pointers (320) + free vector (32) = 512 bits.
+	c.OMTCacheBytes = cfg.OMTCache.Entries * 512 / 8
+	// Every L1 and L2 TLB entry gains a 64-bit OBitVector. The paper also
+	// counts per-entry valid/aux bits, rounding 1088 entries to 8.5 KB.
+	c.TLBExtraBytes = (cfg.TLB.L1Entries + cfg.TLB.L2Entries) * 8
+	// Every cache tag widens by 16 bits for the overlay address space.
+	lines := (cfg.Cache.L1.Size + cfg.Cache.L2.Size + cfg.Cache.L3.Size) / 64
+	c.TagExtraBytes = lines * 2
+	c.OverheadsTotal = c.OMTCacheBytes + c.TLBExtraBytes + c.TagExtraBytes
+	return c
+}
+
+// Describe renders the configuration as the rows of Table 2.
+func Describe(w io.Writer, cfg Config) {
+	row := func(name, desc string) { fmt.Fprintf(w, "%-18s %s\n", name, desc) }
+	row("Processor", "2.67 GHz, single issue, out-of-order, 64 entry instruction window, 64B cache lines")
+	row("TLB", fmt.Sprintf("4K pages, %d-entry %d-way associative L1 (%d cycle), %d-entry L2 (%d cycles), TLB miss = %d cycles",
+		cfg.TLB.L1Entries, cfg.TLB.L1Ways, cfg.TLB.L1Latency,
+		cfg.TLB.L2Entries, cfg.TLB.L2Latency, cfg.TLB.WalkLatency))
+	row("L1 Cache", fmt.Sprintf("%dKB, %d-way associative, hit latency = %d cycles, LRU policy",
+		cfg.Cache.L1.Size>>10, cfg.Cache.L1.Ways, cfg.Cache.L1.HitLatency))
+	row("L2 Cache", fmt.Sprintf("%dKB, %d-way associative, hit latency = %d cycles, LRU policy",
+		cfg.Cache.L2.Size>>10, cfg.Cache.L2.Ways, cfg.Cache.L2.HitLatency))
+	row("Prefetcher", fmt.Sprintf("Stream prefetcher, monitor L2 misses and prefetch into L3, %d entries, degree = %d, distance = %d",
+		cfg.Prefetch.Streams, cfg.Prefetch.Degree, cfg.Prefetch.Distance))
+	row("L3 Cache", fmt.Sprintf("%dMB, %d-way associative, hit latency = %d cycles, DRRIP policy",
+		cfg.Cache.L3.Size>>20, cfg.Cache.L3.Ways, cfg.Cache.L3.HitLatency))
+	row("DRAM Controller", fmt.Sprintf("Open row, FR-FCFS drain when full, %d-entry write buffer, %d-entry OMT cache, miss latency = %d cycles",
+		cfg.DRAM.WriteBufCap, cfg.OMTCache.Entries, cfg.OMTCache.MissLatency))
+	row("DRAM and Bus", fmt.Sprintf("DDR3-1066 MHz, 1 channel, 1 rank, %d banks, 8B-wide data bus, burst length = 8, %dKB row buffer",
+		cfg.DRAM.Banks, cfg.DRAM.RowBytes>>10))
+	fmt.Fprintf(w, "%-18s %d MB main memory, %d frames pre-granted to the Overlay Memory Store\n",
+		"Memory", cfg.MemoryPages>>8, cfg.OMSInitialFrames)
+	fmt.Fprintf(w, "%-18s overlaying-write remap = %d cycles, COW trap = %d cycles, TLB shootdown = %d cycles\n",
+		"Overlay framework", cfg.OverlayRemapLatency, cfg.COWTrapLatency, cfg.TLB.ShootdownLatency)
+	c := Cost(cfg)
+	fmt.Fprintf(w, "%-18s %.1f KB total: OMT cache %.1f KB + TLB OBitVectors %.1f KB + wider cache tags %.1f KB (paper: 94.5 KB)\n",
+		"Hardware cost", float64(c.OverheadsTotal)/1024, float64(c.OMTCacheBytes)/1024,
+		float64(c.TLBExtraBytes)/1024, float64(c.TagExtraBytes)/1024)
 }
 
 // Framework is the assembled overlay-enabled memory system.

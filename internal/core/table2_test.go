@@ -1,4 +1,4 @@
-package system
+package core
 
 import (
 	"strings"
@@ -7,7 +7,7 @@ import (
 
 func TestDescribeCoversTable2(t *testing.T) {
 	var sb strings.Builder
-	Describe(&sb, Default())
+	Describe(&sb, DefaultConfig())
 	out := sb.String()
 	for _, want := range []string{
 		"2.67 GHz", "64 entry instruction window",
@@ -24,7 +24,7 @@ func TestDescribeCoversTable2(t *testing.T) {
 }
 
 func TestDefaultMatchesPaperGeometry(t *testing.T) {
-	cfg := Default()
+	cfg := DefaultConfig()
 	if cfg.Cache.L1.Size != 64<<10 || cfg.Cache.L2.Size != 512<<10 || cfg.Cache.L3.Size != 2<<20 {
 		t.Fatal("cache sizes diverge from Table 2")
 	}
@@ -45,7 +45,7 @@ func TestDefaultMatchesPaperGeometry(t *testing.T) {
 func TestHardwareCostMatchesPaper(t *testing.T) {
 	// §4.5: 4 KB OMT cache + 8.5 KB TLB extension + 82 KB wider cache
 	// tags = 94.5 KB overall.
-	c := Cost(Default())
+	c := Cost(DefaultConfig())
 	if c.OMTCacheBytes != 4096 {
 		t.Errorf("OMT cache = %d B, want 4096", c.OMTCacheBytes)
 	}

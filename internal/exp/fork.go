@@ -129,6 +129,15 @@ func backendName(b string) string {
 	return b
 }
 
+// ForkBackend is its inverse: the default backend runs as the empty
+// string, so an export matches a run without -backend.
+func ForkBackend(b string) string {
+	if b == core.DefaultBackend {
+		return ""
+	}
+	return b
+}
+
 // phaseSpan opens one experiment-phase span ("fork.warmup",
 // "fork.measure") as a child of whatever span the context carries —
 // under a served job that is the worker's harness.job span. Nil-safe
@@ -452,24 +461,23 @@ func RunStatsExport(ctx context.Context, spec workload.Spec, cfg core.Config, pa
 	return fmt.Sprintf("cpi %.3f\n%s", r.CPI, r.Stats.String()), ex, nil
 }
 
-// ForkExport bundles a fork-suite run into one machine-readable export:
-// counters and histograms merged across every (benchmark, mechanism) run,
-// one post-fork series per run, and the Figure 8/9 rows as results.
-func ForkExport(params ForkParams, results []ForkResult) *sim.Export {
+// forkOutput bundles a fork-suite run: the counters and histograms of
+// every (benchmark, mechanism) run merged into one registry, which the
+// output also keeps live for the serving layer; one post-fork series per
+// run; and the Figure 8/9 rows as results.
+func forkOutput(params ForkParams, results []ForkResult) *JobOutput {
 	merged := &sim.Stats{}
 	var series []*sim.Series
 	for i := range results {
 		for _, m := range []*MechanismResult{&results[i].CoW, &results[i].OoW} {
 			merged.Merge(m.Stats)
-			if m.Series != nil {
-				series = append(series, m.Series)
-			}
+			series = append(series, m.Series)
 		}
 	}
 	ex := sim.ExportFrom("fork", merged, series...)
 	ex.Config = params
 	ex.Results = results
-	return ex
+	return &JobOutput{Export: ex, Stats: merged}
 }
 
 // runToFork builds the system, warms the benchmark, and forks.

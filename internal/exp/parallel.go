@@ -10,6 +10,7 @@ import (
 	"io"
 
 	"repro/internal/harness"
+	"repro/internal/sim"
 	"repro/internal/sparse"
 )
 
@@ -44,6 +45,13 @@ type Pool struct {
 	// with a common configuration family skip the warm-up entirely.
 	// With a nil cache every run builds its own families.
 	Snapshots *SnapshotCache
+
+	// Epoch and Trace are CLI outputs of the fork runner, never part of
+	// a job spec: the series sampling period in cycles (0 selects
+	// sim.DefaultEpoch), and a log that, when non-nil, receives the
+	// simulator events of every run.
+	Epoch sim.Cycle
+	Trace *sim.TraceLog
 }
 
 // opts builds the harness options for one labelled sweep.

@@ -1,12 +1,14 @@
 package exp
 
 // This file defines the canonical job spec: the JSON document `overlaysim
-// serve` accepts over HTTP, validated against the same flag tables the
-// CLI subcommands expose. A spec round-trips to a CLI invocation
-// (CLIArgs ↔ SpecFromArgs), normalises to the CLI's defaults, and hashes
-// to a cache key that identifies the simulated result — the simulator is
-// deterministic and the harness is bit-identical at any worker count, so
-// two specs with the same key have the same result by construction.
+// serve` accepts over HTTP. Everything a spec means comes from its
+// experiment's entry in the registry (experiments.go): the flags it
+// binds, their defaults and value checks, the run and the report. A spec
+// round-trips to a CLI invocation (CLIArgs ↔ SpecFromArgs), normalises
+// to the CLI's defaults, and hashes to a cache key that identifies the
+// simulated result — the simulator is deterministic and the harness is
+// bit-identical at any worker count, so two specs with the same key have
+// the same result by construction.
 
 import (
 	"context"
@@ -16,17 +18,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/sparse"
-	"repro/internal/workload"
 )
-
-// Experiments lists the experiment names a JobSpec may carry, in the
-// order the CLI documents them.
-var Experiments = []string{"fork", "spmv", "linesize", "sweep", "dualcore", "compare", "omsstress"}
 
 // JobSpec is one experiment request in canonical form: the experiment
 // name plus exactly the flags the matching CLI subcommand accepts.
@@ -34,8 +30,8 @@ var Experiments = []string{"fork", "spmv", "linesize", "sweep", "dualcore", "com
 // spec carrying them is rejected, the same way the CLI rejects an
 // unknown flag.
 type JobSpec struct {
-	// Experiment selects the runner: fork, spmv, linesize, sweep or
-	// dualcore.
+	// Experiment names the registry entry that runs the spec: fork,
+	// spmv, linesize, sweep, dualcore, compare or omsstress.
 	Experiment string `json:"experiment"`
 
 	// Parallel is the harness worker count (0 = GOMAXPROCS). It is an
@@ -97,6 +93,53 @@ type JobSpec struct {
 	Shared bool `json:"shared,omitempty"`
 }
 
+// fieldNames are the JSON names of the flag-settable JobSpec fields, in
+// the order fields returns them.
+var fieldNames = [...]string{"parallel", "cold", "bench", "backend", "warm", "measure",
+	"matrices", "dense", "points", "rows", "tenants", "ops", "segments",
+	"oms_capacity", "nospill", "shared"}
+
+// fields returns a pointer to each flag-settable field of s, in
+// fieldNames order: an *int, *uint64, *string or *bool.
+func (s *JobSpec) fields() [len(fieldNames)]any {
+	return [...]any{&s.Parallel, &s.Cold, &s.Bench, &s.Backend, &s.Warm, &s.Measure,
+		&s.Matrices, &s.Dense, &s.Points, &s.Rows, &s.Tenants, &s.Ops, &s.Segments,
+		&s.OMSCapacity, &s.NoSpill, &s.Shared}
+}
+
+// isZero reports whether the field p points at holds its zero value.
+func isZero(p any) bool {
+	switch p := p.(type) {
+	case *int:
+		return *p == 0
+	case *uint64:
+		return *p == 0
+	case *string:
+		return *p == ""
+	default:
+		return !*p.(*bool)
+	}
+}
+
+// fillZero copies *def into the field p points at when that field is
+// zero. Booleans default to false, so they never fill.
+func fillZero(p, def any) {
+	switch p := p.(type) {
+	case *int:
+		if *p == 0 {
+			*p = *def.(*int)
+		}
+	case *uint64:
+		if *p == 0 {
+			*p = *def.(*uint64)
+		}
+	case *string:
+		if *p == "" {
+			*p = *def.(*string)
+		}
+	}
+}
+
 // JobOutput is what running a spec produces: the same schema-versioned
 // export the CLI's -json flag writes, plus the run's merged stats
 // registry when the experiment exposes one (fork does; the analytic and
@@ -133,205 +176,58 @@ func ParseJobSpec(r io.Reader) (JobSpec, error) {
 	return s, nil
 }
 
-// specDefaults returns the CLI defaults for the spec's experiment.
-func specDefaults(experiment string) JobSpec {
-	d := JobSpec{Experiment: experiment}
-	switch experiment {
-	case "fork":
-		p := DefaultForkParams()
-		d.Warm, d.Measure = p.WarmInstructions, p.MeasureInstructions
-		d.Backend = core.DefaultBackend
-	case "sweep":
-		d.Points, d.Rows = 11, 256
-	case "compare":
-		p := DefaultCompareParams()
-		d.Bench = p.Bench
-		d.Warm, d.Measure = p.Warm, p.Measure
-		d.Matrices = p.Matrices
-	case "omsstress":
-		p := DefaultOMSStressParams()
-		d.Tenants, d.Ops, d.Segments = p.Tenants, p.Ops, p.Segments
-		d.OMSCapacity = p.Capacity
-	}
-	return d
-}
-
-// Normalized fills zero fields with the CLI defaults for the spec's
-// experiment and folds a whole-suite spmv/linesize matrix count to 0.
-// It does not validate.
+// Normalized fills zero fields with the CLI defaults of the spec's
+// experiment, then applies the experiment's own canonical forms. It
+// does not validate.
 func (s JobSpec) Normalized() JobSpec {
-	d := specDefaults(s.Experiment)
-	if s.Bench == "" {
-		s.Bench = d.Bench
+	e := lookup(s.Experiment)
+	if e == nil {
+		return s
 	}
-	if s.Backend == "" {
-		s.Backend = d.Backend
+	fields, fill := s.fields(), e.fill.fields()
+	for i := range fields {
+		fillZero(fields[i], fill[i])
 	}
-	if s.Warm == 0 {
-		s.Warm = d.Warm
-	}
-	if s.Measure == 0 {
-		s.Measure = d.Measure
-	}
-	if s.Matrices == 0 {
-		s.Matrices = d.Matrices
-	}
-	// Any count from the suite size up runs the whole suite, as 0 does,
-	// so it takes the same canonical form and cache key. Not for
-	// compare, whose 0 means its default subset.
-	if (s.Experiment == "spmv" || s.Experiment == "linesize") && s.Matrices >= sparse.SuiteSize {
-		s.Matrices = 0
-	}
-	if s.Points == 0 {
-		s.Points = d.Points
-	}
-	if s.Rows == 0 {
-		s.Rows = d.Rows
-	}
-	if s.Tenants == 0 {
-		s.Tenants = d.Tenants
-	}
-	if s.Ops == 0 {
-		s.Ops = d.Ops
-	}
-	if s.Segments == 0 {
-		s.Segments = d.Segments
-	}
-	if s.OMSCapacity == 0 {
-		s.OMSCapacity = d.OMSCapacity
+	if e.normalize != nil {
+		s = e.normalize(s)
 	}
 	return s
 }
 
 // Validate checks the spec against its experiment's flag table: the
-// experiment must exist, inapplicable fields must be zero, and value
-// constraints mirror the CLI's usage errors exactly.
-func (s JobSpec) Validate() error {
+// experiment must exist, fields it binds no flag for must be zero, and
+// every bound field must pass its flag's value check once normalized.
+func (s JobSpec) Validate() error { return s.validate(s.Normalized()) }
+
+// ValidateFlags is Validate for a spec parsed from its experiment's
+// flags. A zero typed on the command line is not an omitted field, so
+// each bound field is checked as given: `sweep -points=0` is rejected,
+// while `compare -matrices=0` runs the default subset, as it always has.
+func (s JobSpec) ValidateFlags() error { return s.validate(s) }
+
+// validate checks s's unbound fields and the bound fields of checked.
+func (s JobSpec) validate(checked JobSpec) error {
+	e := lookup(s.Experiment)
+	if e == nil {
+		names := make([]string, len(Experiments))
+		for i, e := range Experiments {
+			names[i] = e.Name
+		}
+		return &ValidationError{Problems: []string{fmt.Sprintf("unknown experiment %q (want one of %s)",
+			s.Experiment, strings.Join(names, ", "))}}
+	}
 	var problems []string
-	known := false
-	for _, e := range Experiments {
-		if s.Experiment == e {
-			known = true
-			break
-		}
-	}
-	if !known {
-		problems = append(problems, fmt.Sprintf("unknown experiment %q (want one of %s)",
-			s.Experiment, strings.Join(Experiments, ", ")))
-		return &ValidationError{Problems: problems}
-	}
-
-	reject := func(field string, set bool) {
-		if set {
+	fields := s.fields()
+	for i := range fields {
+		if e.bound&(1<<i) == 0 && !isZero(fields[i]) {
 			problems = append(problems,
-				fmt.Sprintf("field %q does not apply to experiment %q", field, s.Experiment))
+				fmt.Sprintf("field %q does not apply to experiment %q", fieldNames[i], s.Experiment))
 		}
 	}
-	switch s.Experiment {
-	case "fork":
-		reject("matrices", s.Matrices != 0)
-		reject("dense", s.Dense)
-		reject("points", s.Points != 0)
-		reject("rows", s.Rows != 0)
-		if s.Bench != "" {
-			if _, err := workload.ByName(s.Bench); err != nil {
-				problems = append(problems, err.Error())
-			}
-		}
-		if err := core.ValidBackend(s.Backend); err != nil {
-			problems = append(problems, err.Error())
-		}
-	case "spmv":
-		reject("bench", s.Bench != "")
-		reject("backend", s.Backend != "")
-		reject("warm", s.Warm != 0)
-		reject("measure", s.Measure != 0)
-		reject("points", s.Points != 0)
-		reject("rows", s.Rows != 0)
-	case "linesize":
-		reject("bench", s.Bench != "")
-		reject("backend", s.Backend != "")
-		reject("warm", s.Warm != 0)
-		reject("measure", s.Measure != 0)
-		reject("dense", s.Dense)
-		reject("points", s.Points != 0)
-		reject("rows", s.Rows != 0)
-	case "sweep":
-		reject("bench", s.Bench != "")
-		reject("backend", s.Backend != "")
-		reject("warm", s.Warm != 0)
-		reject("measure", s.Measure != 0)
-		reject("matrices", s.Matrices != 0)
-		reject("dense", s.Dense)
-	case "dualcore":
-		reject("bench", s.Bench != "")
-		reject("backend", s.Backend != "")
-		reject("warm", s.Warm != 0)
-		reject("measure", s.Measure != 0)
-		reject("matrices", s.Matrices != 0)
-		reject("dense", s.Dense)
-		reject("points", s.Points != 0)
-		reject("rows", s.Rows != 0)
-		reject("cold", s.Cold)
-	case "compare":
-		reject("dense", s.Dense)
-		reject("points", s.Points != 0)
-		reject("rows", s.Rows != 0)
-		if s.Bench != "" {
-			if _, err := workload.ByName(s.Bench); err != nil {
-				problems = append(problems, err.Error())
-			}
-		}
-		if err := core.ValidBackend(s.Backend); err != nil {
-			problems = append(problems, err.Error())
-		}
-	case "omsstress":
-		reject("bench", s.Bench != "")
-		reject("backend", s.Backend != "")
-		reject("warm", s.Warm != 0)
-		reject("measure", s.Measure != 0)
-		reject("matrices", s.Matrices != 0)
-		reject("dense", s.Dense)
-		reject("points", s.Points != 0)
-		reject("rows", s.Rows != 0)
-		reject("cold", s.Cold)
-	}
-	if s.Experiment != "omsstress" {
-		reject("tenants", s.Tenants != 0)
-		reject("ops", s.Ops != 0)
-		reject("segments", s.Segments != 0)
-		reject("oms_capacity", s.OMSCapacity != 0)
-		reject("nospill", s.NoSpill)
-		reject("shared", s.Shared)
-	}
-
-	if s.Parallel < 0 {
-		problems = append(problems, fmt.Sprintf("invalid parallel %d: must be >= 0", s.Parallel))
-	}
-	if s.Matrices < 0 {
-		problems = append(problems, fmt.Sprintf("invalid matrices %d: must be >= 0", s.Matrices))
-	}
-	n := s.Normalized()
-	if s.Experiment == "sweep" {
-		if n.Points < 2 {
-			problems = append(problems, fmt.Sprintf("invalid points %d: need at least 2 sweep points", n.Points))
-		}
-		if n.Rows < 8 {
-			problems = append(problems, fmt.Sprintf("invalid rows %d: need at least one cache line of values", n.Rows))
-		}
-	}
-	if s.Experiment == "omsstress" {
-		if n.Tenants < 1 {
-			problems = append(problems, fmt.Sprintf("invalid tenants %d: need at least 1", n.Tenants))
-		}
-		if n.Ops < 1 {
-			problems = append(problems, fmt.Sprintf("invalid ops %d: need at least 1", n.Ops))
-		}
-		if n.Segments < 1 {
-			problems = append(problems, fmt.Sprintf("invalid segments %d: need at least 1", n.Segments))
-		}
-		if n.OMSCapacity < -1 {
-			problems = append(problems, fmt.Sprintf("invalid oms_capacity %d: want a frame count, 0 for the default, or -1 for unlimited", n.OMSCapacity))
+	fields = checked.fields()
+	for i := range e.flags {
+		if p := e.flags[i].check(fields[e.flags[i].field]); p != "" {
+			problems = append(problems, p)
 		}
 	}
 	if len(problems) > 0 {
@@ -365,140 +261,42 @@ func (s JobSpec) Key() string {
 }
 
 // CLIArgs renders the spec as the equivalent overlaysim invocation —
-// subcommand first, then one flag per non-default field. Feeding the
-// result back through SpecFromArgs yields the normalized spec; running
-// it through the CLI with -json yields a byte-identical export.
+// subcommand first, then one flag for each normalized field that differs
+// from what the bare subcommand runs. Feeding the result back through
+// SpecFromArgs yields the normalized spec; running it through the CLI
+// with -json yields a byte-identical export.
 func (s JobSpec) CLIArgs() []string {
 	args := []string{s.Experiment}
-	d := specDefaults(s.Experiment)
+	e := lookup(s.Experiment)
+	if e == nil {
+		return args
+	}
 	n := s.Normalized()
-	switch s.Experiment {
-	case "fork":
-		if n.Bench != "" {
-			args = append(args, "-bench="+n.Bench)
+	have, want := n.fields(), e.defaults.fields()
+	for _, f := range e.flags {
+		if v := f.arg(have[f.field]); v != f.arg(want[f.field]) {
+			args = append(args, "-"+f.name+"="+v)
 		}
-		if n.Backend != d.Backend {
-			args = append(args, "-backend="+n.Backend)
-		}
-		if n.Warm != d.Warm {
-			args = append(args, fmt.Sprintf("-warm=%d", n.Warm))
-		}
-		if n.Measure != d.Measure {
-			args = append(args, fmt.Sprintf("-measure=%d", n.Measure))
-		}
-	case "compare":
-		if n.Bench != d.Bench {
-			args = append(args, "-bench="+n.Bench)
-		}
-		if n.Backend != "" {
-			args = append(args, "-backend="+n.Backend)
-		}
-		if n.Warm != d.Warm {
-			args = append(args, fmt.Sprintf("-warm=%d", n.Warm))
-		}
-		if n.Measure != d.Measure {
-			args = append(args, fmt.Sprintf("-measure=%d", n.Measure))
-		}
-		if n.Matrices != d.Matrices {
-			args = append(args, fmt.Sprintf("-matrices=%d", n.Matrices))
-		}
-	case "spmv":
-		if n.Matrices != 0 {
-			args = append(args, fmt.Sprintf("-matrices=%d", n.Matrices))
-		}
-		if n.Dense {
-			args = append(args, "-dense")
-		}
-	case "linesize":
-		if n.Matrices != 0 {
-			args = append(args, fmt.Sprintf("-matrices=%d", n.Matrices))
-		}
-	case "sweep":
-		if n.Points != d.Points {
-			args = append(args, fmt.Sprintf("-points=%d", n.Points))
-		}
-		if n.Rows != d.Rows {
-			args = append(args, fmt.Sprintf("-rows=%d", n.Rows))
-		}
-	case "omsstress":
-		if n.Tenants != d.Tenants {
-			args = append(args, fmt.Sprintf("-tenants=%d", n.Tenants))
-		}
-		if n.Ops != d.Ops {
-			args = append(args, fmt.Sprintf("-ops=%d", n.Ops))
-		}
-		if n.Segments != d.Segments {
-			args = append(args, fmt.Sprintf("-segments=%d", n.Segments))
-		}
-		if n.OMSCapacity != d.OMSCapacity {
-			args = append(args, fmt.Sprintf("-oms-capacity=%d", n.OMSCapacity))
-		}
-		if n.NoSpill {
-			args = append(args, "-oms-spill=false")
-		}
-		if n.Shared {
-			args = append(args, "-shared")
-		}
-	}
-	if n.Cold && n.Experiment != "dualcore" && n.Experiment != "omsstress" {
-		args = append(args, "-cold")
-	}
-	if n.Parallel != 0 {
-		args = append(args, fmt.Sprintf("-parallel=%d", n.Parallel))
 	}
 	return args
 }
 
 // SpecFromArgs parses an overlaysim experiment invocation (subcommand
-// followed by its flags) back into a validated JobSpec — the inverse of
-// CLIArgs. The flag set registered per experiment is the same table the
-// CLI subcommand exposes, so any invocation the CLI accepts for these
-// experiments parses here too.
+// followed by its flags) back into a validated, normalized JobSpec — the
+// inverse of CLIArgs. It binds the flags the CLI subcommand binds, so
+// any invocation the CLI accepts for an experiment parses here too.
 func SpecFromArgs(args []string) (JobSpec, error) {
 	if len(args) == 0 {
 		return JobSpec{}, &ValidationError{Problems: []string{"empty invocation"}}
 	}
-	s := JobSpec{Experiment: args[0]}
-	fs := flag.NewFlagSet(s.Experiment, flag.ContinueOnError)
+	e := lookup(args[0])
+	if e == nil {
+		return JobSpec{}, JobSpec{Experiment: args[0]}.Validate()
+	}
+	s := JobSpec{Experiment: e.Name}
+	fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	omsSpill := true
-	switch s.Experiment {
-	case "fork":
-		fs.StringVar(&s.Bench, "bench", "", "")
-		fs.StringVar(&s.Backend, "backend", "", "")
-		fs.Uint64Var(&s.Warm, "warm", 0, "")
-		fs.Uint64Var(&s.Measure, "measure", 0, "")
-	case "compare":
-		fs.StringVar(&s.Bench, "bench", "", "")
-		fs.StringVar(&s.Backend, "backend", "", "")
-		fs.Uint64Var(&s.Warm, "warm", 0, "")
-		fs.Uint64Var(&s.Measure, "measure", 0, "")
-		fs.IntVar(&s.Matrices, "matrices", 0, "")
-	case "spmv":
-		fs.IntVar(&s.Matrices, "matrices", 0, "")
-		fs.BoolVar(&s.Dense, "dense", false, "")
-	case "linesize":
-		fs.IntVar(&s.Matrices, "matrices", 0, "")
-	case "sweep":
-		fs.IntVar(&s.Points, "points", 0, "")
-		fs.IntVar(&s.Rows, "rows", 0, "")
-	case "dualcore":
-		// only the shared flags
-	case "omsstress":
-		fs.IntVar(&s.Tenants, "tenants", 0, "")
-		fs.IntVar(&s.Ops, "ops", 0, "")
-		fs.IntVar(&s.Segments, "segments", 0, "")
-		fs.IntVar(&s.OMSCapacity, "oms-capacity", 0, "")
-		fs.BoolVar(&omsSpill, "oms-spill", true, "")
-		fs.BoolVar(&s.Shared, "shared", false, "")
-	default:
-		return JobSpec{}, &ValidationError{Problems: []string{
-			fmt.Sprintf("unknown experiment %q", s.Experiment)}}
-	}
-	if s.Experiment != "dualcore" && s.Experiment != "omsstress" {
-		fs.BoolVar(&s.Cold, "cold", false, "")
-	}
-	fs.IntVar(&s.Parallel, "parallel", 0, "")
+	e.Bind(fs, &s)
 	if err := fs.Parse(args[1:]); err != nil {
 		return JobSpec{}, &ValidationError{Problems: []string{err.Error()}}
 	}
@@ -506,21 +304,18 @@ func SpecFromArgs(args []string) (JobSpec, error) {
 		return JobSpec{}, &ValidationError{Problems: []string{
 			fmt.Sprintf("unexpected arguments %v", fs.Args())}}
 	}
-	if s.Experiment == "omsstress" && !omsSpill {
-		s.NoSpill = true
-	}
-	if err := s.Validate(); err != nil {
+	if err := s.ValidateFlags(); err != nil {
 		return JobSpec{}, err
 	}
 	return s.Normalized(), nil
 }
 
 // Run executes the spec on the pool and returns the same export the
-// matching CLI subcommand writes with -json — byte for byte, so a
-// served job and a CLI run of CLIArgs() are interchangeable. The pool's
-// Parallel is overridden by the spec's when set. A context cancelled
-// mid-run surfaces as ctx.Err() even when the underlying sweep had
-// already finished its in-flight simulations.
+// matching CLI subcommand writes with -json — byte for byte, because the
+// CLI runs its invocation through this method too. The pool's Parallel
+// is overridden by the spec's when set. A context cancelled mid-run
+// surfaces as ctx.Err() even when the underlying sweep had already
+// finished its in-flight simulations.
 func (s JobSpec) Run(ctx context.Context, pool Pool) (*JobOutput, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -529,106 +324,13 @@ func (s JobSpec) Run(ctx context.Context, pool Pool) (*JobOutput, error) {
 	if n.Parallel != 0 {
 		pool.Parallel = n.Parallel
 	}
-	if n.Cold {
-		pool.Cold = true
-	}
+	pool.Cold = pool.Cold || n.Cold
 	if pool.Snap == nil {
 		pool.Snap = &SnapshotStats{}
 	}
-	out := &JobOutput{}
-	switch n.Experiment {
-	case "fork":
-		params := ForkParams{
-			WarmInstructions:    n.Warm,
-			MeasureInstructions: n.Measure,
-			Backend:             n.Backend,
-			SeriesEpoch:         sim.DefaultEpoch,
-		}
-		// The default backend renders as the empty string so the export's
-		// config block is byte-identical to a CLI run without -backend.
-		if params.Backend == core.DefaultBackend {
-			params.Backend = ""
-		}
-		var names []string
-		if n.Bench != "" {
-			names = []string{n.Bench}
-		}
-		results, err := RunForkSuitePool(ctx, pool, params, names)
-		if err != nil {
-			return nil, err
-		}
-		// ForkExport bundles the merged registry and per-run series
-		// exactly as the CLI does; re-merge the stats here so the
-		// caller gets live histograms, not just their summaries.
-		out.Export = ForkExport(params, results)
-		merged := &sim.Stats{}
-		for i := range results {
-			merged.Merge(results[i].CoW.Stats)
-			merged.Merge(results[i].OoW.Stats)
-		}
-		out.Stats = merged
-	case "spmv":
-		results, err := RunFigure10Pool(ctx, pool, n.Matrices, n.Dense)
-		if err != nil {
-			return nil, err
-		}
-		out.Export = sim.NewExport("spmv")
-		out.Export.Results = results
-	case "linesize":
-		results, err := RunFigure11Pool(ctx, pool, n.Matrices)
-		if err != nil {
-			return nil, err
-		}
-		out.Export = sim.NewExport("linesize")
-		out.Export.Results = results
-	case "sweep":
-		results, err := RunSparsitySweepPool(ctx, pool, n.Points, n.Rows)
-		if err != nil {
-			return nil, err
-		}
-		out.Export = sim.NewExport("sweep")
-		out.Export.Results = results
-	case "dualcore":
-		results, err := RunDualCorePool(ctx, pool)
-		if err != nil {
-			return nil, err
-		}
-		out.Export = sim.NewExport("dualcore")
-		out.Export.Results = results
-	case "compare":
-		params := CompareParams{
-			Bench:    n.Bench,
-			Warm:     n.Warm,
-			Measure:  n.Measure,
-			Matrices: n.Matrices,
-		}
-		if n.Backend != "" {
-			params.Backends = []string{n.Backend}
-		}
-		report, err := RunComparePool(ctx, pool, params)
-		if err != nil {
-			return nil, err
-		}
-		out.Export = CompareExport(params, report)
-	case "omsstress":
-		params := OMSStressParams{
-			Tenants:  n.Tenants,
-			Ops:      n.Ops,
-			Segments: n.Segments,
-			Capacity: n.OMSCapacity,
-			Spill:    !n.NoSpill,
-			Shared:   n.Shared,
-		}
-		if params.Capacity < 0 {
-			params.Capacity = 0 // -1 in the spec means unlimited
-		}
-		results, stats, err := RunOMSStressPool(ctx, pool, params)
-		if err != nil {
-			return nil, err
-		}
-		out.Export = sim.NewExport("omsstress")
-		out.Export.Results = results
-		out.Stats = stats
+	out, err := lookup(n.Experiment).run(ctx, pool, n)
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -646,4 +348,93 @@ func (s JobSpec) Run(ctx context.Context, pool Pool) (*JobOutput, error) {
 		prov.AttachStats(out.Stats)
 	}
 	return out, nil
+}
+
+// specFlag is one CLI flag of an experiment, bound onto a JobSpec field.
+type specFlag struct {
+	name  string
+	json  string // the JobSpec field it sets (empty = the flag's name)
+	def   any    // the CLI default, of the field's type (nil = zero)
+	usage string
+
+	// A number field must be at least min; why ends the problem reported
+	// otherwise. A non-empty string field must pass valid, when set.
+	min   int
+	why   string
+	valid func(string) error
+
+	// negate stores a boolean flag inverted: -oms-spill sets NoSpill.
+	negate bool
+
+	field int // index of json in fieldNames, resolved at init
+}
+
+// bind registers the flag on fs, bound onto the field p points at.
+func (f *specFlag) bind(fs *flag.FlagSet, p any) {
+	switch p := p.(type) {
+	case *int:
+		def, _ := f.def.(int)
+		fs.IntVar(p, f.name, def, f.usage)
+	case *uint64:
+		def, _ := f.def.(uint64)
+		fs.Uint64Var(p, f.name, def, f.usage)
+	case *string:
+		def, _ := f.def.(string)
+		fs.StringVar(p, f.name, def, f.usage)
+	case *bool:
+		if f.negate {
+			fs.Var(negated{p}, f.name, f.usage)
+		} else {
+			fs.BoolVar(p, f.name, false, f.usage)
+		}
+	}
+}
+
+// arg renders the field p points at as this flag's value.
+func (f *specFlag) arg(p any) string {
+	switch p := p.(type) {
+	case *int:
+		return strconv.Itoa(*p)
+	case *uint64:
+		return strconv.FormatUint(*p, 10)
+	case *string:
+		return *p
+	default:
+		return strconv.FormatBool(*p.(*bool) != f.negate)
+	}
+}
+
+// check returns the problem with the field p points at, or "".
+func (f *specFlag) check(p any) string {
+	switch p := p.(type) {
+	case *int:
+		if *p < f.min {
+			return fmt.Sprintf("invalid %s %d: %s", f.json, *p, f.why)
+		}
+	case *uint64:
+		if f.min > 0 && *p < uint64(f.min) {
+			return fmt.Sprintf("invalid %s %d: %s", f.json, *p, f.why)
+		}
+	case *string:
+		if *p != "" && f.valid != nil {
+			if err := f.valid(*p); err != nil {
+				return err.Error()
+			}
+		}
+	}
+	return ""
+}
+
+// negated is a boolean flag.Value that stores its negation.
+type negated struct{ p *bool }
+
+func (v negated) String() string   { return strconv.FormatBool(v.p != nil && !*v.p) }
+func (v negated) IsBoolFlag() bool { return true }
+
+func (v negated) Set(s string) error {
+	b, err := strconv.ParseBool(s)
+	if err == nil {
+		*v.p = !b
+	}
+	return err
 }

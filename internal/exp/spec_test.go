@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -61,6 +62,29 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpecFieldTable pins the field table the registry works through:
+// fields()[i] points at the JobSpec field whose JSON name is
+// fieldNames[i], and every field but Experiment is listed, so a new
+// spec field cannot skip validation or normalization.
+func TestSpecFieldTable(t *testing.T) {
+	var s JobSpec
+	v := reflect.ValueOf(&s).Elem()
+	byAddr := map[uintptr]string{}
+	for i := 1; i < v.NumField(); i++ {
+		name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+		byAddr[v.Field(i).Addr().Pointer()] = name
+	}
+	fields := s.fields()
+	if len(fields) != len(byAddr) {
+		t.Fatalf("fields lists %d fields, JobSpec has %d besides experiment", len(fields), len(byAddr))
+	}
+	for i, p := range fields {
+		if got := byAddr[reflect.ValueOf(p).Pointer()]; got != fieldNames[i] {
+			t.Errorf("fields()[%d] is %q, fieldNames says %q", i, got, fieldNames[i])
+		}
+	}
+}
+
 // TestSpecValidation exercises the flag-table checks: unknown
 // experiments, inapplicable fields, and the CLI's value constraints.
 func TestSpecValidation(t *testing.T) {
@@ -104,6 +128,48 @@ func TestSpecValidation(t *testing.T) {
 		var ve *ValidationError
 		if err != nil && !errors.As(err, &ve) {
 			t.Errorf("%s: error is %T, want *ValidationError", c.name, err)
+		}
+	}
+}
+
+// TestSpecFromArgsTypedZero pins how an invocation's explicit zero
+// reads. A spec's omitted field means the default, but a flag typed as 0
+// is checked as given: where 0 is below the flag's minimum it is
+// rejected, and where the flag documents 0 as its default it still
+// means that.
+func TestSpecFromArgsTypedZero(t *testing.T) {
+	for _, args := range [][]string{
+		{"fork", "-warm=0"},
+		{"fork", "-measure=0"},
+		{"sweep", "-points=0"},
+		{"sweep", "-rows=0"},
+		{"omsstress", "-tenants=0"},
+		{"omsstress", "-ops=0"},
+		{"omsstress", "-segments=0"},
+	} {
+		var ve *ValidationError
+		if _, err := SpecFromArgs(args); !errors.As(err, &ve) {
+			t.Errorf("SpecFromArgs(%v) = %v, want a *ValidationError", args, err)
+		}
+	}
+	for _, c := range []struct {
+		args []string
+		want JobSpec
+	}{
+		{[]string{"compare", "-matrices=0", "-warm=0", "-measure=0", "-bench="}, JobSpec{Experiment: "compare"}},
+		{[]string{"omsstress", "-oms-capacity=0"}, JobSpec{Experiment: "omsstress"}},
+		{[]string{"spmv", "-matrices=0"}, JobSpec{Experiment: "spmv"}},
+		{[]string{"fork", "-backend="}, JobSpec{Experiment: "fork"}},
+	} {
+		got, err := SpecFromArgs(c.args)
+		if err != nil {
+			t.Errorf("SpecFromArgs(%v): %v", c.args, err)
+			continue
+		}
+		want := c.want
+		want.Parallel = 1 // the CLI's -parallel default
+		if want = want.Normalized(); got != want {
+			t.Errorf("SpecFromArgs(%v) = %+v, want %+v", c.args, got, want)
 		}
 	}
 }
@@ -203,12 +269,15 @@ func TestParseJobSpec(t *testing.T) {
 }
 
 // FuzzParseJobSpec holds the parser every submission goes through to
-// two properties: on any body it returns a spec or an error without
-// panicking, and an accepted spec re-parses from its CanonicalJSON to
-// the same Key, so the canonical form is itself a submission of the
-// same result.
+// three properties: on any body it returns a spec or an error without
+// panicking; an accepted spec re-parses from its CanonicalJSON to the
+// same Key, so the canonical form is itself a submission of the same
+// result; and its CLIArgs parse back through SpecFromArgs to the same
+// Key, so the CLI invocation a spec names runs the same result.
 func FuzzParseJobSpec(f *testing.F) {
 	f.Add([]byte(`{"experiment":"fork","bench":"hmmer","warm":20000,"measure":50000}`))
+	f.Add([]byte(`{"experiment":"omsstress","nospill":true,"oms_capacity":-1}`))
+	f.Add([]byte(`{"experiment":"compare","backend":"overlay"}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, err := ParseJobSpec(bytes.NewReader(body))
 		if err != nil {
@@ -222,7 +291,29 @@ func FuzzParseJobSpec(f *testing.F) {
 		if again.Key() != spec.Key() {
 			t.Fatalf("canonical form %s of %q has key %s, want %s", canon, body, again.Key(), spec.Key())
 		}
+		args := spec.CLIArgs()
+		back, err := SpecFromArgs(args)
+		if err != nil {
+			t.Fatalf("CLIArgs %v of accepted %q rejected: %v", args, body, err)
+		}
+		if back.Key() != spec.Key() {
+			t.Fatalf("CLIArgs %v of %q has key %s, want %s", args, body, back.Key(), spec.Key())
+		}
 	})
+}
+
+// BenchmarkParseJobSpec times what every served request pays for its
+// spec: ParseJobSpec and Key.
+func BenchmarkParseJobSpec(b *testing.B) {
+	body := []byte(`{"experiment":"omsstress","tenants":2,"ops":2000,"segments":16,"oms_capacity":4}`)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		spec, err := ParseJobSpec(bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_ = spec.Key()
+	}
 }
 
 // TestSpecRunMatchesDirectRunner runs a tiny sweep through JobSpec.Run

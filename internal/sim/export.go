@@ -163,24 +163,21 @@ func (e *Export) WriteJSON(w io.Writer) error {
 	return enc.Encode(e)
 }
 
-// WriteSeriesCSV renders series rows in long form —
+// WriteSeriesCSV renders the export's series rows in long form —
 // series,counter,end_cycle,value — one record per (row, counter) pair,
 // ready for any plotting tool.
-func WriteSeriesCSV(w io.Writer, series ...*Series) error {
+func (e *Export) WriteSeriesCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"series", "counter", "end_cycle", "value"}); err != nil {
 		return err
 	}
-	for _, s := range series {
-		if s == nil {
-			continue
-		}
-		for _, row := range s.Rows() {
-			for i, name := range s.Counters() {
+	for _, s := range e.Series {
+		for _, row := range s.Rows {
+			for i, name := range s.Counters {
 				rec := []string{
-					s.Name(),
+					s.Name,
 					name,
-					strconv.FormatUint(uint64(row.EndCycle), 10),
+					strconv.FormatUint(row.EndCycle, 10),
 					strconv.FormatUint(row.Values[i], 10),
 				}
 				if err := cw.Write(rec); err != nil {
