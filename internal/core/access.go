@@ -50,12 +50,6 @@ func (f *Framework) overlayLineLoc(opn arch.OPN, entry *omt.Entry, line int) (li
 	}, nil
 }
 
-// resolveRead locates the bytes a load of (pid, vpn, line) must return
-// under the framework's translation backend.
-func (f *Framework) resolveRead(proc *vm.Process, vpn arch.VPN, line int) (lineLoc, error) {
-	return f.backend.ResolveRead(proc, vpn, line)
-}
-
 // writeKind classifies what a store to a line required (§4.3).
 type writeKind int
 
@@ -79,23 +73,18 @@ const (
 	writeVBIRemap
 )
 
-// writeResolution reports where a store landed and what it cost.
+// writeResolution reports where a store landed and what it cost. The
+// timed path issues the store at loc.cacheAddr (a virtual tag under
+// vbi).
 type writeResolution struct {
 	kind writeKind
 	loc  lineLoc
 	// srcCacheAddr is set for writeOverlaying (the regular physical line
-	// the data was remapped from) and writeCOWCopy (line 0 of the source
-	// page; the timed path reads all 64 lines of that page).
+	// the data was remapped from), writeCOWCopy (line 0 of the source
+	// page; the timed path reads all 64 lines of that page) and
+	// writeVBIRemap (the base of the frame the block left, which is
+	// loc.ppn's own frame on a last-sharer reuse).
 	srcCacheAddr arch.PhysAddr
-}
-
-// resolveWrite performs the structural state changes a store to
-// (proc, vpn, line) requires under the framework's translation backend —
-// overlay creation, OMT/TLB updates, a conventional COW page copy, or a
-// controller-side remap — and reports what happened. It does not write
-// the payload bytes.
-func (f *Framework) resolveWrite(proc *vm.Process, vpn arch.VPN, line int) (writeResolution, error) {
-	return f.backend.ResolveWrite(proc, vpn, line)
 }
 
 // overlayInsert adds `line` to the page's overlay: it allocates or grows
@@ -162,7 +151,7 @@ func (f *Framework) Load(pid arch.PID, va arch.VirtAddr, buf []byte) error {
 	}
 	for n := 0; n < len(buf); {
 		a := va + arch.VirtAddr(n)
-		loc, err := f.resolveRead(proc, a.Page(), a.Line())
+		loc, err := f.backend.ResolveRead(proc, a.Page(), a.Line())
 		if err != nil {
 			return err
 		}
@@ -186,7 +175,7 @@ func (f *Framework) Store(pid arch.PID, va arch.VirtAddr, data []byte) error {
 	}
 	for n := 0; n < len(data); {
 		a := va + arch.VirtAddr(n)
-		res, err := f.resolveWrite(proc, a.Page(), a.Line())
+		res, err := f.backend.ResolveWrite(proc, a.Page(), a.Line())
 		if err != nil {
 			return err
 		}

@@ -12,25 +12,29 @@ import (
 
 // TranslationBackend is the pluggable translation mechanism behind the
 // framework. It covers every point where an address-translation design
-// touches the simulated system: the TLB's miss path (Walk), the timed
-// per-access translation on the core side (ReadTarget/WriteLatency), the
-// structural resolution of stores (Write plus the functional
-// ResolveRead/ResolveWrite pair shared with the untimed path), the memory
-// controller's view of LLC misses and write-backs (Fetch/WriteBack and
-// the prefetcher feed OnMiss), and the OS-level sharing mechanism used at
-// fork time. MetadataBytes models the translation-metadata footprint the
-// design carries for the currently mapped state; SnapshotState and
-// RestoreState carry any backend-private structures across
-// Snapshot/NewFromSnapshot.
+// touches the simulated system: the TLB's miss path (Walk, so the
+// backend is the TLB's walker), the timed per-access translation on the
+// core side (Translate), the structural resolution of loads and stores
+// shared by the timed and functional paths (ResolveRead/ResolveWrite),
+// the memory controller's view of LLC misses and write-backs
+// (Fetch/WriteBack, so the backend is the cache hierarchy's memory) and
+// the prefetcher feed (OnMiss, so it is the hierarchy's miss observer),
+// and the OS-level sharing mechanism used at fork time. MetadataBytes
+// models the translation-metadata footprint the design carries for the
+// currently mapped state; SnapshotState and RestoreState carry any
+// backend-private structures across Snapshot/NewFromSnapshot. The timed
+// store itself is the framework's (Port.write): it switches on the kind
+// ResolveWrite reports.
 //
-// Four implementations are registered: "overlay" (the paper's page
-// overlays — the default, bit-identical to the pre-refactor framework),
-// "baseline" (conventional 4-level walks plus trap-and-copy COW, the
-// control), "vbi" (the Virtual Block Interface: virtually-tagged caches
-// with translation delegated to a memory-translation layer at the
-// controller), and "utopia" (hybrid restrictive/flexible mappings: a
-// hash-claimed restrictive set makes most walks cheap, the rest fall
-// back to the conventional walk).
+// Four implementations are registered. "baseline" (conventional 4-level
+// walks plus trap-and-copy COW) implements every method conventionally,
+// and the other three embed it and override only where their designs
+// differ: "overlay" (the paper's page overlays, the default), "vbi" (the
+// Virtual Block Interface: virtually-tagged caches with translation
+// delegated to a memory-translation layer at the controller), and
+// "utopia" (hybrid restrictive/flexible mappings: a hash-claimed
+// restrictive set makes most walks cheap, the rest fall back to the
+// conventional walk). Each overrides Name.
 type TranslationBackend interface {
 	// Name returns the backend's registered name.
 	Name() string
@@ -39,27 +43,18 @@ type TranslationBackend interface {
 	// (the TLB adds its own probe latencies on top).
 	Walk(pid arch.PID, vpn arch.VPN) (tlb.Entry, sim.Cycle, bool)
 
-	// ReadTarget translates a timed load: the cache-tag address the
-	// access is issued at and the translation latency preceding it. It
-	// panics on a true fault — workloads map their footprints.
-	ReadTarget(p *Port, pid arch.PID, va arch.VirtAddr) (arch.PhysAddr, sim.Cycle)
-
-	// WriteLatency returns the translation latency a timed store pays
-	// before its structural resolution runs.
-	WriteLatency(p *Port, pid arch.PID, va arch.VirtAddr) sim.Cycle
-
-	// Write continues a timed store after translation: it performs the
-	// structural resolution and issues the hierarchy access (plus any
-	// remap, trap, or copy machinery on the critical path), invoking done
-	// when the store completes at the L1.
-	Write(p *Port, pid arch.PID, va arch.VirtAddr, done sim.Cont)
+	// Translate translates a timed access: the cache-tag address a load
+	// is issued at and the translation latency preceding a load or store.
+	// It panics on a true fault — workloads map their footprints.
+	Translate(p *Port, pid arch.PID, va arch.VirtAddr) (arch.PhysAddr, sim.Cycle)
 
 	// ResolveRead locates the bytes a load must return (functional path,
 	// shared with the timed path so the two can never diverge).
 	ResolveRead(proc *vm.Process, vpn arch.VPN, line int) (lineLoc, error)
 
 	// ResolveWrite performs the structural state changes a store
-	// requires and reports what happened. It does not write the payload.
+	// requires and reports what happened, including the cache tag the
+	// store is issued at. It does not write the payload.
 	ResolveWrite(proc *vm.Process, vpn arch.VPN, line int) (writeResolution, error)
 
 	// Fetch resolves an LLC miss at the memory controller.

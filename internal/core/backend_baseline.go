@@ -11,10 +11,14 @@ import (
 
 // baselineBackend is the conventional virtual-memory control (§2.2 of
 // the paper): 4-level page walks, physically tagged caches, and trap-
-// and-copy copy-on-write with full TLB shootdowns. It is exactly the
-// overlay backend with the overlay machinery removed — pages marked for
-// overlays behave as ordinary COW pages — so compare runs isolate what
+// and-copy copy-on-write with full TLB shootdowns. Pages marked for
+// overlays behave as ordinary COW pages, so compare runs isolate what
 // the overlay (or any rival) mechanism buys.
+//
+// It is also the conventional implementation every other backend
+// embeds: overlay, vbi and utopia override only the methods where their
+// designs differ, so no rival can drift from the control it is measured
+// against.
 type baselineBackend struct {
 	f *Framework
 }
@@ -27,54 +31,78 @@ func init() {
 
 func (b *baselineBackend) Name() string { return "baseline" }
 
+// Walk fills a TLB entry from the page tables alone — no OBitVector, no
+// overlay flag, whatever the PTE says about overlays.
 func (b *baselineBackend) Walk(pid arch.PID, vpn arch.VPN) (tlb.Entry, sim.Cycle, bool) {
-	e, ok := b.f.conventionalWalk(pid, vpn)
-	return e, b.f.Config.TLB.WalkLatency, ok
+	lat := b.f.Config.TLB.WalkLatency
+	proc, ok := b.f.VM.Process(pid)
+	if !ok {
+		return tlb.Entry{}, lat, false
+	}
+	pte := proc.Table.Lookup(vpn)
+	if pte == nil {
+		return tlb.Entry{}, lat, false
+	}
+	return tlb.Entry{PPN: pte.PPN, COW: pte.COW, Writable: pte.Writable}, lat, true
 }
 
-func (b *baselineBackend) ReadTarget(p *Port, pid arch.PID, va arch.VirtAddr) (arch.PhysAddr, sim.Cycle) {
+func (b *baselineBackend) Translate(p *Port, pid arch.PID, va arch.VirtAddr) (arch.PhysAddr, sim.Cycle) {
 	entry, lat, ok := p.TLB.Lookup(pid, va.Page())
 	if !ok {
-		panic(fmt.Sprintf("core: timed read fault at pid %d va %#x", pid, uint64(va)))
+		panic(fmt.Sprintf("core: timed access fault at pid %d va %#x", pid, uint64(va)))
 	}
 	return arch.PhysAddrOf(entry.PPN, uint64(va.Line())<<arch.LineShift), lat
 }
 
-func (b *baselineBackend) WriteLatency(p *Port, pid arch.PID, va arch.VirtAddr) sim.Cycle {
-	_, lat, ok := p.TLB.Lookup(pid, va.Page())
-	if !ok {
-		panic(fmt.Sprintf("core: timed write fault at pid %d va %#x", pid, uint64(va)))
-	}
-	return lat
-}
-
-func (b *baselineBackend) Write(p *Port, pid arch.PID, va arch.VirtAddr, done sim.Cont) {
-	f := b.f
-	proc, ok := f.VM.Process(pid)
-	if !ok {
-		panic(fmt.Sprintf("core: no process %d", pid))
-	}
-	vpn, line := va.Page(), va.Line()
-	res, err := f.conventionalResolveWrite(proc, vpn, line)
-	if err != nil {
-		panic(err)
-	}
-	switch res.kind {
-	case writePlain:
-		f.Hier.AccessCont(res.loc.cacheAddr, true, done)
-	case writeCOWCopy, writeCOWReuse:
-		f.timedCOWWrite(p, pid, vpn, res, done)
-	default:
-		panic("core: unknown write kind")
-	}
-}
-
+// ResolveRead reads through the page tables: the bytes always live in
+// the mapped frame.
 func (b *baselineBackend) ResolveRead(proc *vm.Process, vpn arch.VPN, line int) (lineLoc, error) {
-	return b.f.conventionalResolveRead(proc, vpn, line)
+	pte := proc.Table.Lookup(vpn)
+	if pte == nil {
+		return lineLoc{}, fmt.Errorf("core: read fault at pid %d vpn %#x", proc.PID, uint64(vpn))
+	}
+	return physLineLoc(pte.PPN, line), nil
 }
 
 func (b *baselineBackend) ResolveWrite(proc *vm.Process, vpn arch.VPN, line int) (writeResolution, error) {
-	return b.f.conventionalResolveWrite(proc, vpn, line)
+	pte := proc.Table.Lookup(vpn)
+	if pte == nil {
+		return writeResolution{}, fmt.Errorf("core: write fault at pid %d vpn %#x", proc.PID, uint64(vpn))
+	}
+	return b.resolveWriteTail(proc, pte, vpn, line)
+}
+
+// resolveWriteTail is the no-overlay arm of write resolution: plain
+// stores to writable pages, trap-and-copy (or last-sharer reuse) for COW
+// pages, protection fault otherwise. The overlay backend funnels its
+// non-overlay pages through the same code.
+func (b *baselineBackend) resolveWriteTail(proc *vm.Process, pte *vm.PTE, vpn arch.VPN, line int) (writeResolution, error) {
+	f := b.f
+	if pte.Writable {
+		*f.plainWrites++
+		return writeResolution{kind: writePlain, loc: physLineLoc(pte.PPN, line)}, nil
+	}
+	if pte.COW {
+		oldPPN := pte.PPN
+		_, copied, err := f.VM.BreakCOW(proc, vpn)
+		if err != nil {
+			return writeResolution{}, err
+		}
+		pte = proc.Table.Lookup(vpn)
+		res := writeResolution{
+			loc:          physLineLoc(pte.PPN, line),
+			srcCacheAddr: arch.PhysAddrOf(oldPPN, 0),
+		}
+		if copied {
+			res.kind = writeCOWCopy
+			*f.cowCopies++
+		} else {
+			res.kind = writeCOWReuse
+			*f.cowReuses++
+		}
+		return res, nil
+	}
+	return writeResolution{}, fmt.Errorf("core: protection fault: write to read-only pid %d vpn %#x", proc.PID, uint64(vpn))
 }
 
 // Fetch and WriteBack see only regular physical addresses (nothing tags
@@ -92,9 +120,14 @@ func (b *baselineBackend) OnMiss(addr arch.PhysAddr) {
 }
 
 // Fork always shares copy-on-write — the conventional system has no
-// overlay-on-write to offer.
+// overlay-on-write to offer — and flushes the parent's stale TLB
+// entries.
 func (b *baselineBackend) Fork(parent *vm.Process, overlayMode bool) *vm.Process {
-	return b.f.conventionalFork(parent)
+	child := b.f.VM.Fork(parent, false)
+	for _, p := range b.f.ports {
+		p.TLB.FlushPID(parent.PID)
+	}
+	return child
 }
 
 // MetadataBytes is the page tables alone: 8 B per mapped PTE.

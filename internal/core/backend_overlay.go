@@ -12,16 +12,17 @@ import (
 // overlayBackend is the paper's page-overlay framework (§3–§4): the
 // direct virtual-to-overlay mapping, OBitVector-extended TLB entries, the
 // Overlay Mapping Table with its controller cache, and the compact
-// Overlay Memory Store. It is the default backend and is bit-identical to
-// the pre-refactor framework — every method body here was moved, not
-// rewritten.
+// Overlay Memory Store. It is the default backend. It embeds the
+// conventional baseline for what page overlays leave unchanged: pages
+// without an overlay resolve stores through the baseline's trap-and-copy
+// tail, and the backend keeps no private snapshot state.
 type overlayBackend struct {
-	f *Framework
+	baselineBackend
 }
 
 func init() {
 	RegisterBackend("overlay", func(f *Framework) TranslationBackend {
-		return &overlayBackend{f: f}
+		return &overlayBackend{baselineBackend{f: f}}
 	})
 }
 
@@ -53,13 +54,13 @@ func (b *overlayBackend) Walk(pid arch.PID, vpn arch.VPN) (tlb.Entry, sim.Cycle,
 	return e, lat, true
 }
 
-// ReadTarget translates a timed load: lines present in the page's
-// overlay are tagged in the Overlay Address Space, everything else at the
+// Translate tags a timed access: lines present in the page's overlay
+// are tagged in the Overlay Address Space, everything else at the
 // regular physical address.
-func (b *overlayBackend) ReadTarget(p *Port, pid arch.PID, va arch.VirtAddr) (arch.PhysAddr, sim.Cycle) {
+func (b *overlayBackend) Translate(p *Port, pid arch.PID, va arch.VirtAddr) (arch.PhysAddr, sim.Cycle) {
 	entry, lat, ok := p.TLB.Lookup(pid, va.Page())
 	if !ok {
-		panic(fmt.Sprintf("core: timed read fault at pid %d va %#x", pid, uint64(va)))
+		panic(fmt.Sprintf("core: timed access fault at pid %d va %#x", pid, uint64(va)))
 	}
 	line := va.Line()
 	var target arch.PhysAddr
@@ -69,50 +70,6 @@ func (b *overlayBackend) ReadTarget(p *Port, pid arch.PID, va arch.VirtAddr) (ar
 		target = arch.PhysAddrOf(entry.PPN, uint64(line)<<arch.LineShift)
 	}
 	return target, lat
-}
-
-func (b *overlayBackend) WriteLatency(p *Port, pid arch.PID, va arch.VirtAddr) sim.Cycle {
-	_, lat, ok := p.TLB.Lookup(pid, va.Page())
-	if !ok {
-		panic(fmt.Sprintf("core: timed write fault at pid %d va %#x", pid, uint64(va)))
-	}
-	return lat
-}
-
-// Write implements the three write flavours of §4.3 on the timed path.
-func (b *overlayBackend) Write(p *Port, pid arch.PID, va arch.VirtAddr, done sim.Cont) {
-	f := b.f
-	proc, ok := f.VM.Process(pid)
-	if !ok {
-		panic(fmt.Sprintf("core: no process %d", pid))
-	}
-	vpn, line := va.Page(), va.Line()
-	res, err := b.ResolveWrite(proc, vpn, line)
-	if err != nil {
-		panic(err)
-	}
-	switch res.kind {
-	case writePlain, writeSimpleOverlay:
-		f.Hier.AccessCont(res.loc.cacheAddr, true, done)
-
-	case writeOverlaying:
-		// §4.3.3: fetch the source line (read-for-ownership), retag the
-		// block into the Overlay Address Space, pay the coherence round,
-		// then the store completes. The fetch is the application's own
-		// write-allocate miss; the remap adds OverlayRemapLatency. The
-		// remaining write flavours are off the hot path, so plain closures
-		// are fine here.
-		f.Hier.Access(res.srcCacheAddr, true, func() {
-			f.Hier.Retag(res.srcCacheAddr, res.loc.cacheAddr)
-			f.Engine.ScheduleCont(f.Config.OverlayRemapLatency, done)
-		})
-
-	case writeCOWCopy, writeCOWReuse:
-		f.timedCOWWrite(p, pid, vpn, res, done)
-
-	default:
-		panic("core: unknown write kind")
-	}
 }
 
 // ResolveRead locates the bytes a load of (pid, vpn, line) must return.
@@ -170,7 +127,7 @@ func (b *overlayBackend) ResolveWrite(proc *vm.Process, vpn arch.VPN, line int) 
 		return writeResolution{kind: writePlain, loc: physLineLoc(pte.PPN, line)}, nil
 	}
 
-	return f.conventionalResolveWriteTail(proc, pte, vpn, line)
+	return b.resolveWriteTail(proc, pte, vpn, line)
 }
 
 // Fetch implements the memory controller of Fig. 6: regular addresses go
@@ -284,15 +241,11 @@ func (b *overlayBackend) Fork(parent *vm.Process, overlayMode bool) *vm.Process 
 	return child
 }
 
-// MetadataBytes models page tables (8 B per mapped PTE) plus the OMT
-// (16 B per live entry: OBitVector + segment base).
+// MetadataBytes models the page tables plus the OMT (16 B per live
+// entry: OBitVector + segment base). All other overlay state lives in
+// shared components (OMT table, OMT cache, OMS, port cursors) that the
+// framework snapshot captures, so the baseline's empty SnapshotState
+// serves.
 func (b *overlayBackend) MetadataBytes() int {
-	return b.f.VM.MappedPages()*8 + b.f.OMTTable.Count()*16
+	return b.baselineBackend.MetadataBytes() + b.f.OMTTable.Count()*16
 }
-
-// SnapshotState returns nil: all overlay state lives in the shared
-// components (OMT table, OMT cache, OMS, port cursors) that the
-// framework snapshot already captures.
-func (b *overlayBackend) SnapshotState() any { return nil }
-
-func (b *overlayBackend) RestoreState(any) {}

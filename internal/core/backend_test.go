@@ -8,6 +8,7 @@ package core_test
 // contract.
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,6 +16,8 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/sim"
+	"repro/internal/vm"
 )
 
 func TestBackendRegistry(t *testing.T) {
@@ -225,6 +228,118 @@ func TestBackendSnapshotEquivalence(t *testing.T) {
 			if pf.MetadataBytes() != ff.MetadataBytes() {
 				t.Errorf("metadata footprint diverges: parent %d, fork %d",
 					pf.MetadataBytes(), ff.MetadataBytes())
+			}
+		})
+	}
+}
+
+// TestBackendTimedWriteKinds drives every write kind through the one
+// timed store path under each backend. After a fork of one page, the
+// parent stores to line 0 (the page is shared), to line 1, and to line
+// 0 again; then the child stores to line 0 (its page is either still
+// overlay-shared or left to its last sharer). Each store must complete,
+// move exactly its kind's counter, land in the caches at the tag its
+// backend issues it at, and do and cost what its arm puts on the
+// critical path.
+func TestBackendTimedWriteKinds(t *testing.T) {
+	const (
+		plain      = "core.plain_writes"
+		simple     = "core.simple_overlay_writes"
+		overlaying = "core.overlaying_writes"
+		cowCopy    = "core.cow_page_copies"
+		cowReuse   = "core.cow_reuses"
+		vbiCopy    = "vbi.block_copies"
+		vbiReuse   = "vbi.remap_reuses"
+	)
+	kinds := []string{plain, simple, overlaying, cowCopy, cowReuse, vbiCopy, vbiReuse}
+	cow := [4]string{cowCopy, plain, plain, cowReuse}
+	cases := []struct {
+		backend     string
+		overlayMode bool
+		want        [4]string
+	}{
+		{"overlay", true, [4]string{overlaying, overlaying, simple, overlaying}},
+		{"overlay", false, cow},
+		{"baseline", false, cow},
+		{"utopia", false, cow},
+		{"vbi", false, [4]string{vbiCopy, plain, plain, vbiReuse}},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/overlay=%v", tc.backend, tc.overlayMode), func(t *testing.T) {
+			f, err := core.New(backendConfig(tc.backend))
+			if err != nil {
+				t.Fatal(err)
+			}
+			port := f.NewPort()
+			parent := f.VM.NewProcess()
+			if err := f.VM.MapAnon(parent, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+			child := f.Fork(parent, tc.overlayMode)
+			stores := [4]struct {
+				proc *vm.Process
+				line int
+			}{{parent, 0}, {parent, 1}, {parent, 0}, {child, 0}}
+			var lat [4]sim.Cycle
+			for i, s := range stores {
+				before := f.Engine.Stats.Snapshot()
+				moved := func(name string) uint64 { return f.Engine.Stats.Get(name) - before[name] }
+				start, completed := f.Engine.Now(), false
+				port.Write(s.proc.PID, arch.VirtAddr(s.line*arch.LineSize), func() {
+					lat[i], completed = f.Engine.Now()-start, true
+				})
+				f.Engine.Run()
+				if !completed {
+					t.Fatalf("store %d never completed", i)
+				}
+				for _, k := range kinds {
+					want := uint64(0)
+					if k == tc.want[i] {
+						want = 1
+					}
+					if got := moved(k); got != want {
+						t.Errorf("store %d: %s moved by %d, want %d", i, k, got, want)
+					}
+				}
+				// Only a COW copy reads the page through the caches, and
+				// only a vbi copy posts it to DRAM.
+				lookups, writes := uint64(1), uint64(0)
+				switch tc.want[i] {
+				case cowCopy:
+					lookups += arch.LinesPerPage
+				case vbiCopy:
+					writes = arch.LinesPerPage
+				}
+				if got := moved("cache.l1.hits") + moved("cache.l1.misses"); got != lookups {
+					t.Errorf("store %d: %d L1 lookups, want %d", i, got, lookups)
+				}
+				if got := moved("dram.writes"); got != writes {
+					t.Errorf("store %d: %d DRAM writes, want %d", i, got, writes)
+				}
+				// vbi tags every line virtually, and so does the overlay
+				// backend for lines in an overlay.
+				phys := arch.PhysAddrOf(s.proc.Table.Lookup(0).PPN, uint64(s.line)<<arch.LineShift)
+				tag := phys
+				if tc.backend == "vbi" || tc.overlayMode {
+					tag = arch.OverlayPage(s.proc.PID, 0).LineAddr(s.line)
+				}
+				if !f.Hier.Present(tag) {
+					t.Errorf("store %d: line not cached at its tag %#x", i, uint64(tag))
+				}
+				if tag != phys && f.Hier.Present(phys) {
+					t.Errorf("store %d: line cached at its physical address %#x", i, uint64(phys))
+				}
+			}
+			// A copy costs more than a reuse, which costs more than a plain
+			// store. vbi's copy is posted to DRAM off the critical path, but
+			// its 64 writes fill the write buffer, so the store's own miss
+			// waits for the drain.
+			if tc.overlayMode {
+				if lat[0] <= lat[2] {
+					t.Errorf("overlaying write (%d cycles) not slower than a simple overlay write (%d)", lat[0], lat[2])
+				}
+			} else if !(lat[0] > lat[3] && lat[3] > lat[1] && lat[3] > lat[2]) {
+				t.Errorf("latencies %v: want copy > reuse > plain stores", lat)
 			}
 		})
 	}

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/arch"
 	"repro/internal/sim"
 	"repro/internal/tlb"
-	"repro/internal/vm"
 )
 
 // utopiaBackend models Utopia (Kanellopoulos et al., MICRO 2023): a
@@ -17,14 +14,15 @@ import (
 // slot fall back to conventional flexible mappings and pay the full
 // walk. Utopia changes nothing about the data path or copy-on-write
 // mechanics: stores, COW traps, and shootdowns are exactly the baseline
-// control's. What it accelerates is translation, so its wins show up in
-// TLB-miss-heavy phases (fresh address spaces after fork, sparse walks).
+// control's, which it embeds. What it accelerates is translation, so its
+// wins show up in TLB-miss-heavy phases (fresh address spaces after
+// fork, sparse walks).
 //
 // The model claims a RestSeg slot the first time a page is walked
 // (set-associative by hash, first-come first-served, never evicted) and
 // prices every later walk of that page at UtopiaRestWalkLatency.
 type utopiaBackend struct {
-	f *Framework
+	baselineBackend
 
 	rest    [][]restWay
 	claimed int // live RestSeg entries (metadata accounting)
@@ -43,10 +41,10 @@ type restWay struct {
 func init() {
 	RegisterBackend("utopia", func(f *Framework) TranslationBackend {
 		b := &utopiaBackend{
-			f:         f,
-			restWalks: f.Engine.Stats.Counter("utopia.rest_walks"),
-			flexWalks: f.Engine.Stats.Counter("utopia.flex_walks"),
-			claims:    f.Engine.Stats.Counter("utopia.restseg_claims"),
+			baselineBackend: baselineBackend{f: f},
+			restWalks:       f.Engine.Stats.Counter("utopia.rest_walks"),
+			flexWalks:       f.Engine.Stats.Counter("utopia.flex_walks"),
+			claims:          f.Engine.Stats.Counter("utopia.restseg_claims"),
 		}
 		sets, ways := f.Config.UtopiaRestSets, f.Config.UtopiaRestWays
 		if sets < 1 {
@@ -95,84 +93,22 @@ func (b *utopiaBackend) restResident(pid arch.PID, vpn arch.VPN) bool {
 // lives: RestSeg residents pay the short computed walk, the rest the
 // full flexible walk.
 func (b *utopiaBackend) Walk(pid arch.PID, vpn arch.VPN) (tlb.Entry, sim.Cycle, bool) {
-	f := b.f
-	e, ok := f.conventionalWalk(pid, vpn)
+	e, lat, ok := b.baselineBackend.Walk(pid, vpn)
 	if !ok {
-		return tlb.Entry{}, f.Config.TLB.WalkLatency, false
+		return e, lat, false
 	}
 	if b.restResident(pid, vpn) {
 		*b.restWalks++
-		return e, f.Config.UtopiaRestWalkLatency, true
+		return e, b.f.Config.UtopiaRestWalkLatency, true
 	}
 	*b.flexWalks++
-	return e, f.Config.TLB.WalkLatency, true
+	return e, lat, true
 }
 
-func (b *utopiaBackend) ReadTarget(p *Port, pid arch.PID, va arch.VirtAddr) (arch.PhysAddr, sim.Cycle) {
-	entry, lat, ok := p.TLB.Lookup(pid, va.Page())
-	if !ok {
-		panic(fmt.Sprintf("core: timed read fault at pid %d va %#x", pid, uint64(va)))
-	}
-	return arch.PhysAddrOf(entry.PPN, uint64(va.Line())<<arch.LineShift), lat
-}
-
-func (b *utopiaBackend) WriteLatency(p *Port, pid arch.PID, va arch.VirtAddr) sim.Cycle {
-	_, lat, ok := p.TLB.Lookup(pid, va.Page())
-	if !ok {
-		panic(fmt.Sprintf("core: timed write fault at pid %d va %#x", pid, uint64(va)))
-	}
-	return lat
-}
-
-func (b *utopiaBackend) Write(p *Port, pid arch.PID, va arch.VirtAddr, done sim.Cont) {
-	f := b.f
-	proc, ok := f.VM.Process(pid)
-	if !ok {
-		panic(fmt.Sprintf("core: no process %d", pid))
-	}
-	vpn, line := va.Page(), va.Line()
-	res, err := f.conventionalResolveWrite(proc, vpn, line)
-	if err != nil {
-		panic(err)
-	}
-	switch res.kind {
-	case writePlain:
-		f.Hier.AccessCont(res.loc.cacheAddr, true, done)
-	case writeCOWCopy, writeCOWReuse:
-		f.timedCOWWrite(p, pid, vpn, res, done)
-	default:
-		panic("core: unknown write kind")
-	}
-}
-
-func (b *utopiaBackend) ResolveRead(proc *vm.Process, vpn arch.VPN, line int) (lineLoc, error) {
-	return b.f.conventionalResolveRead(proc, vpn, line)
-}
-
-func (b *utopiaBackend) ResolveWrite(proc *vm.Process, vpn arch.VPN, line int) (writeResolution, error) {
-	return b.f.conventionalResolveWrite(proc, vpn, line)
-}
-
-func (b *utopiaBackend) Fetch(addr arch.PhysAddr, done sim.Cont) {
-	b.f.DRAM.ReadCont(addr, done)
-}
-
-func (b *utopiaBackend) WriteBack(addr arch.PhysAddr) {
-	b.f.DRAM.Write(addr, nil)
-}
-
-func (b *utopiaBackend) OnMiss(addr arch.PhysAddr) {
-	b.f.Prefetch.OnMiss(addr)
-}
-
-func (b *utopiaBackend) Fork(parent *vm.Process, overlayMode bool) *vm.Process {
-	return b.f.conventionalFork(parent)
-}
-
-// MetadataBytes models the flexible page tables (8 B per mapped PTE)
-// plus the RestSeg tag store (4 B per claimed entry).
+// MetadataBytes models the flexible page tables plus the RestSeg tag
+// store (4 B per claimed entry).
 func (b *utopiaBackend) MetadataBytes() int {
-	return b.f.VM.MappedPages()*8 + b.claimed*4
+	return b.baselineBackend.MetadataBytes() + b.claimed*4
 }
 
 // utopiaSnapshot carries the RestSeg claims across Snapshot/

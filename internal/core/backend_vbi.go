@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/sim"
-	"repro/internal/tlb"
 	"repro/internal/vm"
 )
 
@@ -24,8 +23,11 @@ import (
 // line packed under a tag bit) as VBI's virtual block tags: every cache
 // access under this backend is tagged OverlayPage(pid, vpn).LineAddr(l),
 // and the controller is the only place those tags meet physical frames.
+// Walks, loads' functional resolution and the prefetcher feed are the
+// embedded baseline's (no TLB miss ever reaches Walk, because VBI cores
+// do not translate).
 type vbiBackend struct {
-	f *Framework
+	baselineBackend
 
 	// mtl is the controller's mapping cache: set-associative exact-LRU
 	// over (pid, vpn) → PPN.
@@ -52,12 +54,12 @@ const mtlWays = 8
 func init() {
 	RegisterBackend("vbi", func(f *Framework) TranslationBackend {
 		b := &vbiBackend{
-			f:            f,
-			mtlHits:      f.Engine.Stats.Counter("vbi.mtl_hits"),
-			mtlMisses:    f.Engine.Stats.Counter("vbi.mtl_misses"),
-			blockCopies:  f.Engine.Stats.Counter("vbi.block_copies"),
-			remapReuses:  f.Engine.Stats.Counter("vbi.remap_reuses"),
-			staleFetches: f.Engine.Stats.Counter("vbi.stale_fetches"),
+			baselineBackend: baselineBackend{f: f},
+			mtlHits:         f.Engine.Stats.Counter("vbi.mtl_hits"),
+			mtlMisses:       f.Engine.Stats.Counter("vbi.mtl_misses"),
+			blockCopies:     f.Engine.Stats.Counter("vbi.block_copies"),
+			remapReuses:     f.Engine.Stats.Counter("vbi.remap_reuses"),
+			staleFetches:    f.Engine.Stats.Counter("vbi.stale_fetches"),
 		}
 		sets := f.Config.VBIMTLEntries / mtlWays
 		if sets < 1 {
@@ -76,6 +78,14 @@ func (b *vbiBackend) Name() string { return "vbi" }
 
 func vbiTag(pid arch.PID, vpn arch.VPN, line int) arch.PhysAddr {
 	return arch.OverlayPage(pid, vpn).LineAddr(line)
+}
+
+// vbiLineLoc locates a line of a virtual block: the bytes live in frame
+// ppn, the caches hold them at the block's virtual tag.
+func vbiLineLoc(pid arch.PID, vpn arch.VPN, ppn arch.PPN, line int) lineLoc {
+	loc := physLineLoc(ppn, line)
+	loc.cacheAddr = vbiTag(pid, vpn, line)
+	return loc
 }
 
 func (b *vbiBackend) mtlSet(pid arch.PID, vpn arch.VPN) []mtlWay {
@@ -116,68 +126,19 @@ func (b *vbiBackend) mtlInsert(pid arch.PID, vpn arch.VPN, ppn arch.PPN) {
 	s[victim] = mtlWay{valid: true, pid: pid, vpn: vpn, ppn: ppn, stamp: b.mtlClock}
 }
 
-// Walk exists for interface completeness: no TLB miss ever reaches it
-// because VBI cores do not translate. It answers conventionally.
-func (b *vbiBackend) Walk(pid arch.PID, vpn arch.VPN) (tlb.Entry, sim.Cycle, bool) {
-	e, ok := b.f.conventionalWalk(pid, vpn)
-	return e, b.f.Config.TLB.WalkLatency, ok
-}
-
-// ReadTarget tags the access virtually; the only core-side cost is the
+// Translate tags the access virtually; the only core-side cost is the
 // permission check riding the L1 probe. Faults surface at the controller
 // (an unmapped block has no translation when its miss arrives).
-func (b *vbiBackend) ReadTarget(p *Port, pid arch.PID, va arch.VirtAddr) (arch.PhysAddr, sim.Cycle) {
+func (b *vbiBackend) Translate(p *Port, pid arch.PID, va arch.VirtAddr) (arch.PhysAddr, sim.Cycle) {
 	return vbiTag(pid, va.Page(), va.Line()), b.f.Config.TLB.L1Latency
-}
-
-func (b *vbiBackend) WriteLatency(p *Port, pid arch.PID, va arch.VirtAddr) sim.Cycle {
-	return b.f.Config.TLB.L1Latency
-}
-
-func (b *vbiBackend) Write(p *Port, pid arch.PID, va arch.VirtAddr, done sim.Cont) {
-	f := b.f
-	proc, ok := f.VM.Process(pid)
-	if !ok {
-		panic(fmt.Sprintf("core: no process %d", pid))
-	}
-	vpn, line := va.Page(), va.Line()
-	res, err := b.ResolveWrite(proc, vpn, line)
-	if err != nil {
-		panic(err)
-	}
-	target := vbiTag(pid, vpn, line)
-	switch res.kind {
-	case writePlain:
-		f.Hier.AccessCont(target, true, done)
-
-	case writeVBIRemap:
-		// The controller remaps the block: the store stalls only for the
-		// MTL update round-trip. The old frame's contents move to the new
-		// frame in the background — the copy costs DRAM write bandwidth
-		// (64 line writes) but never blocks the core, and the virtual tags
-		// mean no cached line moves or invalidates.
-		if res.srcCacheAddr != res.loc.cacheAddr { // full copy, not a last-sharer reuse
-			dstPage := res.loc.cacheAddr.PageAligned()
-			for i := 0; i < arch.LinesPerPage; i++ {
-				f.DRAM.Write(dstPage+arch.PhysAddr(i<<arch.LineShift), nil)
-			}
-		}
-		f.Engine.Schedule(f.Config.VBIRemapLatency, func() {
-			f.Hier.AccessCont(target, true, done)
-		})
-
-	default:
-		panic("core: unknown write kind")
-	}
-}
-
-func (b *vbiBackend) ResolveRead(proc *vm.Process, vpn arch.VPN, line int) (lineLoc, error) {
-	return b.f.conventionalResolveRead(proc, vpn, line)
 }
 
 // ResolveWrite resolves stores through the flat block tables: writable
 // blocks store in place; shared (COW) blocks are remapped by the
 // controller with a background copy — VBI's no-trap, no-shootdown CoW.
+// The store is issued at the block's virtual tag, so loc.cacheAddr is
+// the tag; loc.ppn names the frame, and srcCacheAddr is the base of the
+// frame the block left (the same frame on a last-sharer reuse).
 func (b *vbiBackend) ResolveWrite(proc *vm.Process, vpn arch.VPN, line int) (writeResolution, error) {
 	f := b.f
 	pte := proc.Table.Lookup(vpn)
@@ -186,30 +147,27 @@ func (b *vbiBackend) ResolveWrite(proc *vm.Process, vpn arch.VPN, line int) (wri
 	}
 	if pte.Writable {
 		*f.plainWrites++
-		return writeResolution{kind: writePlain, loc: physLineLoc(pte.PPN, line)}, nil
+		return writeResolution{kind: writePlain, loc: vbiLineLoc(proc.PID, vpn, pte.PPN, line)}, nil
 	}
 	if pte.COW {
 		oldPPN := pte.PPN
-		_, copied, err := f.VM.BreakCOW(proc, vpn)
+		ppn, copied, err := f.VM.BreakCOW(proc, vpn)
 		if err != nil {
 			return writeResolution{}, err
 		}
-		pte = proc.Table.Lookup(vpn)
 		// The controller performed the remap; its mapping cache holds the
 		// fresh translation.
-		b.mtlInsert(proc.PID, vpn, pte.PPN)
-		res := writeResolution{
-			kind:         writeVBIRemap,
-			loc:          physLineLoc(pte.PPN, line),
-			srcCacheAddr: arch.PhysAddrOf(oldPPN, 0),
-		}
+		b.mtlInsert(proc.PID, vpn, ppn)
 		if copied {
 			*b.blockCopies++
 		} else {
 			*b.remapReuses++
-			res.srcCacheAddr = res.loc.cacheAddr // reuse: nothing to copy
 		}
-		return res, nil
+		return writeResolution{
+			kind:         writeVBIRemap,
+			loc:          vbiLineLoc(proc.PID, vpn, ppn, line),
+			srcCacheAddr: arch.PhysAddrOf(oldPPN, 0),
+		}, nil
 	}
 	return writeResolution{}, fmt.Errorf("core: protection fault: write to read-only pid %d vpn %#x", proc.PID, uint64(vpn))
 }
@@ -282,12 +240,6 @@ func (b *vbiBackend) tableWalk(pid arch.PID, vpn arch.VPN) (arch.PPN, bool) {
 		return 0, false
 	}
 	return pte.PPN, true
-}
-
-// OnMiss feeds the stream prefetcher directly: VBI streams run in the
-// virtual block space, which is exactly where unit strides live.
-func (b *vbiBackend) OnMiss(addr arch.PhysAddr) {
-	b.f.Prefetch.OnMiss(addr)
 }
 
 // Fork shares every page copy-on-write. No TLB flush is needed — cores

@@ -181,7 +181,8 @@ type Framework struct {
 	Prefetch *prefetch.Prefetcher
 
 	// backend is the pluggable translation mechanism every translation-
-	// touching path below routes through (see TranslationBackend).
+	// touching path below routes through (see TranslationBackend). It is
+	// also the TLBs' walker, the hierarchy's memory and its miss observer.
 	backend TranslationBackend
 
 	// accessLat collects the end-to-end latency of every timed port
@@ -197,7 +198,7 @@ type Framework struct {
 	accFree []uint32
 
 	readFireFn  sim.ArgEvent // translation done → issue hierarchy access
-	writeFireFn sim.ArgEvent // translation done → resolve + issue store
+	writeFireFn sim.ArgEvent // translation done → Port.write
 	accDoneFn   sim.ArgEvent // hierarchy access done → observe + complete
 
 	// In-flight overlay miss resolutions (backend side), same scheme.
@@ -210,7 +211,7 @@ type Framework struct {
 	ovlStaleWBs  *uint64
 	readExcl     *uint64
 
-	// Write-kind counters bumped by resolveWrite on every store.
+	// Write-kind counters bumped by ResolveWrite on every store.
 	simpleOvlWrites *uint64
 	overlayingWr    *uint64
 	plainWrites     *uint64
@@ -276,11 +277,16 @@ func assemble(cfg Config, engine *sim.Engine, memory *mem.Memory, store *oms.Sto
 	if cfg.OMSCapacityFrames > 0 {
 		store.SetCapacity(cfg.OMSCapacityFrames, cfg.OMSSpill)
 	}
+	mk, ok := backendRegistry[cfg.BackendName()]
+	if !ok {
+		panic("core: unknown backend " + cfg.BackendName())
+	}
+	f.backend = mk(f)
 	f.OMTCache = omt.NewCache(cfg.OMTCache, f.OMTTable, &engine.Stats)
 	f.DRAM = dram.New(engine, cfg.DRAM)
-	f.Hier = cache.NewHierarchy(engine, cfg.Cache, (*memCtrl)(f))
+	f.Hier = cache.NewHierarchy(engine, cfg.Cache, f.backend)
 	f.Prefetch = prefetch.New(cfg.Prefetch, f.Hier, &engine.Stats)
-	f.Hier.SetPrefetcher((*missDispatcher)(f))
+	f.Hier.SetPrefetcher(f.backend)
 	f.accessLat = engine.Stats.Histogram("core.access_cycles")
 	f.ovlZeroFills = engine.Stats.Counter("core.overlay_zero_fills")
 	f.ovlStaleWBs = engine.Stats.Counter("core.overlay_stale_writebacks")
@@ -296,7 +302,7 @@ func assemble(cfg Config, engine *sim.Engine, memory *mem.Memory, store *oms.Sto
 	}
 	f.writeFireFn = func(idx uint64) {
 		a := &f.acc[idx]
-		f.backend.Write(a.port, a.pid, a.va, sim.Bind(f.accDoneFn, idx))
+		a.port.write(a.pid, a.va, sim.Bind(f.accDoneFn, idx))
 	}
 	f.accDoneFn = func(idx uint64) {
 		a := f.acc[idx] // copy: done may start accesses that reuse the slot
@@ -341,11 +347,6 @@ func assemble(cfg Config, engine *sim.Engine, memory *mem.Memory, store *oms.Sto
 		}
 		f.DRAM.Write(target, nil)
 	}
-	mk, ok := backendRegistry[cfg.BackendName()]
-	if !ok {
-		panic("core: unknown backend " + cfg.BackendName())
-	}
-	f.backend = mk(f)
 	return f
 }
 
@@ -394,15 +395,6 @@ func (f *Framework) SetTrace(t *sim.TraceLog) {
 	f.OMS.AttachTrace(t, f.Engine.Now)
 }
 
-// missDispatcher routes the hierarchy's L2 demand-miss notifications to
-// the translation backend (prefetcher feeding plus any controller-side
-// metadata priming the backend does).
-type missDispatcher Framework
-
-func (d *missDispatcher) OnMiss(addr arch.PhysAddr) {
-	(*Framework)(d).backend.OnMiss(addr)
-}
-
 // omtPrimeScan bounds how far the controller looks ahead for the next
 // overlay-bearing page when priming its OMT cache (the hierarchical OMT
 // makes skipping dead entries cheap).
@@ -420,15 +412,6 @@ func (f *Framework) primeNextOMTEntry(opn arch.OPN) {
 		}
 		break
 	}
-}
-
-// MustNew is New for tests and examples that treat failure as fatal.
-func MustNew(cfg Config) *Framework {
-	f, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return f
 }
 
 // Port is one CPU's view of the memory system: its own two-level TLB in
@@ -505,31 +488,9 @@ func (p *Port) extendOverlayPrefetch(opn arch.OPN, line int) {
 // NewPort creates a CPU port. All ports observe overlaying-read-exclusive
 // coherence messages (single-line OBitVector updates).
 func (f *Framework) NewPort() *Port {
-	p := &Port{f: f, TLB: tlb.New(f.Config.TLB, (*walker)(f), &f.Engine.Stats)}
+	p := &Port{f: f, TLB: tlb.New(f.Config.TLB, f.backend, &f.Engine.Stats)}
 	f.ports = append(f.ports, p)
 	return p
-}
-
-// walker adapts the framework to the TLB's page-walk interface; the
-// concrete walk (conventional tables, OMT-augmented, RestSeg-hashed) is
-// the translation backend's.
-type walker Framework
-
-func (w *walker) Walk(pid arch.PID, vpn arch.VPN) (tlb.Entry, sim.Cycle, bool) {
-	return (*Framework)(w).backend.Walk(pid, vpn)
-}
-
-// memCtrl adapts the framework to the cache hierarchy's miss interface:
-// the memory controller of Fig. 6. How an LLC miss or write-back is
-// located in main memory is the translation backend's decision.
-type memCtrl Framework
-
-func (m *memCtrl) Fetch(addr arch.PhysAddr, done sim.Cont) {
-	(*Framework)(m).backend.Fetch(addr, done)
-}
-
-func (m *memCtrl) WriteBack(addr arch.PhysAddr) {
-	(*Framework)(m).backend.WriteBack(addr)
 }
 
 // locateOverlayLine resolves (entry, line) to a main-memory address,

@@ -8,10 +8,12 @@ import (
 )
 
 // This file implements the timed memory-access operations of §4.3 as seen
-// by a CPU port: TLB translation, the three write flavours (plain/simple,
-// overlaying, conventional COW), and the read path. Structural state
-// changes are shared with the functional path via resolveWrite, so the
-// timed simulation and functional contents can never diverge.
+// by a CPU port: translation, the read path, and the one timed store,
+// Port.write, which issues every write kind a backend's ResolveWrite
+// reports (plain/simple, overlaying, conventional COW, VBI remap).
+// Structural state changes are shared with the functional path via
+// ResolveWrite, so the timed simulation and functional contents can
+// never diverge.
 //
 // Per-access state (issue cycle, completion continuation, resolved
 // target) lives in the framework's portAccess slab; the translation and
@@ -29,7 +31,7 @@ func (p *Port) Read(pid arch.PID, va arch.VirtAddr, done func()) {
 // latency) is the backend's; the access bookkeeping is shared.
 func (p *Port) ReadCont(pid arch.PID, va arch.VirtAddr, done sim.Cont) {
 	f := p.f
-	target, lat := f.backend.ReadTarget(p, pid, va)
+	target, lat := f.backend.Translate(p, pid, va)
 	idx, a := f.newAccess()
 	a.start, a.done, a.target = f.Engine.Now(), done, target
 	f.Engine.ScheduleArg(lat, f.readFireFn, uint64(idx))
@@ -78,14 +80,102 @@ func (p *Port) Write(pid arch.PID, va arch.VirtAddr, done func()) {
 }
 
 // WriteCont is the continuation form of Write. The backend charges the
-// translation latency here and resolves the store structurally when the
-// pre-bound writeFireFn fires.
+// translation latency here; the pre-bound writeFireFn runs write once it
+// has passed.
 func (p *Port) WriteCont(pid arch.PID, va arch.VirtAddr, done sim.Cont) {
 	f := p.f
-	lat := f.backend.WriteLatency(p, pid, va)
+	_, lat := f.backend.Translate(p, pid, va)
 	idx, a := f.newAccess()
 	a.start, a.done, a.port, a.pid, a.va = f.Engine.Now(), done, p, pid, va
 	f.Engine.ScheduleArg(lat, f.writeFireFn, uint64(idx))
+}
+
+// write continues a timed store after translation: the backend resolves
+// it structurally, then the store is issued at the resolved cache tag
+// behind whatever remap, trap or copy its kind puts on the critical
+// path; done fires when it completes at the L1. Plain and simple
+// stores allocate nothing; the overlaying, COW and remap arms schedule
+// closures.
+func (p *Port) write(pid arch.PID, va arch.VirtAddr, done sim.Cont) {
+	f := p.f
+	proc, ok := f.VM.Process(pid)
+	if !ok {
+		panic(fmt.Sprintf("core: no process %d", pid))
+	}
+	vpn := va.Page()
+	res, err := f.backend.ResolveWrite(proc, vpn, va.Line())
+	if err != nil {
+		panic(err)
+	}
+	switch res.kind {
+	case writePlain, writeSimpleOverlay:
+		f.Hier.AccessCont(res.loc.cacheAddr, true, done)
+
+	case writeOverlaying:
+		// §4.3.3: fetch the source line (read-for-ownership), retag the
+		// block into the Overlay Address Space, pay the coherence round,
+		// then the store completes. The fetch is the application's own
+		// write-allocate miss; the remap adds OverlayRemapLatency.
+		f.Hier.Access(res.srcCacheAddr, true, func() {
+			f.Hier.Retag(res.srcCacheAddr, res.loc.cacheAddr)
+			f.Engine.ScheduleCont(f.Config.OverlayRemapLatency, done)
+		})
+
+	case writeCOWCopy:
+		// Conventional copy-on-write (§2.2): trap into the OS, copy all 64
+		// lines of the page (reads issued with full memory-level
+		// parallelism; destination lines are produced into the cache),
+		// shoot down the TLBs, then retry the store on the new page.
+		srcPage := res.srcCacheAddr.PageAligned()
+		dstPage := res.loc.cacheAddr.PageAligned()
+		f.Engine.Schedule(f.Config.COWTrapLatency, func() {
+			remaining := arch.LinesPerPage
+			for i := 0; i < arch.LinesPerPage; i++ {
+				i := i
+				src := srcPage + arch.PhysAddr(i<<arch.LineShift)
+				f.Hier.Access(src, false, func() {
+					f.Hier.Install(dstPage+arch.PhysAddr(i<<arch.LineShift), true)
+					remaining--
+					if remaining == 0 {
+						cost := p.shootdownAll(pid, vpn)
+						f.Engine.Schedule(cost, func() {
+							f.Hier.AccessCont(res.loc.cacheAddr, true, done)
+						})
+					}
+				})
+			}
+		})
+
+	case writeCOWReuse:
+		// Last sharer: the OS only flips permissions, but still traps and
+		// shoots down stale TLB entries.
+		f.Engine.Schedule(f.Config.COWTrapLatency, func() {
+			cost := p.shootdownAll(pid, vpn)
+			f.Engine.Schedule(cost, func() {
+				f.Hier.AccessCont(res.loc.cacheAddr, true, done)
+			})
+		})
+
+	case writeVBIRemap:
+		// The controller remaps the block: the store stalls only for the
+		// MTL update round-trip. The old frame's contents move to the new
+		// frame in the background — the copy posts 64 line writes to DRAM
+		// instead of waiting for them (they still compete with later
+		// misses for the controller), and the virtual tags mean no cached
+		// line moves or invalidates.
+		dstPage := arch.PhysAddrOf(res.loc.ppn, 0)
+		if res.srcCacheAddr != dstPage { // full copy, not a last-sharer reuse
+			for i := 0; i < arch.LinesPerPage; i++ {
+				f.DRAM.Write(dstPage+arch.PhysAddr(i<<arch.LineShift), nil)
+			}
+		}
+		f.Engine.Schedule(f.Config.VBIRemapLatency, func() {
+			f.Hier.AccessCont(res.loc.cacheAddr, true, done)
+		})
+
+	default:
+		panic("core: unknown write kind")
+	}
 }
 
 // shootdownAll invalidates (pid, vpn) in every port's TLB and returns the

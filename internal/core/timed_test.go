@@ -176,7 +176,7 @@ func TestDirtyOverlayLineWritesBackToOMS(t *testing.T) {
 		t.Fatalf("expected dirty overlay line in cache (present=%v dirty=%v)", present, dirty)
 	}
 	// Invalidate drops it without writeback; instead use the backend path:
-	(*memCtrl)(f).WriteBack(opn.LineAddr(0))
+	f.backend.WriteBack(opn.LineAddr(0))
 	f.Engine.Run()
 	if f.Engine.Stats.Get("dram.writes") == dramWrites {
 		t.Fatal("overlay write-back never reached DRAM")

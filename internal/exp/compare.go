@@ -318,10 +318,7 @@ func compareSpMVLeg(ctx context.Context, pool Pool, backend string, limit int) (
 // probe is untimed (nothing runs on the engine), so it adds no
 // simulated work to the report.
 func metadataProbe(backend string, spec workload.Spec) (int, error) {
-	cfg := core.DefaultConfig()
-	cfg.MemoryPages = spec.Pages*2 + 16384
-	cfg.Backend = backend
-	f, err := core.New(cfg)
+	f, err := core.New(forkConfig(spec, backend))
 	if err != nil {
 		return 0, err
 	}

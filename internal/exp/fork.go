@@ -114,11 +114,31 @@ func mechName(overlayMode bool) string {
 
 // runMechanism executes one benchmark under one fork mechanism.
 func runMechanism(ctx context.Context, spec workload.Spec, params ForkParams, overlayMode bool) (MechanismResult, error) {
+	return runMechanismCfg(ctx, spec, forkConfig(spec, params.Backend), params, overlayMode)
+}
+
+// forkConfig sizes the framework for one benchmark under a backend:
+// footprint + room for COW copies + generous OMS headroom.
+func forkConfig(spec workload.Spec, backend string) core.Config {
 	cfg := core.DefaultConfig()
-	// Footprint + room for COW copies + generous OMS headroom.
 	cfg.MemoryPages = spec.Pages*2 + 16384
-	cfg.Backend = params.Backend
-	return runMechanismCfg(ctx, spec, cfg, params, overlayMode)
+	cfg.Backend = backend
+	return cfg
+}
+
+// newForkRun builds a framework from cfg, maps the benchmark's
+// footprint into a fresh process, and attaches a core that runs the
+// benchmark's trace on a new port.
+func newForkRun(spec workload.Spec, cfg core.Config) (*core.Framework, *vm.Process, *cpu.Core, error) {
+	f, err := core.New(cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	proc := f.VM.NewProcess()
+	if err := spec.MapFootprint(f, proc); err != nil {
+		return nil, nil, nil, err
+	}
+	return f, proc, cpu.New(f.Engine, f.NewPort(), proc.PID, spec.NewTrace()), nil
 }
 
 // backendName resolves an experiment's backend selection ("" = default).
@@ -154,7 +174,7 @@ func phaseSpan(ctx context.Context, name string, spec workload.Spec, overlayMode
 // runMechanismCfg is runMechanism with an explicit framework config:
 // the cold path — build, warm, fork, measure, all in one framework.
 func runMechanismCfg(ctx context.Context, spec workload.Spec, cfg core.Config, params ForkParams, overlayMode bool) (MechanismResult, error) {
-	f, err := core.New(cfg)
+	f, proc, c, err := newForkRun(spec, cfg)
 	if err != nil {
 		return MechanismResult{}, err
 	}
@@ -162,12 +182,6 @@ func runMechanismCfg(ctx context.Context, spec workload.Spec, cfg core.Config, p
 		params.Trace.BeginTrack(spec.Name + "/" + mechName(overlayMode))
 		f.SetTrace(params.Trace)
 	}
-	proc := f.VM.NewProcess()
-	if err := spec.MapFootprint(f, proc); err != nil {
-		return MechanismResult{}, err
-	}
-	port := f.NewPort()
-	c := cpu.New(f.Engine, port, proc.PID, spec.NewTrace())
 
 	// Warm-up: run the pre-fork region of the benchmark.
 	warm := phaseSpan(ctx, "fork.warmup", spec, overlayMode)
@@ -258,19 +272,10 @@ func forkFamilyKey(spec workload.Spec, params ForkParams) string {
 // warmForkFamily builds a framework, runs the shared pre-fork region
 // once, and captures the quiescent state ("fork.snapshot" span).
 func warmForkFamily(ctx context.Context, spec workload.Spec, params ForkParams) (*forkFamily, error) {
-	cfg := core.DefaultConfig()
-	cfg.MemoryPages = spec.Pages*2 + 16384
-	cfg.Backend = params.Backend
-	f, err := core.New(cfg)
+	f, proc, c, err := newForkRun(spec, forkConfig(spec, params.Backend))
 	if err != nil {
 		return nil, err
 	}
-	proc := f.VM.NewProcess()
-	if err := spec.MapFootprint(f, proc); err != nil {
-		return nil, err
-	}
-	port := f.NewPort()
-	c := cpu.New(f.Engine, port, proc.PID, spec.NewTrace())
 
 	warm := phaseSpan(ctx, "fork.warmup", spec, false)
 	if warm != nil {
@@ -438,13 +443,8 @@ func RunForkSuitePool(ctx context.Context, pool Pool, params ForkParams, names [
 // and returns the post-fork CPI (ablation studies use this to sweep
 // framework parameters).
 func RunForkCPI(spec workload.Spec, cfg core.Config, params ForkParams, overlayMode bool) (float64, error) {
-	f, c, err := runToFork(spec, cfg, params, overlayMode)
-	if err != nil {
-		return 0, err
-	}
-	c.Run(params.MeasureInstructions, nil)
-	f.Engine.Run()
-	return c.CPI(), nil
+	r, err := runMechanismCfg(context.Background(), spec, cfg, params, overlayMode)
+	return r.CPI, err
 }
 
 // RunStatsExport runs one benchmark under one mechanism and returns both
@@ -478,24 +478,6 @@ func forkOutput(params ForkParams, results []ForkResult) *JobOutput {
 	ex.Config = params
 	ex.Results = results
 	return &JobOutput{Export: ex, Stats: merged}
-}
-
-// runToFork builds the system, warms the benchmark, and forks.
-func runToFork(spec workload.Spec, cfg core.Config, params ForkParams, overlayMode bool) (*core.Framework, *cpu.Core, error) {
-	f, err := core.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	proc := f.VM.NewProcess()
-	if err := spec.MapFootprint(f, proc); err != nil {
-		return nil, nil, err
-	}
-	port := f.NewPort()
-	c := cpu.New(f.Engine, port, proc.PID, spec.NewTrace())
-	c.Run(params.WarmInstructions, nil)
-	f.Engine.Run()
-	f.Fork(proc, overlayMode)
-	return f, c, nil
 }
 
 // PrintFigure8 renders the additional-memory comparison (Figure 8).

@@ -104,11 +104,6 @@ func (m *Memory) Free(ppn arch.PPN) {
 	m.freeList = append(m.freeList, ppn)
 }
 
-// Allocated reports whether the frame is currently allocated.
-func (m *Memory) Allocated(ppn arch.PPN) bool {
-	return int(ppn) < len(m.allocated) && m.allocated[ppn]
-}
-
 func (m *Memory) frame(ppn arch.PPN, materialise bool) *[arch.PageSize]byte {
 	f := m.frames[ppn]
 	if !materialise {

@@ -26,18 +26,6 @@ type Snapshot struct {
 // TotalPages returns the captured capacity in frames.
 func (s *Snapshot) TotalPages() int { return s.totalPages }
 
-// SharedBytes returns the bytes of materialised frame data the snapshot
-// references (an upper bound on what one fork could end up copying).
-func (s *Snapshot) SharedBytes() uint64 {
-	var n uint64
-	for _, f := range s.frames {
-		if f != nil {
-			n += arch.PageSize
-		}
-	}
-	return n
-}
-
 // markAllShared flags every materialised frame as snapshot-shared.
 func (m *Memory) markAllShared() {
 	if m.shared == nil {

@@ -241,12 +241,6 @@ func (s *Store) SetCapacity(frames int, spill bool) {
 	s.syncGauges()
 }
 
-// SetSpillLatency overrides the modeled slow-store cost of a refill: a
-// fixed penalty plus a per-line transfer cost.
-func (s *Store) SetSpillLatency(fixed, perLine sim.Cycle) {
-	s.spillLat, s.spillLineLat = fixed, perLine
-}
-
 // SetEvictHook registers the unswizzle callback: when a segment is
 // spilled, the hook receives the owner token (see SetOwner) and the cold
 // reference the owner must store in place of its direct handle.
@@ -457,9 +451,6 @@ func (s *Store) LiveSegments() int { return s.liveSegs }
 
 // SpilledSegments returns the number of live segments in the spill tier.
 func (s *Store) SpilledSegments() int { return s.spilledSegs }
-
-// CapacityFrames returns the configured frame budget (0 = unlimited).
-func (s *Store) CapacityFrames() int { return s.capacity }
 
 // AllocSegment carves out a free segment of the class, splitting larger
 // segments, evicting cooling segments at capacity, or requesting OS

@@ -33,9 +33,6 @@ func NewShared(stores []*Store) *Shared {
 	return sh
 }
 
-// Shards returns the stripe count.
-func (sh *Shared) Shards() int { return len(sh.shards) }
-
 // With runs fn against the shard the key stripes to, holding that
 // shard's lock for the duration. fn must not retain the *Store.
 func (sh *Shared) With(key uint64, fn func(*Store)) {

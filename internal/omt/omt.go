@@ -22,13 +22,6 @@ type Entry struct {
 // Empty reports whether the entry carries no overlay state.
 func (e Entry) Empty() bool { return e.OBits == 0 && e.SegBase == 0 }
 
-// Resident reports whether the entry holds a direct (pointer-swizzled)
-// segment handle into the Overlay Memory Store. False when no segment is
-// allocated or when SegBase is a cold reference to a segment evicted to
-// the spill tier — the miss path must Resolve it (refilling the segment)
-// before lines can be located.
-func (e Entry) Resident() bool { return e.SegBase != 0 && !e.SegBase.IsCold() }
-
 // The table is a 4-level radix over the 52 meaningful OPN bits
 // (overlay bit + 15-bit PID + 36-bit VPN), 13 bits per level.
 const (

@@ -153,11 +153,6 @@ func (m *Matrix) DenseBytes() int { return m.Rows * m.Cols * 8 }
 // Figure 11 normalises against: the non-zero values alone.
 func (m *Matrix) IdealBytes() int { return m.nnz * 8 }
 
-// LineID returns the dense-layout cache-line number of element (r, c).
-func (m *Matrix) LineID(r, c int) int {
-	return r*(m.Cols/ValuesPerLine) + c/ValuesPerLine
-}
-
 // Random generates a matrix with ≈targetNNZ non-zeros whose non-zero
 // value locality lands near targetL. Placement follows the structure of
 // the UF collection's large PDE/graph matrices: non-zeros cluster into a
