@@ -180,7 +180,7 @@ func BenchmarkTable1OverlayOnWrite(b *testing.B) {
 				f.Fork(parent, overlay)
 				port := f.NewPort()
 				start := f.Engine.Now()
-				port.Write(parent.PID, 0, nil)
+				port.Write(parent.PID, 0, sim.Cont{})
 				f.Engine.Run()
 				cycles = f.Engine.Now() - start
 			}
@@ -311,8 +311,7 @@ func BenchmarkAblationRemapVsShootdown(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cfg := core.DefaultConfig()
-				cfg.MemoryPages = spec.Pages*2 + 16384
+				cfg := exp.ForkConfig(spec, "")
 				cfg.OverlayRemapLatency = c.remap
 				cpi, err = exp.RunForkCPI(spec, cfg, exp.QuickForkParams(), true)
 				if err != nil {
@@ -340,8 +339,7 @@ func BenchmarkAblationL3Replacement(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cfg := core.DefaultConfig()
-				cfg.MemoryPages = spec.Pages*2 + 16384
+				cfg := exp.ForkConfig(spec, "")
 				if !drrip {
 					cfg.Cache.L3.NewRepl = cache.NewLRU
 				}
@@ -372,10 +370,9 @@ func runOverlaySpMV(cfg core.Config, m *sparse.Matrix) (uint64, error) {
 	port := f.NewPort()
 	c := cpu.New(f.Engine, port, proc.PID, trace)
 	start := f.Engine.Now()
-	done := false
-	c.Run(0, func() { done = true })
+	c.Run(0)
 	f.Engine.Run()
-	if !done {
+	if c.Running() {
 		return 0, fmt.Errorf("bench: SpMV never finished")
 	}
 	return uint64(f.Engine.Now() - start), nil

@@ -514,9 +514,7 @@ func newStatsCmd() *command {
 				return err
 			}
 			defer outs.close()
-			cfg := core.DefaultConfig()
-			cfg.MemoryPages = spec.Pages*2 + 16384
-			cfg.Backend = exp.ForkBackend(*backend)
+			cfg := exp.ForkConfig(spec, exp.ForkBackend(*backend))
 			tl := tel.traceLog()
 			params := exp.ForkParams{
 				WarmInstructions:    exp.QuickForkParams().WarmInstructions,
@@ -593,9 +591,7 @@ func traceReplay(stdout io.Writer, bench, in string) error {
 	if err != nil {
 		return err
 	}
-	cfg := core.DefaultConfig()
-	cfg.MemoryPages = spec.Pages*2 + 16384
-	f, err := core.New(cfg)
+	f, err := core.New(exp.ForkConfig(spec, ""))
 	if err != nil {
 		return err
 	}
@@ -605,7 +601,7 @@ func traceReplay(stdout io.Writer, bench, in string) error {
 	}
 	port := f.NewPort()
 	c := cpu.New(f.Engine, port, proc.PID, r)
-	c.Run(0, nil)
+	c.Run(0)
 	f.Engine.Run()
 	if r.Err() != nil {
 		return r.Err()

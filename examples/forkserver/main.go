@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/vm"
 )
 
@@ -62,12 +63,13 @@ func run(overlayMode bool) (addedBytes int, cycles uint64) {
 
 		// The server keeps running: touch a few lines of every page.
 		pending := 0
+		done := sim.Bind(func(uint64) { pending-- }, 0)
 		for w := 0; w < writesPerSnap; w++ {
 			page := w % heapPages
 			line := (w/heapPages*17 + snap) % arch.LinesPerPage
 			va := arch.VirtAddr(page)*arch.PageSize + arch.VirtAddr(line*arch.LineSize)
 			pending++
-			port.Write(server.PID, va, func() { pending-- })
+			port.Write(server.PID, va, done)
 		}
 		f.Engine.Run()
 		if pending != 0 {

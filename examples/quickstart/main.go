@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -60,8 +61,8 @@ func main() {
 	// Timed accesses run through the full TLB/cache/DRAM model.
 	port := f.NewPort()
 	start := f.Engine.Now()
-	port.Read(parent.PID, arch.VirtAddr(0), func() {
+	port.Read(parent.PID, arch.VirtAddr(0), sim.Bind(func(uint64) {
 		fmt.Printf("timed read completed in %d cycles\n", f.Engine.Now()-start)
-	})
+	}, 0))
 	f.Engine.Run()
 }

@@ -89,7 +89,7 @@ func main() {
 func simulate(f *core.Framework, proc *vm.Process, trace cpu.Trace) uint64 {
 	port := f.NewPort()
 	c := cpu.New(f.Engine, port, proc.PID, trace)
-	c.Run(0, nil)
+	c.Run(0)
 	f.Engine.Run()
 	return uint64(c.Cycles())
 }

@@ -163,17 +163,12 @@ func (h *Hierarchy) SetPrefetcher(pf MissObserver) { h.pf = pf }
 
 // Access performs a timed load (write=false) or store (write=true) of the
 // line containing addr; done fires when the access completes at L1.
-func (h *Hierarchy) Access(addr arch.PhysAddr, write bool, done func()) {
-	h.AccessCont(addr, write, sim.ContOf(done))
-}
-
-// AccessCont is the continuation form of Access.
-func (h *Hierarchy) AccessCont(addr arch.PhysAddr, write bool, done sim.Cont) {
+func (h *Hierarchy) Access(addr arch.PhysAddr, write bool, done sim.Cont) {
 	addr = addr.LineAligned()
 	if h.L1.Lookup(addr, write) {
 		*h.l1Hits++
 		if done.Valid() {
-			h.engine.ScheduleCont(h.cfg.L1.HitLatency, done)
+			h.engine.Schedule(h.cfg.L1.HitLatency, done)
 		}
 		return
 	}
@@ -208,7 +203,7 @@ func (h *Hierarchy) AccessCont(addr arch.PhysAddr, write bool, done sim.Cont) {
 func (h *Hierarchy) descend(addr arch.PhysAddr) {
 	if h.L2.Lookup(addr, false) {
 		*h.l2Hits++
-		h.engine.ScheduleArg(h.cfg.L1.TagLatency+h.cfg.L2.HitLatency, h.completeL2Fn, uint64(addr))
+		h.engine.Schedule(h.cfg.L1.TagLatency+h.cfg.L2.HitLatency, sim.Bind(h.completeL2Fn, uint64(addr)))
 		return
 	}
 	*h.l2Misses++
@@ -218,12 +213,12 @@ func (h *Hierarchy) descend(addr arch.PhysAddr) {
 	if h.L3.Lookup(addr, false) {
 		*h.l3Hits++
 		lat := h.cfg.L1.TagLatency + h.cfg.L2.TagLatency + h.cfg.L3.HitLatency
-		h.engine.ScheduleArg(lat, h.completeL3Fn, uint64(addr))
+		h.engine.Schedule(lat, sim.Bind(h.completeL3Fn, uint64(addr)))
 		return
 	}
 	*h.l3Misses++
 	lat := h.cfg.L1.TagLatency + h.cfg.L2.TagLatency + h.cfg.L3.TagLatency
-	h.engine.ScheduleArg(lat, h.fetchFn, uint64(addr))
+	h.engine.Schedule(lat, sim.Bind(h.fetchFn, uint64(addr)))
 }
 
 // complete fires when data for addr arrives from the given level (2 = L2,

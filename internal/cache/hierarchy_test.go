@@ -18,12 +18,15 @@ type fakeBackend struct {
 
 func (b *fakeBackend) Fetch(addr arch.PhysAddr, done sim.Cont) {
 	b.fetches = append(b.fetches, addr)
-	b.engine.ScheduleCont(b.latency, done)
+	b.engine.Schedule(b.latency, done)
 }
 
 func (b *fakeBackend) WriteBack(addr arch.PhysAddr) {
 	b.writebacks = append(b.writebacks, addr)
 }
+
+// ev adapts a test closure to a continuation.
+func ev(f func()) sim.Cont { return sim.Bind(func(uint64) { f() }, 0) }
 
 func newTestHierarchy() (*sim.Engine, *Hierarchy, *fakeBackend) {
 	e := sim.NewEngine()
@@ -35,7 +38,7 @@ func newTestHierarchy() (*sim.Engine, *Hierarchy, *fakeBackend) {
 func TestColdMissGoesToMemory(t *testing.T) {
 	e, h, b := newTestHierarchy()
 	var doneAt sim.Cycle
-	h.Access(addrOf(1), false, func() { doneAt = e.Now() })
+	h.Access(addrOf(1), false, ev(func() { doneAt = e.Now() }))
 	e.Run()
 	cfg := DefaultHierarchyConfig()
 	want := cfg.L1.TagLatency + cfg.L2.TagLatency + cfg.L3.TagLatency + 200
@@ -49,11 +52,11 @@ func TestColdMissGoesToMemory(t *testing.T) {
 
 func TestSecondAccessHitsL1(t *testing.T) {
 	e, h, b := newTestHierarchy()
-	h.Access(addrOf(1), false, nil)
+	h.Access(addrOf(1), false, sim.Cont{})
 	e.Run()
 	var lat sim.Cycle
 	start := e.Now()
-	h.Access(addrOf(1), false, func() { lat = e.Now() - start })
+	h.Access(addrOf(1), false, ev(func() { lat = e.Now() - start }))
 	e.Run()
 	if lat != DefaultHierarchyConfig().L1.HitLatency {
 		t.Fatalf("L1 hit latency = %d, want %d", lat, DefaultHierarchyConfig().L1.HitLatency)
@@ -66,9 +69,9 @@ func TestSecondAccessHitsL1(t *testing.T) {
 func TestMSHRMergesConcurrentMisses(t *testing.T) {
 	e, h, b := newTestHierarchy()
 	done := 0
-	h.Access(addrOf(1), false, func() { done++ })
-	h.Access(addrOf(1), false, func() { done++ })
-	h.Access(addrOf(1), true, func() { done++ })
+	h.Access(addrOf(1), false, ev(func() { done++ }))
+	h.Access(addrOf(1), false, ev(func() { done++ }))
+	h.Access(addrOf(1), true, ev(func() { done++ }))
 	e.Run()
 	if done != 3 {
 		t.Fatalf("done = %d, want 3", done)
@@ -87,7 +90,7 @@ func TestMSHRMergesConcurrentMisses(t *testing.T) {
 
 func TestFillPropagatesToAllLevels(t *testing.T) {
 	e, h, _ := newTestHierarchy()
-	h.Access(addrOf(1), false, nil)
+	h.Access(addrOf(1), false, sim.Cont{})
 	e.Run()
 	if !h.L1.Present(addrOf(1)) || !h.L2.Present(addrOf(1)) || !h.L3.Present(addrOf(1)) {
 		t.Fatal("memory fill should populate L1, L2 and L3")
@@ -97,12 +100,12 @@ func TestFillPropagatesToAllLevels(t *testing.T) {
 func TestL2HitLatency(t *testing.T) {
 	e, h, _ := newTestHierarchy()
 	a := addrOf(1)
-	h.Access(a, false, nil)
+	h.Access(a, false, sim.Cont{})
 	e.Run()
 	h.L1.Invalidate(a)
 	start := e.Now()
 	var lat sim.Cycle
-	h.Access(a, false, func() { lat = e.Now() - start })
+	h.Access(a, false, ev(func() { lat = e.Now() - start }))
 	e.Run()
 	cfg := DefaultHierarchyConfig()
 	want := cfg.L1.TagLatency + cfg.L2.HitLatency
@@ -114,13 +117,13 @@ func TestL2HitLatency(t *testing.T) {
 func TestL3HitLatency(t *testing.T) {
 	e, h, _ := newTestHierarchy()
 	a := addrOf(1)
-	h.Access(a, false, nil)
+	h.Access(a, false, sim.Cont{})
 	e.Run()
 	h.L1.Invalidate(a)
 	h.L2.Invalidate(a)
 	start := e.Now()
 	var lat sim.Cycle
-	h.Access(a, false, func() { lat = e.Now() - start })
+	h.Access(a, false, ev(func() { lat = e.Now() - start }))
 	e.Run()
 	cfg := DefaultHierarchyConfig()
 	want := cfg.L1.TagLatency + cfg.L2.TagLatency + cfg.L3.HitLatency
@@ -136,12 +139,12 @@ func TestDirtyEvictionReachesMemory(t *testing.T) {
 	// 2048*64 bytes apart in line numbers collide in all three caches'
 	// set 0 region... easier: use Invalidate-free pressure via many fills.
 	victim := addrOf(0)
-	h.Access(victim, true, nil)
+	h.Access(victim, true, sim.Cont{})
 	e.Run()
 	// Evict from L1/L2/L3 by accessing many lines mapping to the same sets.
 	const stride = 2048 // L3 sets
 	for i := 1; i <= 40; i++ {
-		h.Access(addrOf(uint64(i*stride)), false, nil)
+		h.Access(addrOf(uint64(i*stride)), false, sim.Cont{})
 		e.Run()
 	}
 	found := false
@@ -178,7 +181,7 @@ func TestPrefetchFillsOnlyL3(t *testing.T) {
 
 func TestPrefetchSkipsDemandInFlight(t *testing.T) {
 	e, h, b := newTestHierarchy()
-	h.Access(addrOf(5), false, nil)
+	h.Access(addrOf(5), false, sim.Cont{})
 	h.Prefetch(addrOf(5))
 	e.Run()
 	if len(b.fetches) != 1 {
@@ -190,7 +193,7 @@ func TestHierarchyRetag(t *testing.T) {
 	e, h, _ := newTestHierarchy()
 	oldA := addrOf(1)
 	newA := arch.PhysAddr(uint64(oldA) | arch.OverlayBit)
-	h.Access(oldA, true, nil)
+	h.Access(oldA, true, sim.Cont{})
 	e.Run()
 	if !h.Retag(oldA, newA) {
 		t.Fatal("retag reported no line moved")
@@ -209,7 +212,7 @@ func TestHierarchyRetag(t *testing.T) {
 func TestHierarchyInvalidate(t *testing.T) {
 	e, h, _ := newTestHierarchy()
 	a := addrOf(2)
-	h.Access(a, true, nil)
+	h.Access(a, true, sim.Cont{})
 	e.Run()
 	present, dirty := h.Invalidate(a)
 	if !present || !dirty {
@@ -222,8 +225,8 @@ func TestHierarchyInvalidate(t *testing.T) {
 
 func TestOutstandingMisses(t *testing.T) {
 	e, h, _ := newTestHierarchy()
-	h.Access(addrOf(1), false, nil)
-	h.Access(addrOf(2), false, nil)
+	h.Access(addrOf(1), false, sim.Cont{})
+	h.Access(addrOf(2), false, sim.Cont{})
 	if h.OutstandingMisses() != 2 {
 		t.Fatalf("outstanding = %d, want 2", h.OutstandingMisses())
 	}
@@ -247,7 +250,7 @@ func TestInFlightTableKinds(t *testing.T) {
 	h.SetPrefetcher(log)
 	demand, pf := addrOf(1), addrOf(2)
 	done := 0
-	count := func() { done++ }
+	count := ev(func() { done++ })
 
 	h.Access(demand, false, count)
 	if h.Prefetch(demand) {
@@ -302,7 +305,7 @@ func TestHierarchySnapshotPanicsInFlight(t *testing.T) {
 		name  string
 		start func(h *Hierarchy)
 	}{
-		{"demand", func(h *Hierarchy) { h.Access(addrOf(1), false, nil) }},
+		{"demand", func(h *Hierarchy) { h.Access(addrOf(1), false, sim.Cont{}) }},
 		{"prefetch", func(h *Hierarchy) { h.Prefetch(addrOf(1)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -325,7 +328,7 @@ type fixedBackend struct {
 	latency sim.Cycle
 }
 
-func (b fixedBackend) Fetch(_ arch.PhysAddr, done sim.Cont) { b.engine.ScheduleCont(b.latency, done) }
+func (b fixedBackend) Fetch(_ arch.PhysAddr, done sim.Cont) { b.engine.Schedule(b.latency, done) }
 func (b fixedBackend) WriteBack(arch.PhysAddr)              {}
 
 // BenchmarkHierarchyAccess measures the cache hierarchy alone: one op is
@@ -359,11 +362,11 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 		addrs[i] = addrOf(line)
 	}
 	var completed int
-	done := sim.ContOf(func() { completed++ })
+	done := sim.Bind(func(uint64) { completed++ }, 0)
 	next := 0
 	run := func() {
 		for j := 0; j < batch; j++ {
-			h.AccessCont(addrs[next], next%stores == 0, done)
+			h.Access(addrs[next], next%stores == 0, done)
 			next = (next + 1) % trace
 		}
 		for j := 0; j < ahead; j++ {

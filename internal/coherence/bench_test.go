@@ -11,8 +11,8 @@ import (
 // table costs, not the memory below.
 type syncMem struct{}
 
-func (syncMem) Fetch(addr arch.PhysAddr, done func()) { done() }
-func (syncMem) WriteBack(addr arch.PhysAddr)          {}
+func (syncMem) Fetch(addr arch.PhysAddr, done sim.Cont) { done.Invoke() }
+func (syncMem) WriteBack(addr arch.PhysAddr)            {}
 
 // BenchmarkMESILookup measures a coherent read against a warm domain:
 // the flat per-page state/directory lookup plus the protocol's hit
@@ -26,13 +26,13 @@ func BenchmarkMESILookup(b *testing.B) {
 		return arch.PhysAddr(i%lines) << arch.LineShift
 	}
 	for i := 0; i < lines; i++ {
-		d.Read(i%d.Cores(), addr(i), nil)
+		d.Read(i%d.Cores(), addr(i), sim.Cont{})
 	}
 	e.Run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		d.Read(n%d.Cores(), addr(n), nil)
+		d.Read(n%d.Cores(), addr(n), sim.Cont{})
 		e.Run()
 	}
 }

@@ -87,12 +87,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Memory is what sits below the coherent domain.
-type Memory interface {
-	Fetch(addr arch.PhysAddr, done func())
-	WriteBack(addr arch.PhysAddr)
-}
-
 // lineDir is one line's directory entry.
 type lineDir struct {
 	sharers uint64 // bitmap of cores with a copy
@@ -118,13 +112,19 @@ type Domain struct {
 	pages  map[uint64]*pageCoh // page number (addr >> PageShift) → state
 	lastPN uint64              // last-touched page cache
 	lastPC *pageCoh
-	mem    Memory
+	mem    cache.Backend
 
 	// The directory serialises transactions per line, exactly as real
 	// directories do: a second request to a busy line queues behind the
 	// first. Without this, in-flight installs and invalidations interleave
-	// and break the single-writer invariant.
-	busy map[arch.PhysAddr][]pendingOp
+	// and break the single-writer invariant. Transactions live in a slab
+	// from issue to completion, and busy maps each busy line to the slab
+	// indices waiting on it; every step below is bound once in New.
+	busy   map[arch.PhysAddr][]uint32
+	ops    []mesiOp
+	opFree []uint32
+
+	startFn, sharedFn, fetchFn, filledFn, completeFn sim.ArgEvent
 
 	listener LineListener
 
@@ -137,8 +137,22 @@ type Domain struct {
 	invals     *uint64
 }
 
+// mesiOp is one directory transaction.
+type mesiOp struct {
+	kind uint8 // opRead, opWrite or opReadExclusive
+	core int
+	addr arch.PhysAddr
+	done sim.Cont
+}
+
+const (
+	opRead = iota
+	opWrite
+	opReadExclusive
+)
+
 // New builds a coherent domain of cfg.Cores private L1s over mem.
-func New(engine *sim.Engine, cfg Config, mem Memory) *Domain {
+func New(engine *sim.Engine, cfg Config, mem cache.Backend) *Domain {
 	if cfg.Cores < 1 || cfg.Cores > 64 {
 		panic("coherence: cores must be 1..64")
 	}
@@ -147,7 +161,7 @@ func New(engine *sim.Engine, cfg Config, mem Memory) *Domain {
 		cfg:        cfg,
 		mem:        mem,
 		pages:      make(map[uint64]*pageCoh),
-		busy:       make(map[arch.PhysAddr][]pendingOp),
+		busy:       make(map[arch.PhysAddr][]uint32),
 		lineConfl:  engine.Stats.Counter("coherence.line_conflicts"),
 		l1Hits:     engine.Stats.Counter("coherence.l1_hits"),
 		readMisses: engine.Stats.Counter("coherence.read_misses"),
@@ -159,6 +173,8 @@ func New(engine *sim.Engine, cfg Config, mem Memory) *Domain {
 	for i := 0; i < cfg.Cores; i++ {
 		d.l1 = append(d.l1, cache.New(fmt.Sprintf("l1.%d", i), cfg.L1Size, cfg.L1Ways, cache.NewLRU))
 	}
+	d.startFn, d.sharedFn, d.fetchFn = d.start, d.fillShared, d.fetch
+	d.filledFn, d.completeFn = d.filled, d.complete
 	return d
 }
 
@@ -201,57 +217,87 @@ func (d *Domain) StateOf(core int, addr arch.PhysAddr) State {
 	return pc.state(core, line)
 }
 
-// pendingOp is a directory transaction awaiting its line.
-type pendingOp func(release func())
+// Read performs a coherent load by `core`; done fires at completion.
+func (d *Domain) Read(core int, addr arch.PhysAddr, done sim.Cont) {
+	d.issue(opRead, core, addr, done)
+}
 
-// acquire serialises transactions per line: op runs immediately if the
-// line is idle, else it queues behind the in-flight transaction.
-func (d *Domain) acquire(addr arch.PhysAddr, op pendingOp) {
-	if _, inFlight := d.busy[addr]; inFlight {
-		d.busy[addr] = append(d.busy[addr], op)
+// Write performs a coherent store by `core` (read-for-ownership +
+// upgrade); done fires when the core owns the line in Modified state.
+func (d *Domain) Write(core int, addr arch.PhysAddr, done sim.Cont) {
+	d.issue(opWrite, core, addr, done)
+}
+
+// ReadExclusive issues the overlaying-read-exclusive request (§4.3.3):
+// it gains ownership of the line and notifies the listener once every
+// other copy is invalidated — the hook the overlay framework uses to
+// update all TLBs' OBitVectors without a shootdown.
+func (d *Domain) ReadExclusive(core int, addr arch.PhysAddr, done sim.Cont) {
+	*d.readExcl++
+	d.issue(opReadExclusive, core, addr, done)
+}
+
+// issue claims a slab slot for the transaction; it starts at once if its
+// line is idle, else it queues behind the line's transactions.
+func (d *Domain) issue(kind uint8, core int, addr arch.PhysAddr, done sim.Cont) {
+	var idx uint32
+	if n := len(d.opFree); n > 0 {
+		idx, d.opFree = d.opFree[n-1], d.opFree[:n-1]
+	} else {
+		idx, d.ops = uint32(len(d.ops)), append(d.ops, mesiOp{})
+	}
+	addr = addr.LineAligned()
+	d.ops[idx] = mesiOp{kind: kind, core: core, addr: addr, done: done}
+	if q, inFlight := d.busy[addr]; inFlight {
+		d.busy[addr] = append(q, idx)
 		*d.lineConfl++
 		return
 	}
 	d.busy[addr] = nil
-	d.run(addr, op)
+	d.start(uint64(idx))
 }
 
-func (d *Domain) run(addr arch.PhysAddr, op pendingOp) {
-	op(func() {
-		q := d.busy[addr]
-		if len(q) == 0 {
-			delete(d.busy, addr)
-			return
-		}
-		next := q[0]
-		d.busy[addr] = q[1:]
-		d.engine.Schedule(0, func() { d.run(addr, next) })
-	})
-}
-
-// Read performs a coherent load by `core`; done fires at completion.
-func (d *Domain) Read(core int, addr arch.PhysAddr, done func()) {
-	if done == nil {
-		done = func() {}
+// complete finishes a transaction: its line passes to the next waiting
+// transaction, which starts from an event later this cycle, and then
+// the caller's continuation runs.
+func (d *Domain) complete(idx uint64) {
+	op := d.ops[idx]
+	d.opFree = append(d.opFree, uint32(idx))
+	if q := d.busy[op.addr]; len(q) == 0 {
+		delete(d.busy, op.addr)
+	} else {
+		d.busy[op.addr] = q[1:]
+		d.engine.Schedule(0, sim.Bind(d.startFn, uint64(q[0])))
 	}
-	addr = addr.LineAligned()
-	d.acquire(addr, func(release func()) {
-		d.doRead(core, addr, func() { release(); done() })
-	})
+	op.done.Invoke()
 }
 
-func (d *Domain) doRead(core int, addr arch.PhysAddr, done func()) {
+// start runs a transaction once it holds its line.
+func (d *Domain) start(idx uint64) {
+	switch d.ops[idx].kind {
+	case opRead:
+		d.doRead(idx)
+	case opWrite:
+		d.doWrite(idx)
+	default:
+		d.readExclusive(idx)
+	}
+}
+
+func (d *Domain) doRead(idx uint64) {
+	core, addr := d.ops[idx].core, d.ops[idx].addr
 	pc, line := d.pageFor(addr, true)
 	if s := pc.state(core, line); s != Invalid {
 		*d.l1Hits++
 		d.touch(core, addr, false)
-		d.engine.Schedule(d.cfg.L1Hit, done)
+		d.engine.Schedule(d.cfg.L1Hit, sim.Bind(d.completeFn, idx))
 		return
 	}
 	*d.readMisses++
 	e := &pc.dir[line]
 	lat := d.cfg.L1Hit + d.cfg.DirLookup
-	if e.owner >= 0 && int(e.owner) != core {
+	switch {
+	case e.owner >= 0 && int(e.owner) != core:
 		// Modified or Exclusive elsewhere: fetch cache-to-cache; the owner
 		// downgrades to Shared (writing back if Modified).
 		owner := int(e.owner)
@@ -263,81 +309,64 @@ func (d *Domain) doRead(core int, addr arch.PhysAddr, done func()) {
 		e.owner = -1
 		e.sharers |= 1 << uint(owner)
 		lat += d.cfg.Forward
-		d.finishRead(core, addr, e, lat, done)
-		return
-	}
-	if e.sharers != 0 {
+	case e.sharers != 0:
 		// Clean copies exist below/beside: serve from the shared level.
 		lat += d.cfg.SharedHit
-		d.finishRead(core, addr, e, lat, done)
+	default:
+		// Nobody has it: fetch from memory, first reader gets Exclusive.
+		d.engine.Schedule(lat, sim.Bind(d.fetchFn, idx))
 		return
 	}
-	// Nobody has it: fetch from memory, first reader gets Exclusive.
-	d.engine.Schedule(lat, func() {
-		d.mem.Fetch(addr, func() {
-			d.install(core, addr, Exclusive)
-			e.owner = int8(core)
-			done()
-		})
-	})
+	d.engine.Schedule(lat, sim.Bind(d.sharedFn, idx))
 }
 
-func (d *Domain) finishRead(core int, addr arch.PhysAddr, e *lineDir, lat sim.Cycle, done func()) {
-	d.engine.Schedule(lat, func() {
-		d.install(core, addr, Shared)
-		e.sharers |= 1 << uint(core)
-		done()
-	})
+func (d *Domain) fillShared(idx uint64) {
+	op := &d.ops[idx]
+	d.install(op.core, op.addr, Shared).sharers |= 1 << uint(op.core)
+	d.complete(idx)
 }
 
-// Write performs a coherent store by `core` (read-for-ownership +
-// upgrade); done fires when the core owns the line in Modified state.
-func (d *Domain) Write(core int, addr arch.PhysAddr, done func()) {
-	if done == nil {
-		done = func() {}
+func (d *Domain) fetch(idx uint64) {
+	d.mem.Fetch(d.ops[idx].addr, sim.Bind(d.filledFn, idx))
+}
+
+// filled completes a transaction that takes the line whole: a read
+// fetched from memory (Exclusive) or a read-for-ownership (Modified,
+// reported to the listener).
+func (d *Domain) filled(idx uint64) {
+	op := d.ops[idx]
+	if op.kind == opRead {
+		d.install(op.core, op.addr, Exclusive).owner = int8(op.core)
+	} else {
+		e := d.install(op.core, op.addr, Modified)
+		e.owner, e.sharers = int8(op.core), 0
+		if d.listener != nil {
+			d.listener.OnReadExclusive(op.core, op.addr)
+		}
 	}
-	addr = addr.LineAligned()
-	d.acquire(addr, func(release func()) {
-		d.doWrite(core, addr, func() { release(); done() })
-	})
+	d.complete(idx)
 }
 
-func (d *Domain) doWrite(core int, addr arch.PhysAddr, done func()) {
+func (d *Domain) doWrite(idx uint64) {
+	core, addr := d.ops[idx].core, d.ops[idx].addr
 	pc, line := d.pageFor(addr, true)
 	switch pc.state(core, line) {
 	case Modified:
-		*d.l1Hits++
-		d.touch(core, addr, true)
-		d.engine.Schedule(d.cfg.L1Hit, done)
-		return
 	case Exclusive:
 		// Silent upgrade E→M.
-		*d.l1Hits++
 		d.setState(pc, core, addr, line, Modified)
-		d.touch(core, addr, true)
-		d.engine.Schedule(d.cfg.L1Hit, done)
+	default:
+		*d.writeMiss++
+		d.readExclusive(idx)
 		return
 	}
-	*d.writeMiss++
-	d.readExclusive(core, addr, done)
+	*d.l1Hits++
+	d.touch(core, addr, true)
+	d.engine.Schedule(d.cfg.L1Hit, sim.Bind(d.completeFn, idx))
 }
 
-// ReadExclusive issues the overlaying-read-exclusive request (§4.3.3):
-// it gains ownership of the line and notifies the listener once every
-// other copy is invalidated — the hook the overlay framework uses to
-// update all TLBs' OBitVectors without a shootdown.
-func (d *Domain) ReadExclusive(core int, addr arch.PhysAddr, done func()) {
-	if done == nil {
-		done = func() {}
-	}
-	addr = addr.LineAligned()
-	*d.readExcl++
-	d.acquire(addr, func(release func()) {
-		d.readExclusive(core, addr, func() { release(); done() })
-	})
-}
-
-func (d *Domain) readExclusive(core int, addr arch.PhysAddr, done func()) {
+func (d *Domain) readExclusive(idx uint64) {
+	core, addr := d.ops[idx].core, d.ops[idx].addr
 	pc, line := d.pageFor(addr, true)
 	e := &pc.dir[line]
 	lat := d.cfg.L1Hit + d.cfg.DirLookup
@@ -365,32 +394,24 @@ func (d *Domain) readExclusive(core int, addr arch.PhysAddr, done func()) {
 	}
 	e.sharers = 0
 
-	needData := pc.state(core, line) == Invalid
-	finish := func() {
-		d.install(core, addr, Modified)
-		e.owner = int8(core)
-		e.sharers = 0
-		if d.listener != nil {
-			d.listener.OnReadExclusive(core, addr)
-		}
-		done()
+	next := d.filledFn
+	if pc.state(core, line) == Invalid {
+		next = d.fetchFn
 	}
-	if needData {
-		d.engine.Schedule(lat, func() { d.mem.Fetch(addr, finish) })
-	} else {
-		d.engine.Schedule(lat, finish)
-	}
+	d.engine.Schedule(lat, sim.Bind(next, idx))
 }
 
 // install places the line in core's L1 with the given state, handling
-// evictions of displaced lines (write back Modified victims).
-func (d *Domain) install(core int, addr arch.PhysAddr, s State) {
+// evictions of displaced lines (write back Modified victims), and
+// returns the line's directory entry.
+func (d *Domain) install(core int, addr arch.PhysAddr, s State) *lineDir {
 	ev, evicted := d.l1[core].Fill(addr, s == Modified)
 	if evicted {
 		d.dropLine(core, ev.Addr, ev.Dirty)
 	}
 	pc, line := d.pageFor(addr, true)
 	d.setState(pc, core, addr, line, s)
+	return &pc.dir[line]
 }
 
 // touch refreshes LRU state for a hit.

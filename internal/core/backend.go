@@ -23,8 +23,8 @@ import (
 // models the translation-metadata footprint the design carries for the
 // currently mapped state; SnapshotState and RestoreState carry any
 // backend-private structures across Snapshot/NewFromSnapshot. The timed
-// store itself is the framework's (Port.write): it switches on the kind
-// ResolveWrite reports.
+// store itself is the framework's (Framework.write): it switches on the
+// kind ResolveWrite reports.
 //
 // Four implementations are registered. "baseline" (conventional 4-level
 // walks plus trap-and-copy COW) implements every method conventionally,

@@ -108,11 +108,11 @@ func (b *baselineBackend) resolveWriteTail(proc *vm.Process, pte *vm.PTE, vpn ar
 // Fetch and WriteBack see only regular physical addresses (nothing tags
 // lines into the Overlay Address Space under this backend).
 func (b *baselineBackend) Fetch(addr arch.PhysAddr, done sim.Cont) {
-	b.f.DRAM.ReadCont(addr, done)
+	b.f.DRAM.Read(addr, done)
 }
 
 func (b *baselineBackend) WriteBack(addr arch.PhysAddr) {
-	b.f.DRAM.Write(addr, nil)
+	b.f.DRAM.Write(addr)
 }
 
 func (b *baselineBackend) OnMiss(addr arch.PhysAddr) {

@@ -136,27 +136,27 @@ func (b *overlayBackend) ResolveWrite(proc *vm.Process, vpn arch.VPN, line int) 
 func (b *overlayBackend) Fetch(addr arch.PhysAddr, done sim.Cont) {
 	f := b.f
 	if !addr.IsOverlay() {
-		f.DRAM.ReadCont(addr, done)
+		f.DRAM.Read(addr, done)
 		return
 	}
 	opn := arch.OverlayPageOf(addr)
 	entry, lat := f.OMTCache.Lookup(opn)
 	idx, r := f.newOvl()
 	r.entry, r.line, r.done = entry, addr.Line(), done
-	f.Engine.ScheduleArg(lat, f.ovlFetchFn, uint64(idx))
+	f.Engine.Schedule(lat, sim.Bind(f.ovlFetchFn, uint64(idx)))
 }
 
 func (b *overlayBackend) WriteBack(addr arch.PhysAddr) {
 	f := b.f
 	if !addr.IsOverlay() {
-		f.DRAM.Write(addr, nil)
+		f.DRAM.Write(addr)
 		return
 	}
 	opn := arch.OverlayPageOf(addr)
 	entry, lat := f.OMTCache.Lookup(opn)
 	idx, r := f.newOvl()
 	r.entry, r.line, r.done = entry, addr.Line(), sim.Cont{}
-	f.Engine.ScheduleArg(lat, f.ovlWBFn, uint64(idx))
+	f.Engine.Schedule(lat, sim.Bind(f.ovlWBFn, uint64(idx)))
 }
 
 // OnMiss feeds L2 demand misses to the stream prefetcher (for both

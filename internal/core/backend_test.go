@@ -146,7 +146,7 @@ func TestBackendTimedDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := cpu.New(f.Engine, f.NewPort(), p.PID, cpu.NewSliceTrace(instrs))
-		c.Run(0, nil)
+		c.Run(0)
 		f.Engine.Run()
 		return uint64(c.Cycles()), f.Engine.Stats.String()
 	}
@@ -201,12 +201,12 @@ func TestBackendSnapshotEquivalence(t *testing.T) {
 			}
 
 			pf, pc, pid := build()
-			pc.Run(1500, nil)
+			pc.Run(1500)
 			pf.Engine.Run()
 			snap := pf.Snapshot()
 			cpuSnap := pc.Snapshot()
 			fetched := pc.Fetched()
-			pc.Run(0, nil)
+			pc.Run(0)
 			pf.Engine.Run()
 
 			ff := core.NewFromSnapshot(snap)
@@ -216,7 +216,7 @@ func TestBackendSnapshotEquivalence(t *testing.T) {
 			}
 			fc := cpu.New(ff.Engine, ff.Port(0), pid, trace)
 			fc.Restore(cpuSnap)
-			fc.Run(0, nil)
+			fc.Run(0)
 			ff.Engine.Run()
 
 			if pc.Cycles() != fc.Cycles() {
@@ -285,9 +285,9 @@ func TestBackendTimedWriteKinds(t *testing.T) {
 				before := f.Engine.Stats.Snapshot()
 				moved := func(name string) uint64 { return f.Engine.Stats.Get(name) - before[name] }
 				start, completed := f.Engine.Now(), false
-				port.Write(s.proc.PID, arch.VirtAddr(s.line*arch.LineSize), func() {
+				port.Write(s.proc.PID, arch.VirtAddr(s.line*arch.LineSize), sim.Bind(func(uint64) {
 					lat[i], completed = f.Engine.Now()-start, true
-				})
+				}, 0))
 				f.Engine.Run()
 				if !completed {
 					t.Fatalf("store %d never completed", i)

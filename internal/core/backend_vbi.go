@@ -172,62 +172,52 @@ func (b *vbiBackend) ResolveWrite(proc *vm.Process, vpn arch.VPN, line int) (wri
 	return writeResolution{}, fmt.Errorf("core: protection fault: write to read-only pid %d vpn %#x", proc.PID, uint64(vpn))
 }
 
-// Fetch translates a virtual-block miss at the controller: MTL cache
-// probe, then a flat block-table walk on a miss.
-func (b *vbiBackend) Fetch(addr arch.PhysAddr, done sim.Cont) {
+// translate resolves a virtual-block line at the controller: MTL cache
+// probe, then a flat block-table walk on a miss. It returns the line's
+// frame address and the MTL latency; ok is false if the block is
+// unmapped (e.g. the owner exited with lines in flight).
+func (b *vbiBackend) translate(addr arch.PhysAddr) (target arch.PhysAddr, lat sim.Cycle, ok bool) {
 	f := b.f
-	if !addr.IsOverlay() {
-		f.DRAM.ReadCont(addr, done)
-		return
-	}
-	opn := arch.OverlayPageOf(addr)
-	pid, vpn := arch.SplitOverlayPage(opn)
+	pid, vpn := arch.SplitOverlayPage(arch.OverlayPageOf(addr))
 	ppn, hit := b.mtlLookup(pid, vpn)
-	lat := f.Config.VBIMTLHitLatency
+	lat = f.Config.VBIMTLHitLatency
 	if hit {
 		*b.mtlHits++
 	} else {
 		*b.mtlMisses++
 		lat = f.Config.VBIMTLMissLatency
-		var ok bool
-		ppn, ok = b.tableWalk(pid, vpn)
-		if !ok {
-			// Block unmapped (e.g. the owner exited with lines in flight):
-			// zero-fill after the failed walk.
+		if ppn, ok = b.tableWalk(pid, vpn); !ok {
 			*b.staleFetches++
-			f.Engine.ScheduleCont(lat, done)
-			return
+			return 0, lat, false
 		}
 		b.mtlInsert(pid, vpn, ppn)
 	}
-	target := arch.PhysAddrOf(ppn, uint64(addr.Line())<<arch.LineShift)
-	f.Engine.Schedule(lat, func() {
-		f.DRAM.ReadCont(target, done)
-	})
+	return arch.PhysAddrOf(ppn, uint64(addr.Line())<<arch.LineShift), lat, true
+}
+
+// Fetch translates a virtual-block miss at the controller, then reads
+// the frame's line; an unmapped block zero-fills after the failed walk.
+func (b *vbiBackend) Fetch(addr arch.PhysAddr, done sim.Cont) {
+	if !addr.IsOverlay() {
+		b.f.DRAM.Read(addr, done)
+		return
+	}
+	target, lat, ok := b.translate(addr)
+	if !ok {
+		b.f.Engine.Schedule(lat, done)
+		return
+	}
+	b.f.readAfter(lat, target, done)
 }
 
 func (b *vbiBackend) WriteBack(addr arch.PhysAddr) {
-	f := b.f
 	if !addr.IsOverlay() {
-		f.DRAM.Write(addr, nil)
+		b.f.DRAM.Write(addr)
 		return
 	}
-	opn := arch.OverlayPageOf(addr)
-	pid, vpn := arch.SplitOverlayPage(opn)
-	ppn, hit := b.mtlLookup(pid, vpn)
-	if hit {
-		*b.mtlHits++
-	} else {
-		*b.mtlMisses++
-		var ok bool
-		ppn, ok = b.tableWalk(pid, vpn)
-		if !ok {
-			*b.staleFetches++
-			return
-		}
-		b.mtlInsert(pid, vpn, ppn)
+	if target, _, ok := b.translate(addr); ok {
+		b.f.DRAM.Write(target)
 	}
-	f.DRAM.Write(arch.PhysAddrOf(ppn, uint64(addr.Line())<<arch.LineShift), nil)
 }
 
 func (b *vbiBackend) tableWalk(pid arch.PID, vpn arch.VPN) (arch.PPN, bool) {

@@ -197,15 +197,19 @@ type Framework struct {
 	acc     []portAccess
 	accFree []uint32
 
-	readFireFn  sim.ArgEvent // translation done → issue hierarchy access
-	writeFireFn sim.ArgEvent // translation done → Port.write
-	accDoneFn   sim.ArgEvent // hierarchy access done → observe + complete
+	readFireFn sim.ArgEvent // translation done → issue hierarchy access
+	accDoneFn  sim.ArgEvent // hierarchy access done → observe + complete
+	// Framework.write (translation done) and its steps, in timed.go.
+	writeFireFn, retagFn, copyPageFn, copyLineFn, shootdownFn, storeFn sim.ArgEvent
 
-	// In-flight overlay miss resolutions (backend side), same scheme.
-	ovl        []ovlReq
-	ovlFree    []uint32
-	ovlFetchFn sim.ArgEvent
-	ovlWBFn    sim.ArgEvent
+	// In-flight controller requests (overlay miss resolutions and
+	// delayed DRAM reads), same scheme.
+	ovl         []ovlReq
+	ovlFree     []uint32
+	ovlFetchFn  sim.ArgEvent
+	ovlWBFn     sim.ArgEvent
+	dramReadFn  sim.ArgEvent // readAfter's delay passed → DRAM read
+	dramWriteFn sim.ArgEvent // arg = line address; delayed DRAM write
 
 	ovlZeroFills *uint64
 	ovlStaleWBs  *uint64
@@ -224,18 +228,21 @@ type Framework struct {
 type portAccess struct {
 	start  sim.Cycle
 	done   sim.Cont
-	target arch.PhysAddr
-	port   *Port // write path only
+	target arch.PhysAddr // cache tag the load or store is issued at
+	src    arch.PhysAddr // write path only: resolved srcCacheAddr
 	pid    arch.PID
 	va     arch.VirtAddr
+	copied int // COW copy: source lines arrived
 }
 
-// ovlReq is one overlay fetch/write-back waiting out its OMT-cache
-// latency before being located in the Overlay Memory Store.
+// ovlReq is one controller request waiting out a latency: an overlay
+// fetch/write-back before being located in the Overlay Memory Store
+// (entry, line), or a located DRAM read (target).
 type ovlReq struct {
-	entry *omt.Entry
-	line  int
-	done  sim.Cont
+	entry  *omt.Entry
+	line   int
+	target arch.PhysAddr
+	done   sim.Cont
 }
 
 // New assembles a framework. It panics only on programmer error; resource
@@ -297,13 +304,10 @@ func assemble(cfg Config, engine *sim.Engine, memory *mem.Memory, store *oms.Sto
 	f.cowCopies = engine.Stats.Counter("core.cow_page_copies")
 	f.cowReuses = engine.Stats.Counter("core.cow_reuses")
 	f.readFireFn = func(idx uint64) {
-		target := f.acc[idx].target
-		f.Hier.AccessCont(target, false, sim.Bind(f.accDoneFn, idx))
+		f.Hier.Access(f.acc[idx].target, false, sim.Bind(f.accDoneFn, idx))
 	}
-	f.writeFireFn = func(idx uint64) {
-		a := &f.acc[idx]
-		a.port.write(a.pid, a.va, sim.Bind(f.accDoneFn, idx))
-	}
+	f.writeFireFn, f.retagFn, f.storeFn = f.write, f.retag, f.store
+	f.copyPageFn, f.copyLineFn, f.shootdownFn = f.copyPage, f.copyLine, f.shootdown
 	f.accDoneFn = func(idx uint64) {
 		a := f.acc[idx] // copy: done may start accesses that reuse the slot
 		f.freeAccess(uint32(idx))
@@ -323,13 +327,11 @@ func assemble(cfg Config, engine *sim.Engine, memory *mem.Memory, store *oms.Sto
 		}
 		if penalty > 0 {
 			// The segment was refilled from the spill tier: the DRAM access
-			// waits out the slow-store latency. Off the hot path (capacity
-			// mode only), so a closure is fine.
-			done := r.done
-			f.Engine.Schedule(penalty, func() { f.DRAM.ReadCont(target, done) })
+			// waits out the slow-store latency.
+			f.readAfter(penalty, target, r.done)
 			return
 		}
-		f.DRAM.ReadCont(target, r.done)
+		f.DRAM.Read(target, r.done)
 	}
 	f.ovlWBFn = func(idx uint64) {
 		r := f.ovl[idx]
@@ -342,12 +344,26 @@ func assemble(cfg Config, engine *sim.Engine, memory *mem.Memory, store *oms.Sto
 			return
 		}
 		if penalty > 0 {
-			f.Engine.Schedule(penalty, func() { f.DRAM.Write(target, nil) })
+			f.Engine.Schedule(penalty, sim.Bind(f.dramWriteFn, uint64(target)))
 			return
 		}
-		f.DRAM.Write(target, nil)
+		f.DRAM.Write(target)
 	}
+	f.dramReadFn = func(idx uint64) {
+		r := f.ovl[idx]
+		f.freeOvl(uint32(idx))
+		f.DRAM.Read(r.target, r.done)
+	}
+	f.dramWriteFn = func(addr uint64) { f.DRAM.Write(arch.PhysAddr(addr)) }
 	return f
+}
+
+// readAfter issues a DRAM read of target after lat cycles; the
+// continuation waits in a controller-request slot.
+func (f *Framework) readAfter(lat sim.Cycle, target arch.PhysAddr, done sim.Cont) {
+	idx, r := f.newOvl()
+	r.target, r.done = target, done
+	f.Engine.Schedule(lat, sim.Bind(f.dramReadFn, uint64(idx)))
 }
 
 // newAccess claims a slab slot for an in-flight port access. The returned

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/sim"
 	"repro/internal/vm"
 )
 
@@ -424,7 +425,7 @@ func TestForkFlushesParentTLB(t *testing.T) {
 	mustMap(t, f, parent, 0, 1)
 
 	done := false
-	port.Write(parent.PID, 0, func() { done = true })
+	port.Write(parent.PID, 0, sim.Bind(func(uint64) { done = true }, 0))
 	f.Engine.Run()
 	if !done {
 		t.Fatal("write never completed")

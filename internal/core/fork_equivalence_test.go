@@ -60,12 +60,12 @@ func TestForkMatchesParentContinuation(t *testing.T) {
 
 	// Parent: warm, capture, then continue to completion.
 	pf, pc, pid := build()
-	pc.Run(1500, nil)
+	pc.Run(1500)
 	pf.Engine.Run()
 	snap := pf.Snapshot()
 	cpuSnap := pc.Snapshot()
 	fetched := pc.Fetched()
-	pc.Run(0, nil)
+	pc.Run(0)
 	pf.Engine.Run()
 
 	// Fork: resume from the capture and run the same remainder.
@@ -76,7 +76,7 @@ func TestForkMatchesParentContinuation(t *testing.T) {
 	}
 	fc := cpu.New(ff.Engine, ff.Port(0), pid, trace)
 	fc.Restore(cpuSnap)
-	fc.Run(0, nil)
+	fc.Run(0)
 	ff.Engine.Run()
 
 	if pc.Cycles() != fc.Cycles() {
@@ -131,7 +131,7 @@ func TestSnapshotPanicsMidFlight(t *testing.T) {
 	}
 	port := f.NewPort()
 	c := cpu.New(f.Engine, port, p.PID, cpu.NewSliceTrace([]cpu.Instr{{Kind: cpu.Load}}))
-	c.Run(0, nil)
+	c.Run(0)
 	// The engine has pending events: capture must refuse.
 	defer func() {
 		if recover() == nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/sim"
 	"repro/internal/vm"
 )
 
@@ -152,7 +153,7 @@ func TestGoldenTimedAndFunctionalMix(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		va := arch.VirtAddr(rng.Intn(len(ref)))
 		if rng.Intn(2) == 0 {
-			port.Write(parent.PID, va, nil)
+			port.Write(parent.PID, va, sim.Cont{})
 			f.Engine.Run()
 		} else {
 			b := byte(rng.Intn(256))

@@ -9,11 +9,11 @@ import (
 )
 
 // run executes fn and returns the cycles it took to complete.
-func run(f *Framework, fn func(done func())) sim.Cycle {
+func run(f *Framework, fn func(done sim.Cont)) sim.Cycle {
 	start := f.Engine.Now()
 	var end sim.Cycle
 	completed := false
-	fn(func() { end = f.Engine.Now(); completed = true })
+	fn(sim.Bind(func(uint64) { end = f.Engine.Now(); completed = true }, 0))
 	f.Engine.Run()
 	if !completed {
 		panic("timed op never completed")
@@ -36,12 +36,12 @@ func TestTimedReadCompletes(t *testing.T) {
 	port := f.NewPort()
 	p := f.VM.NewProcess()
 	mustMap(t, f, p, 0, 1)
-	lat := run(f, func(done func()) { port.Read(p.PID, 0, done) })
+	lat := run(f, func(done sim.Cont) { port.Read(p.PID, 0, done) })
 	if lat == 0 {
 		t.Fatal("read took zero cycles")
 	}
 	// Second read is much faster (TLB + L1 hits).
-	lat2 := run(f, func(done func()) { port.Read(p.PID, 0, done) })
+	lat2 := run(f, func(done sim.Cont) { port.Read(p.PID, 0, done) })
 	if lat2 >= lat {
 		t.Fatalf("second read (%d) not faster than first (%d)", lat2, lat)
 	}
@@ -52,13 +52,18 @@ func TestTimedReadCompletes(t *testing.T) {
 
 func TestTimedOverlayingWriteCheaperThanCOW(t *testing.T) {
 	fo, po, parento := setupForkPair(t, true)
-	oLat := run(fo, func(done func()) { po.Write(parento.PID, 0, done) })
+	oLat := run(fo, func(done sim.Cont) { po.Write(parento.PID, 0, done) })
 
 	fc, pc, parentc := setupForkPair(t, false)
-	cLat := run(fc, func(done func()) { pc.Write(parentc.PID, 0, done) })
+	cLat := run(fc, func(done sim.Cont) { pc.Write(parentc.PID, 0, done) })
 
 	if oLat >= cLat {
 		t.Fatalf("overlaying write (%d) not cheaper than COW fault (%d)", oLat, cLat)
+	}
+	// Table 1's figures (the root BenchmarkTable1OverlayOnWrite); the COW
+	// fault's shootdown waits for the last of its 64 line copies.
+	if oLat != 1164 || cLat != 7863 {
+		t.Fatalf("first writes took %d (overlaying) and %d (COW) cycles, want 1164 and 7863", oLat, cLat)
 	}
 	// The COW fault must at least pay trap + shootdown.
 	min := fc.Config.COWTrapLatency + fc.Config.TLB.ShootdownLatency
@@ -69,7 +74,7 @@ func TestTimedOverlayingWriteCheaperThanCOW(t *testing.T) {
 
 func TestCOWCopyUsesMemoryLevelParallelism(t *testing.T) {
 	f, port, parent := setupForkPair(t, false)
-	lat := run(f, func(done func()) { port.Write(parent.PID, 0, done) })
+	lat := run(f, func(done sim.Cont) { port.Write(parent.PID, 0, done) })
 	// 64 serialized DRAM reads would cost far more than 64 overlapped
 	// ones. A fully serialized copy is ≥ 64 × (TRCD+TCL+TBurst) = 64×90.
 	serialized := sim.Cycle(64 * 90)
@@ -83,18 +88,18 @@ func TestCOWCopyUsesMemoryLevelParallelism(t *testing.T) {
 
 func TestCOWCopyWarmsDestinationCache(t *testing.T) {
 	f, port, parent := setupForkPair(t, false)
-	run(f, func(done func()) { port.Write(parent.PID, 0, done) })
+	run(f, func(done sim.Cont) { port.Write(parent.PID, 0, done) })
 	// The first post-fault access repays the TLB entry the shootdown
 	// removed, but the cache line itself is an L1 hit: the copy installed
 	// every destination line.
 	tcfg := f.Config.TLB
-	lat := run(f, func(done func()) { port.Write(parent.PID, 33*arch.LineSize, done) })
+	lat := run(f, func(done sim.Cont) { port.Write(parent.PID, 33*arch.LineSize, done) })
 	want := tcfg.L1Latency + tcfg.L2Latency + tcfg.WalkLatency + f.Config.Cache.L1.HitLatency
 	if lat != want {
 		t.Fatalf("post-copy write latency = %d, want TLB refill + L1 hit = %d", lat, want)
 	}
 	// With the TLB warm, further writes to the copied page are pure hits.
-	lat = run(f, func(done func()) { port.Write(parent.PID, 34*arch.LineSize, done) })
+	lat = run(f, func(done sim.Cont) { port.Write(parent.PID, 34*arch.LineSize, done) })
 	if want := tcfg.L1Latency + f.Config.Cache.L1.HitLatency; lat != want {
 		t.Fatalf("warm post-copy write latency = %d, want %d", lat, want)
 	}
@@ -102,10 +107,10 @@ func TestCOWCopyWarmsDestinationCache(t *testing.T) {
 
 func TestOverlayWriteThenReadHitsOverlayLine(t *testing.T) {
 	f, port, parent := setupForkPair(t, true)
-	run(f, func(done func()) { port.Write(parent.PID, 0, done) })
+	run(f, func(done sim.Cont) { port.Write(parent.PID, 0, done) })
 	// The overlay line is in L1 under its overlay address: a read of the
 	// same line is an L1 hit.
-	lat := run(f, func(done func()) { port.Read(parent.PID, 0, done) })
+	lat := run(f, func(done sim.Cont) { port.Read(parent.PID, 0, done) })
 	want := f.Config.TLB.L1Latency + f.Config.Cache.L1.HitLatency
 	if lat != want {
 		t.Fatalf("overlay read latency = %d, want %d", lat, want)
@@ -114,14 +119,14 @@ func TestOverlayWriteThenReadHitsOverlayLine(t *testing.T) {
 
 func TestOverlayMissGoesThroughOMT(t *testing.T) {
 	f, port, parent := setupForkPair(t, true)
-	run(f, func(done func()) { port.Write(parent.PID, 0, done) })
+	run(f, func(done sim.Cont) { port.Write(parent.PID, 0, done) })
 	// Force the overlay line out of the hierarchy, then read it back:
 	// the fetch must consult the OMT cache and the OMS via DRAM.
 	opn := arch.OverlayPage(parent.PID, 0)
 	f.Hier.Invalidate(opn.LineAddr(0))
 	missesBefore := f.Engine.Stats.Get("omt.cache_misses") + f.Engine.Stats.Get("omt.cache_hits")
 	dramBefore := f.Engine.Stats.Get("dram.reads")
-	run(f, func(done func()) { port.Read(parent.PID, 0, done) })
+	run(f, func(done sim.Cont) { port.Read(parent.PID, 0, done) })
 	if f.Engine.Stats.Get("omt.cache_misses")+f.Engine.Stats.Get("omt.cache_hits") == missesBefore {
 		t.Fatal("overlay fetch bypassed the OMT cache")
 	}
@@ -139,11 +144,11 @@ func TestOverlayingWriteUpdatesAllTLBs(t *testing.T) {
 	f.Fork(parent, true)
 
 	// Warm both TLBs with the page.
-	run(f, func(done func()) { port0.Read(parent.PID, 0, done) })
-	run(f, func(done func()) { port1.Read(parent.PID, 0, done) })
+	run(f, func(done sim.Cont) { port0.Read(parent.PID, 0, done) })
+	run(f, func(done sim.Cont) { port1.Read(parent.PID, 0, done) })
 
 	shootBefore := f.Engine.Stats.Get("tlb.shootdowns")
-	run(f, func(done func()) { port0.Write(parent.PID, 0, done) })
+	run(f, func(done sim.Cont) { port0.Write(parent.PID, 0, done) })
 	if f.Engine.Stats.Get("tlb.shootdowns") != shootBefore {
 		t.Fatal("overlaying write must not shoot down TLBs")
 	}
@@ -158,7 +163,7 @@ func TestOverlayingWriteUpdatesAllTLBs(t *testing.T) {
 
 func TestConventionalCOWShootsDownTLBs(t *testing.T) {
 	f, port, parent := setupForkPair(t, false)
-	run(f, func(done func()) { port.Write(parent.PID, 0, done) })
+	run(f, func(done sim.Cont) { port.Write(parent.PID, 0, done) })
 	if f.Engine.Stats.Get("tlb.shootdowns") == 0 {
 		t.Fatal("COW remap must shoot down the TLB")
 	}
@@ -166,7 +171,7 @@ func TestConventionalCOWShootsDownTLBs(t *testing.T) {
 
 func TestDirtyOverlayLineWritesBackToOMS(t *testing.T) {
 	f, port, parent := setupForkPair(t, true)
-	run(f, func(done func()) { port.Write(parent.PID, 0, done) })
+	run(f, func(done sim.Cont) { port.Write(parent.PID, 0, done) })
 	opn := arch.OverlayPage(parent.PID, 0)
 	dramWrites := f.Engine.Stats.Get("dram.writes")
 	// Evict the dirty overlay line from every level: it must be written
@@ -185,8 +190,8 @@ func TestDirtyOverlayLineWritesBackToOMS(t *testing.T) {
 
 func TestTimedSimpleOverlayWriteIsCheap(t *testing.T) {
 	f, port, parent := setupForkPair(t, true)
-	run(f, func(done func()) { port.Write(parent.PID, 0, done) })
-	lat := run(f, func(done func()) { port.Write(parent.PID, 8, done) })
+	run(f, func(done sim.Cont) { port.Write(parent.PID, 0, done) })
+	lat := run(f, func(done sim.Cont) { port.Write(parent.PID, 8, done) })
 	want := f.Config.TLB.L1Latency + f.Config.Cache.L1.HitLatency
 	if lat != want {
 		t.Fatalf("simple overlay write = %d cycles, want %d", lat, want)
@@ -202,14 +207,14 @@ func TestTimedWritePanicsOnUnmapped(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	port.Write(p.PID, 0, func() {})
+	port.Write(p.PID, 0, sim.Cont{})
 }
 
 func TestTimedAndFunctionalPathsAgree(t *testing.T) {
 	// A timed overlaying write followed by a functional load must see the
 	// structural overlay created by the timed path.
 	f, port, parent := setupForkPair(t, true)
-	run(f, func(done func()) { port.Write(parent.PID, 3*arch.LineSize, done) })
+	run(f, func(done sim.Cont) { port.Write(parent.PID, 3*arch.LineSize, done) })
 	obits, _ := f.OverlayInfo(parent.PID, 0)
 	if !obits.Has(3) {
 		t.Fatal("timed write did not create the overlay line")

@@ -75,7 +75,6 @@ type Core struct {
 	finished  sim.Cycle
 	running   bool
 	exhausted bool
-	onDone    func()
 	ticking   bool
 
 	tickCont      sim.Cont     // clears ticking, then ticks
@@ -87,10 +86,10 @@ type Core struct {
 // given memory port.
 func New(engine *sim.Engine, port *core.Port, pid arch.PID, trace Trace) *Core {
 	c := &Core{engine: engine, port: port, pid: pid, trace: trace}
-	c.tickCont = sim.ContOf(func() {
+	c.tickCont = sim.Bind(func(uint64) {
 		c.ticking = false
 		c.tick()
-	})
+	}, 0)
 	// Completions carry the instruction's dispatch number, which is
 	// monotonic across runs (a limit-based finish can leave completions in
 	// flight that drain during the next run, exactly as the window's
@@ -118,9 +117,9 @@ func (c *Core) size() int { return int(c.tail - c.head) }
 func (c *Core) headSlot() *slot { return &c.window[c.head%WindowSize] }
 
 // Run starts execution and stops once `limit` instructions have retired
-// (or the trace ends). onDone fires at completion. Drive the engine
-// (engine.Run or RunWhile) to make progress.
-func (c *Core) Run(limit uint64, onDone func()) {
+// (or the trace ends); Running reports false from then on. Drive the
+// engine (engine.Run) to make progress.
+func (c *Core) Run(limit uint64) {
 	if c.running {
 		panic("cpu: core already running")
 	}
@@ -128,7 +127,6 @@ func (c *Core) Run(limit uint64, onDone func()) {
 	c.exhausted = false
 	c.retired = 0
 	c.limit = limit
-	c.onDone = onDone
 	c.started = c.engine.Now()
 	c.scheduleTick(0)
 }
@@ -160,7 +158,7 @@ func (c *Core) scheduleTick(delay sim.Cycle) {
 		return
 	}
 	c.ticking = true
-	c.engine.ScheduleCont(delay, c.tickCont)
+	c.engine.Schedule(delay, c.tickCont)
 }
 
 func (c *Core) tick() {
@@ -212,9 +210,6 @@ func (c *Core) finish() {
 	c.running = false
 	c.finished = c.engine.Now()
 	c.engine.Stats.Add("cpu.instructions", c.retired)
-	if c.onDone != nil {
-		c.onDone()
-	}
 }
 
 func (c *Core) dispatch(instr Instr) {
@@ -230,16 +225,16 @@ func (c *Core) dispatch(instr Instr) {
 			n = 1
 		}
 		s.count = n
-		c.engine.ScheduleArg(sim.Cycle(n), c.computeDoneFn, arg)
+		c.engine.Schedule(sim.Cycle(n), sim.Bind(c.computeDoneFn, arg))
 	case Load:
 		s.outstanding = true
-		c.port.ReadCont(c.pid, instr.VA, sim.Bind(c.memDoneFn, arg))
+		c.port.Read(c.pid, instr.VA, sim.Bind(c.memDoneFn, arg))
 	case LoadOverlay:
 		s.outstanding = true
-		c.port.ReadOverlayCont(c.pid, instr.VA, sim.Bind(c.memDoneFn, arg))
+		c.port.ReadOverlay(c.pid, instr.VA, sim.Bind(c.memDoneFn, arg))
 	case Store:
 		s.outstanding = true
-		c.port.WriteCont(c.pid, instr.VA, sim.Bind(c.memDoneFn, arg))
+		c.port.Write(c.pid, instr.VA, sim.Bind(c.memDoneFn, arg))
 	default:
 		panic("cpu: unknown instruction kind")
 	}

@@ -25,10 +25,9 @@ func newSystem(t *testing.T) (*core.Framework, *core.Port, *vm.Process) {
 }
 
 func runCore(f *core.Framework, c *Core, limit uint64) {
-	done := false
-	c.Run(limit, func() { done = true })
+	c.Run(limit)
 	f.Engine.Run()
-	if !done {
+	if c.Running() {
 		panic("core did not finish")
 	}
 }
@@ -135,13 +134,13 @@ func TestStoresRetire(t *testing.T) {
 func TestRunTwicePanics(t *testing.T) {
 	f, port, p := newSystem(t)
 	c := New(f.Engine, port, p.PID, NewSliceTrace([]Instr{{Kind: Compute, N: 1}}))
-	c.Run(0, nil)
+	c.Run(0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	c.Run(0, nil)
+	c.Run(0)
 	_ = f
 }
 

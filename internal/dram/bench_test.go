@@ -15,15 +15,15 @@ func BenchmarkDRAMAccess(b *testing.B) {
 	e := sim.NewEngine()
 	c := New(e, DefaultConfig())
 	var sink int
-	done := sim.ContOf(func() { sink++ })
+	done := sim.Bind(func(uint64) { sink++ }, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		// Stride by a prime number of lines so successive accesses walk
 		// rows and banks instead of replaying one row buffer.
 		addr := arch.PhysAddr(uint64(n) * 37 << arch.LineShift)
-		c.ReadCont(addr, done)
-		c.Write(addr, nil)
+		c.Read(addr, done)
+		c.Write(addr)
 		e.Run()
 	}
 	if sink != b.N {

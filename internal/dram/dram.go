@@ -5,7 +5,7 @@
 // line per burst).
 //
 // The model is event-driven: callers enqueue line-granularity read/write
-// requests; reads complete through a callback once the scheduler has
+// requests; reads complete through a continuation once the scheduler has
 // issued them and the data burst finishes, writes complete immediately at
 // acceptance (they are write-backs, off the critical path) and drain in
 // the background.
@@ -120,11 +120,11 @@ func New(engine *sim.Engine, cfg Config) *Controller {
 		rowConfl:   engine.Stats.Counter("dram.row_conflicts"),
 	}
 	c.pendingWr.Init(cfg.WriteBufCap)
-	c.kickCont = sim.ContOf(func() {
+	c.kickCont = sim.Bind(func(uint64) {
 		c.kicked = false
 		c.issue()
-	})
-	c.issueCont = sim.ContOf(c.issue)
+	}, 0)
+	c.issueCont = sim.Bind(func(uint64) { c.issue() }, 0)
 	return c
 }
 
@@ -157,12 +157,7 @@ func (c *Controller) mapAddr(addr arch.PhysAddr) (bankIdx int, row int64) {
 }
 
 // Read enqueues a line read; done fires when the data burst completes.
-func (c *Controller) Read(addr arch.PhysAddr, done func()) {
-	c.ReadCont(addr, sim.ContOf(done))
-}
-
-// ReadCont is the continuation form of Read.
-func (c *Controller) ReadCont(addr arch.PhysAddr, done sim.Cont) {
+func (c *Controller) Read(addr arch.PhysAddr, done sim.Cont) {
 	addr = addr.LineAligned()
 	*c.reads++
 	if _, ok := c.pendingWr.Get(uint64(addr) >> arch.LineShift); ok {
@@ -171,7 +166,7 @@ func (c *Controller) ReadCont(addr arch.PhysAddr, done sim.Cont) {
 		*c.wbForwards++
 		c.queueLat.Observe(0)
 		c.readLat.Observe(uint64(c.cfg.WBForwardLat))
-		c.engine.ScheduleCont(c.cfg.WBForwardLat, done)
+		c.engine.Schedule(c.cfg.WBForwardLat, done)
 		return
 	}
 	r := c.newRequest()
@@ -184,11 +179,11 @@ func (c *Controller) ReadCont(addr arch.PhysAddr, done sim.Cont) {
 // Write enqueues a line write-back. It completes immediately from the
 // caller's perspective; the controller drains the buffer per FR-FCFS
 // drain-when-full.
-func (c *Controller) Write(addr arch.PhysAddr, done func()) {
+func (c *Controller) Write(addr arch.PhysAddr) {
 	addr = addr.LineAligned()
 	*c.writes++
 	r := c.newRequest()
-	r.addr, r.write, r.arrival, r.done = addr, true, c.engine.Now(), sim.Cont{}
+	r.addr, r.write, r.arrival = addr, true, c.engine.Now()
 	r.bank, r.row = c.mapAddr(addr)
 	c.writeBuf = append(c.writeBuf, r)
 	line := uint64(addr) >> arch.LineShift
@@ -199,9 +194,6 @@ func (c *Controller) Write(addr arch.PhysAddr, done func()) {
 			*c.wbDrains++
 		}
 		c.draining = true
-	}
-	if done != nil {
-		c.engine.Schedule(0, done)
 	}
 	c.kick()
 }
@@ -214,7 +206,7 @@ func (c *Controller) kick() {
 		return
 	}
 	c.kicked = true
-	c.engine.ScheduleCont(0, c.kickCont)
+	c.engine.Schedule(0, c.kickCont)
 }
 
 // pool selects which queue the scheduler serves this round: reads unless
@@ -298,13 +290,13 @@ func (c *Controller) issue() {
 	} else {
 		c.queueLat.Observe(uint64(now - r.arrival))
 		c.readLat.Observe(uint64(finish - r.arrival))
-		c.engine.AtCont(finish, r.done)
+		c.engine.At(finish, r.done)
 		c.freeRequest(r)
 	}
 
 	// The command bus can issue the next command shortly after this one,
 	// letting other banks overlap their activations with this data burst.
-	c.engine.ScheduleCont(c.cfg.TCmd, c.issueCont)
+	c.engine.Schedule(c.cfg.TCmd, c.issueCont)
 }
 
 // remove deletes index i from whichever queue pool aliases.

@@ -13,6 +13,9 @@ func newTestController() (*sim.Engine, *Controller) {
 	return e, New(e, DefaultConfig())
 }
 
+// ev adapts a test closure to a continuation.
+func ev(f func()) sim.Cont { return sim.Bind(func(uint64) { f() }, 0) }
+
 // lineAddr builds a line-aligned address from a line number.
 func lineAddr(n uint64) arch.PhysAddr { return arch.PhysAddr(n << arch.LineShift) }
 
@@ -20,7 +23,7 @@ func TestSingleReadLatency(t *testing.T) {
 	e, c := newTestController()
 	cfg := DefaultConfig()
 	var doneAt sim.Cycle
-	c.Read(lineAddr(0), func() { doneAt = e.Now() })
+	c.Read(lineAddr(0), ev(func() { doneAt = e.Now() }))
 	e.Run()
 	want := cfg.TRCD + cfg.TCL + cfg.TBurst // closed bank
 	if doneAt != want {
@@ -34,8 +37,8 @@ func TestSingleReadLatency(t *testing.T) {
 func TestRowHitIsFaster(t *testing.T) {
 	e, c := newTestController()
 	var first, second sim.Cycle
-	c.Read(lineAddr(0), func() { first = e.Now() })
-	c.Read(lineAddr(1), func() { second = e.Now() })
+	c.Read(lineAddr(0), ev(func() { first = e.Now() }))
+	c.Read(lineAddr(1), ev(func() { second = e.Now() }))
 	e.Run()
 	cfg := DefaultConfig()
 	if second-first > cfg.TCL+cfg.TBurst {
@@ -51,9 +54,9 @@ func TestRowConflictIsSlower(t *testing.T) {
 	linesPerRow := uint64(DefaultConfig().RowBytes / arch.LineSize)
 	banks := uint64(DefaultConfig().Banks)
 	var first, second sim.Cycle
-	c.Read(lineAddr(0), func() { first = e.Now() })
+	c.Read(lineAddr(0), ev(func() { first = e.Now() }))
 	// Same bank (stride = linesPerRow*banks), different row.
-	c.Read(lineAddr(linesPerRow*banks), func() { second = e.Now() })
+	c.Read(lineAddr(linesPerRow*banks), ev(func() { second = e.Now() }))
 	e.Run()
 	cfg := DefaultConfig()
 	want := cfg.TRP + cfg.TRCD + cfg.TCL + cfg.TBurst
@@ -71,12 +74,12 @@ func TestBankParallelismOverlapsLatency(t *testing.T) {
 	e, c := newTestController()
 	linesPerRow := uint64(DefaultConfig().RowBytes / arch.LineSize)
 	var last sim.Cycle
-	c.Read(lineAddr(0), func() { last = e.Now() })
-	c.Read(lineAddr(linesPerRow), func() {
+	c.Read(lineAddr(0), ev(func() { last = e.Now() }))
+	c.Read(lineAddr(linesPerRow), ev(func() {
 		if e.Now() > last {
 			last = e.Now()
 		}
-	})
+	}))
 	e.Run()
 	cfg := DefaultConfig()
 	serialized := 2 * (cfg.TRCD + cfg.TCL + cfg.TBurst)
@@ -87,23 +90,24 @@ func TestBankParallelismOverlapsLatency(t *testing.T) {
 
 func TestWriteCompletesImmediately(t *testing.T) {
 	e, c := newTestController()
-	var doneAt sim.Cycle = 999999
-	c.Write(lineAddr(0), func() { doneAt = e.Now() })
-	e.RunUntil(1)
-	if doneAt != 0 {
-		t.Fatalf("write ack at %d, want 0 (buffered)", doneAt)
+	c.Write(lineAddr(0))
+	if c.Pending() != 1 {
+		t.Fatalf("pending = %d after write, want 1 (buffered)", c.Pending())
 	}
 	e.Run()
 	if e.Stats.Get("dram.writes") != 1 {
 		t.Fatal("write not counted")
 	}
+	if c.Pending() != 0 {
+		t.Fatalf("pending = %d after run, want 0 (drained)", c.Pending())
+	}
 }
 
 func TestWriteBufferForwarding(t *testing.T) {
 	e, c := newTestController()
-	c.Write(lineAddr(7), nil)
+	c.Write(lineAddr(7))
 	var doneAt sim.Cycle
-	c.Read(lineAddr(7), func() { doneAt = e.Now() })
+	c.Read(lineAddr(7), ev(func() { doneAt = e.Now() }))
 	e.RunUntil(DefaultConfig().WBForwardLat + 1)
 	if doneAt != DefaultConfig().WBForwardLat {
 		t.Fatalf("forwarded read at %d, want %d", doneAt, DefaultConfig().WBForwardLat)
@@ -118,7 +122,7 @@ func TestWriteDrainWhenFull(t *testing.T) {
 	e, c := newTestController()
 	cap := DefaultConfig().WriteBufCap
 	for i := 0; i < cap; i++ {
-		c.Write(lineAddr(uint64(i*997)), nil)
+		c.Write(lineAddr(uint64(i * 997)))
 	}
 	if e.Stats.Get("dram.write_drains") != 1 {
 		t.Fatalf("drains = %d, want 1", e.Stats.Get("dram.write_drains"))
@@ -134,10 +138,10 @@ func TestDrainBlocksReads(t *testing.T) {
 	e, c := newTestController()
 	cfg := DefaultConfig()
 	for i := 0; i < cfg.WriteBufCap; i++ {
-		c.Write(lineAddr(uint64(i)*uint64(cfg.RowBytes/arch.LineSize)*uint64(cfg.Banks)), nil)
+		c.Write(lineAddr(uint64(i) * uint64(cfg.RowBytes/arch.LineSize) * uint64(cfg.Banks)))
 	}
 	var readDone sim.Cycle
-	c.Read(lineAddr(1<<30), func() { readDone = e.Now() })
+	c.Read(lineAddr(1<<30), ev(func() { readDone = e.Now() }))
 	e.Run()
 	soloRead := cfg.TRCD + cfg.TCL + cfg.TBurst
 	if readDone <= soloRead*2 {
@@ -151,9 +155,9 @@ func TestAllRequestsComplete(t *testing.T) {
 	done := 0
 	for i := 0; i < n; i++ {
 		if i%3 == 0 {
-			c.Write(lineAddr(uint64(i*13)), nil)
+			c.Write(lineAddr(uint64(i * 13)))
 		} else {
-			c.Read(lineAddr(uint64(i*29)), func() { done++ })
+			c.Read(lineAddr(uint64(i*29)), ev(func() { done++ }))
 		}
 	}
 	e.Run()
@@ -179,11 +183,11 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 	e2 := make(chan struct{}, 8)
 	_ = e2
 	order := []string{}
-	c.Read(lineAddr(0), func() { order = append(order, "warm") })
+	c.Read(lineAddr(0), ev(func() { order = append(order, "warm") }))
 	e.Run()
 	// Now enqueue: first a conflict (row 1, bank 0), then a hit (row 0).
-	c.Read(lineAddr(linesPerRow*banks), func() { order = append(order, "conflict") })
-	c.Read(lineAddr(2), func() { order = append(order, "hit") })
+	c.Read(lineAddr(linesPerRow*banks), ev(func() { order = append(order, "conflict") }))
+	c.Read(lineAddr(2), ev(func() { order = append(order, "hit") }))
 	e.Run()
 	if len(order) != 3 || order[1] != "hit" || order[2] != "conflict" {
 		t.Fatalf("FR-FCFS order = %v, want hit before conflict", order)
@@ -214,11 +218,11 @@ func TestConservationUnderRandomTraffic(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		addr := lineAddr(uint64(rng.Intn(1 << 20)))
 		if rng.Intn(3) == 0 {
-			c.Write(addr, nil)
+			c.Write(addr)
 		} else {
 			id := reads
 			reads++
-			c.Read(addr, func() { completions[id]++ })
+			c.Read(addr, ev(func() { completions[id]++ }))
 		}
 		if rng.Intn(8) == 0 {
 			e.RunUntil(e.Now() + sim.Cycle(rng.Intn(200)))
@@ -246,7 +250,7 @@ func TestBusNeverDoubleBooked(t *testing.T) {
 	const n = 200
 	done := 0
 	for i := 0; i < n; i++ {
-		c.Read(lineAddr(uint64(i)), func() { done++ })
+		c.Read(lineAddr(uint64(i)), ev(func() { done++ }))
 	}
 	end := e.Run()
 	if done != n {

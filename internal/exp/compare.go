@@ -318,7 +318,7 @@ func compareSpMVLeg(ctx context.Context, pool Pool, backend string, limit int) (
 // probe is untimed (nothing runs on the engine), so it adds no
 // simulated work to the report.
 func metadataProbe(backend string, spec workload.Spec) (int, error) {
-	f, err := core.New(forkConfig(spec, backend))
+	f, err := core.New(ForkConfig(spec, backend))
 	if err != nil {
 		return 0, err
 	}

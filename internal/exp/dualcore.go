@@ -36,8 +36,8 @@ type dualMem struct {
 	lat    sim.Cycle
 }
 
-func (m *dualMem) Fetch(addr arch.PhysAddr, done func()) { m.engine.Schedule(m.lat, done) }
-func (m *dualMem) WriteBack(arch.PhysAddr)               {}
+func (m *dualMem) Fetch(addr arch.PhysAddr, done sim.Cont) { m.engine.Schedule(m.lat, done) }
+func (m *dualMem) WriteBack(arch.PhysAddr)                 {}
 
 // tlbUpdater delivers OBitVector updates on overlaying-read-exclusive.
 type tlbUpdater struct {
@@ -96,14 +96,12 @@ func RunDualCoreDivergence(overlay bool) DualCoreResult {
 	physLine := func(l int) arch.PhysAddr { return arch.PhysAddrOf(ppn, uint64(l)<<arch.LineShift) }
 
 	// Both cores warm the shared page.
-	pending := 0
 	for _, t := range tlbs {
 		t.Lookup(pid, vpn)
 	}
 	for l := 0; l < arch.LinesPerPage; l++ {
 		for c := 0; c < 2; c++ {
-			pending++
-			domain.Read(c, physLine(l), func() { pending-- })
+			domain.Read(c, physLine(l), sim.Cont{})
 		}
 	}
 	engine.Run()
@@ -115,8 +113,8 @@ func RunDualCoreDivergence(overlay bool) DualCoreResult {
 	// page between writes. Both issue their next op when the previous
 	// completes — a tight producer/consumer interleaving.
 	writerLine, readerOps := 0, 0
-	var writeNext, readNext func()
-	writeNext = func() {
+	var writeNext, readNext sim.Cont
+	writeNext = sim.Bind(func(uint64) {
 		if writerLine >= arch.LinesPerPage {
 			writerEnd = engine.Now() - start
 			return
@@ -127,9 +125,9 @@ func RunDualCoreDivergence(overlay bool) DualCoreResult {
 			// Overlaying write: gain exclusive ownership of the source
 			// line, retag to the overlay address, update TLBs via the
 			// coherence message (listener), then continue.
-			domain.ReadExclusive(0, physLine(l), func() {
+			domain.ReadExclusive(0, physLine(l), sim.Bind(func(uint64) {
 				domain.Write(0, opn.LineAddr(l), writeNext)
-			})
+			}, 0))
 			return
 		}
 		// Conventional: first write triggers copy (once per page) — here
@@ -140,7 +138,7 @@ func RunDualCoreDivergence(overlay bool) DualCoreResult {
 			// shoot down both TLBs; the reader will re-walk.
 			remaining := arch.LinesPerPage
 			for i := 0; i < arch.LinesPerPage; i++ {
-				domain.Read(0, physLine(i), func() {
+				domain.Read(0, physLine(i), sim.Bind(func(uint64) {
 					remaining--
 					if remaining == 0 {
 						var cost sim.Cycle
@@ -149,17 +147,17 @@ func RunDualCoreDivergence(overlay bool) DualCoreResult {
 								cost = c
 							}
 						}
-						engine.Schedule(cost, func() {
+						engine.Schedule(cost, sim.Bind(func(uint64) {
 							domain.Write(0, physLine(l)+arch.PhysAddr(1<<20), writeNext)
-						})
+						}, 0))
 					}
-				})
+				}, 0))
 			}
 			return
 		}
 		domain.Write(0, physLine(l)+arch.PhysAddr(1<<20), writeNext)
-	}
-	readNext = func() {
+	}, 0)
+	readNext = sim.Bind(func(uint64) {
 		if writerLine >= arch.LinesPerPage && readerOps > 0 {
 			readerEnd = engine.Now() - start
 			return
@@ -169,12 +167,12 @@ func RunDualCoreDivergence(overlay bool) DualCoreResult {
 		// The reader translates first: after a shootdown this is a 1000+
 		// cycle walk; after a line update it is an L1 TLB hit.
 		_, lat, _ := tlbs[1].Lookup(pid, vpn)
-		engine.Schedule(lat, func() {
+		engine.Schedule(lat, sim.Bind(func(uint64) {
 			domain.Read(1, physLine(l), readNext)
-		})
-	}
-	writeNext()
-	readNext()
+		}, 0))
+	}, 0)
+	writeNext.Invoke()
+	readNext.Invoke()
 	engine.Run()
 	if readerEnd == 0 {
 		readerEnd = engine.Now() - start

@@ -114,12 +114,13 @@ func mechName(overlayMode bool) string {
 
 // runMechanism executes one benchmark under one fork mechanism.
 func runMechanism(ctx context.Context, spec workload.Spec, params ForkParams, overlayMode bool) (MechanismResult, error) {
-	return runMechanismCfg(ctx, spec, forkConfig(spec, params.Backend), params, overlayMode)
+	return runMechanismCfg(ctx, spec, ForkConfig(spec, params.Backend), params, overlayMode)
 }
 
-// forkConfig sizes the framework for one benchmark under a backend:
-// footprint + room for COW copies + generous OMS headroom.
-func forkConfig(spec workload.Spec, backend string) core.Config {
+// ForkConfig sizes the framework for one benchmark under a backend
+// ("" = the default): footprint + room for COW copies + generous OMS
+// headroom. Every fork run, and the CLI's stats and trace replay, use it.
+func ForkConfig(spec workload.Spec, backend string) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.MemoryPages = spec.Pages*2 + 16384
 	cfg.Backend = backend
@@ -185,11 +186,10 @@ func runMechanismCfg(ctx context.Context, spec workload.Spec, cfg core.Config, p
 
 	// Warm-up: run the pre-fork region of the benchmark.
 	warm := phaseSpan(ctx, "fork.warmup", spec, overlayMode)
-	warmDone := false
-	c.Run(params.WarmInstructions, func() { warmDone = true })
+	c.Run(params.WarmInstructions)
 	f.Engine.Run()
 	warm.End()
-	if !warmDone {
+	if c.Running() {
 		return MechanismResult{}, fmt.Errorf("exp: warm-up never finished")
 	}
 	return measureMechanism(ctx, spec, params, overlayMode, f, c, proc)
@@ -215,12 +215,11 @@ func measureMechanism(ctx context.Context, spec workload.Spec, params ForkParams
 	f.Engine.Attach(series)
 
 	measure := phaseSpan(ctx, "fork.measure", spec, overlayMode)
-	measureDone := false
-	c.Run(params.MeasureInstructions, func() { measureDone = true })
+	c.Run(params.MeasureInstructions)
 	f.Engine.Run()
 	f.Engine.CloseSeries(series)
 	measure.End()
-	if !measureDone {
+	if c.Running() {
 		return MechanismResult{}, fmt.Errorf("exp: measurement never finished")
 	}
 
@@ -272,7 +271,7 @@ func forkFamilyKey(spec workload.Spec, params ForkParams) string {
 // warmForkFamily builds a framework, runs the shared pre-fork region
 // once, and captures the quiescent state ("fork.snapshot" span).
 func warmForkFamily(ctx context.Context, spec workload.Spec, params ForkParams) (*forkFamily, error) {
-	f, proc, c, err := newForkRun(spec, forkConfig(spec, params.Backend))
+	f, proc, c, err := newForkRun(spec, ForkConfig(spec, params.Backend))
 	if err != nil {
 		return nil, err
 	}
@@ -282,12 +281,11 @@ func warmForkFamily(ctx context.Context, spec workload.Spec, params ForkParams) 
 		warm.SetAttr("mechanism", "shared")
 	}
 	start := time.Now()
-	warmDone := false
-	c.Run(params.WarmInstructions, func() { warmDone = true })
+	c.Run(params.WarmInstructions)
 	f.Engine.Run()
 	warmUS := uint64(time.Since(start).Microseconds())
 	warm.End()
-	if !warmDone {
+	if c.Running() {
 		return nil, fmt.Errorf("exp: warm-up never finished")
 	}
 

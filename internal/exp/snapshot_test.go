@@ -194,12 +194,12 @@ func TestForkResumeSteadyStateAllocs(t *testing.T) {
 	c.Restore(fam.cpu)
 
 	// Prime: materialise the workload's hot pages and event slabs.
-	c.Run(30_000, nil)
+	c.Run(30_000)
 	f.Engine.Run()
 
 	const chunk = 2_000
 	allocs := testing.AllocsPerRun(5, func() {
-		c.Run(chunk, nil)
+		c.Run(chunk)
 		f.Engine.Run()
 	})
 	// The budget covers stragglers (cold pages materialised late, slab

@@ -105,10 +105,9 @@ func (fam *pristineFamily) fork(ctx context.Context, pool Pool, key string) (*co
 func simulateTrace(f *core.Framework, proc *vm.Process, trace cpu.Trace) (uint64, error) {
 	port := f.NewPort()
 	c := cpu.New(f.Engine, port, proc.PID, trace)
-	done := false
-	c.Run(0, func() { done = true })
+	c.Run(0)
 	f.Engine.Run()
-	if !done {
+	if c.Running() {
 		return 0, fmt.Errorf("exp: SpMV trace never finished")
 	}
 	return uint64(c.Cycles()), nil

@@ -1,7 +1,7 @@
 // Package sim provides the discrete-event simulation engine and the
 // statistics registry used by every timed component in the system. The
-// engine keeps a calendar queue of (cycle, sequence, callback) events and
-// advances the clock to the next event; components express latency by
+// engine keeps a calendar queue of (cycle, sequence, continuation) events
+// and advances the clock to the next event; components express latency by
 // scheduling continuations.
 //
 // The scheduler is a bucketed calendar queue: events within a fixed
@@ -17,40 +17,31 @@ import "math/bits"
 // Cycle is a point in simulated time, measured in CPU cycles.
 type Cycle uint64
 
-// Event is a callback scheduled to run at a particular cycle.
-type Event func()
-
-// ArgEvent is a callback taking a packed uint64 argument. Hot paths
+// ArgEvent is a callback taking a packed uint64 argument. Components
 // pre-bind one ArgEvent per completion type at construction and pass the
 // varying state (an address, a slab index) through the argument, so
 // scheduling a continuation allocates nothing.
 type ArgEvent func(arg uint64)
 
-// Cont is a pre-bound continuation: either a plain Event or an ArgEvent
-// plus its packed argument. The zero value is a no-op. Cont is a small
-// value type — passing or storing one never allocates; the allocation
-// cost (if any) was paid when the underlying func value was created.
+// Cont is a pre-bound continuation: an ArgEvent plus its packed
+// argument. The zero value is a no-op. Cont is a small value type —
+// passing or storing one never allocates; the allocation cost (if any)
+// was paid when the underlying func value was created.
 type Cont struct {
 	fn  ArgEvent
-	f0  Event
 	arg uint64
 }
-
-// ContOf wraps a plain callback (nil yields the no-op continuation).
-func ContOf(f Event) Cont { return Cont{f0: f} }
 
 // Bind packs a pre-bound ArgEvent and its argument into a continuation.
 func Bind(fn ArgEvent, arg uint64) Cont { return Cont{fn: fn, arg: arg} }
 
 // Valid reports whether invoking the continuation runs any code.
-func (c Cont) Valid() bool { return c.fn != nil || c.f0 != nil }
+func (c Cont) Valid() bool { return c.fn != nil }
 
 // Invoke runs the continuation (no-op for the zero value).
 func (c Cont) Invoke() {
 	if c.fn != nil {
 		c.fn(c.arg)
-	} else if c.f0 != nil {
-		c.f0()
 	}
 }
 
@@ -146,21 +137,10 @@ func (e *Engine) enqueue(n *node) {
 	e.nearCount++
 }
 
-// Schedule runs fn after delay cycles. A delay of zero runs fn later in
-// the current cycle, after all previously scheduled current-cycle events.
-func (e *Engine) Schedule(delay Cycle, fn Event) {
-	e.ScheduleCont(delay, ContOf(fn))
-}
-
-// ScheduleArg runs the pre-bound fn(arg) after delay cycles. It is the
-// allocation-free form hot components use with continuations bound once
-// at construction.
-func (e *Engine) ScheduleArg(delay Cycle, fn ArgEvent, arg uint64) {
-	e.ScheduleCont(delay, Bind(fn, arg))
-}
-
-// ScheduleCont runs the continuation after delay cycles.
-func (e *Engine) ScheduleCont(delay Cycle, c Cont) {
+// Schedule runs the continuation after delay cycles. A delay of zero
+// runs it later in the current cycle, after all previously scheduled
+// current-cycle events.
+func (e *Engine) Schedule(delay Cycle, c Cont) {
 	at := e.now + delay
 	e.seq++
 	n := e.alloc()
@@ -176,21 +156,13 @@ func (e *Engine) ScheduleCont(delay Cycle, c Cont) {
 	}
 }
 
-// At runs fn at the given absolute cycle, which must not be in the past.
-func (e *Engine) At(cycle Cycle, fn Event) {
+// At runs the continuation at the given absolute cycle, which must not
+// be in the past.
+func (e *Engine) At(cycle Cycle, c Cont) {
 	if cycle < e.now {
 		panic("sim: scheduling event in the past")
 	}
-	e.Schedule(cycle-e.now, fn)
-}
-
-// AtCont runs the continuation at the given absolute cycle, which must
-// not be in the past.
-func (e *Engine) AtCont(cycle Cycle, c Cont) {
-	if cycle < e.now {
-		panic("sim: scheduling event in the past")
-	}
-	e.ScheduleCont(cycle-e.now, c)
+	e.Schedule(cycle-e.now, c)
 }
 
 // Pending reports the number of events not yet run.
@@ -334,12 +306,6 @@ func (e *Engine) RunUntil(limit Cycle) {
 			return
 		}
 		e.Step()
-	}
-}
-
-// RunWhile executes events as long as cond returns true and events remain.
-func (e *Engine) RunWhile(cond func() bool) {
-	for cond() && e.Step() {
 	}
 }
 

@@ -11,15 +11,15 @@ func BenchmarkEngineStep(b *testing.B) {
 	e := NewEngine()
 	delays := [4]Cycle{0, 1, 100, windowSize + 512}
 	var i int
-	var fn Event
-	fn = func() {
-		e.Schedule(delays[i&3], fn)
+	var fn ArgEvent
+	fn = func(uint64) {
+		e.Schedule(delays[i&3], Bind(fn, 0))
 		i++
 	}
 	// Keep a few events in flight so buckets and the overflow heap both
 	// stay populated.
 	for j := 0; j < 8; j++ {
-		e.Schedule(Cycle(j), fn)
+		e.Schedule(Cycle(j), Bind(fn, 0))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -95,11 +95,11 @@ func TestCalendarMatchesReferenceHeap(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			// Absolute-time insertion.
 			target := e.Now() + delays[rng.Intn(len(delays))]
-			e.At(target, body)
+			e.At(target, ev(body))
 			ref.at(target, id)
 		} else {
 			d := delays[rng.Intn(len(delays))]
-			e.Schedule(d, body)
+			e.Schedule(d, ev(body))
 			ref.schedule(d, id)
 		}
 	}

@@ -7,12 +7,15 @@ import (
 	"testing/quick"
 )
 
+// ev adapts a test closure to a continuation.
+func ev(f func()) Cont { return Bind(func(uint64) { f() }, 0) }
+
 func TestScheduleAndRunOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(10, func() { order = append(order, 2) })
-	e.Schedule(5, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 3) })
+	e.Schedule(10, ev(func() { order = append(order, 2) }))
+	e.Schedule(5, ev(func() { order = append(order, 1) }))
+	e.Schedule(20, ev(func() { order = append(order, 3) }))
 	end := e.Run()
 	if end != 20 {
 		t.Fatalf("final cycle = %d, want 20", end)
@@ -27,7 +30,7 @@ func TestSameCycleFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(7, func() { order = append(order, i) })
+		e.Schedule(7, ev(func() { order = append(order, i) }))
 	}
 	e.Run()
 	for i, v := range order {
@@ -40,12 +43,12 @@ func TestSameCycleFIFO(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var trace []Cycle
-	e.Schedule(3, func() {
+	e.Schedule(3, ev(func() {
 		trace = append(trace, e.Now())
-		e.Schedule(4, func() {
+		e.Schedule(4, ev(func() {
 			trace = append(trace, e.Now())
-		})
-	})
+		}))
+	}))
 	e.Run()
 	if len(trace) != 2 || trace[0] != 3 || trace[1] != 7 {
 		t.Fatalf("trace = %v, want [3 7]", trace)
@@ -55,14 +58,14 @@ func TestNestedScheduling(t *testing.T) {
 func TestZeroDelayRunsThisCycle(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	e.Schedule(5, func() {
-		e.Schedule(0, func() {
+	e.Schedule(5, ev(func() {
+		e.Schedule(0, ev(func() {
 			if e.Now() != 5 {
 				t.Errorf("zero-delay event at cycle %d, want 5", e.Now())
 			}
 			ran = true
-		})
-	})
+		}))
+	}))
 	e.Run()
 	if !ran {
 		t.Fatal("zero-delay event never ran")
@@ -74,7 +77,7 @@ func TestRunUntil(t *testing.T) {
 	var ran []Cycle
 	for _, d := range []Cycle{5, 10, 15, 20} {
 		d := d
-		e.Schedule(d, func() { ran = append(ran, d) })
+		e.Schedule(d, ev(func() { ran = append(ran, d) }))
 	}
 	e.RunUntil(12)
 	if len(ran) != 2 {
@@ -89,31 +92,16 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestRunWhile(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		e.Schedule(1, tick)
-	}
-	e.Schedule(1, tick)
-	e.RunWhile(func() bool { return count < 100 })
-	if count != 100 {
-		t.Fatalf("count = %d, want 100", count)
-	}
-}
-
 func TestAtPanicsOnPast(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {})
+	e.Schedule(10, ev(func() {}))
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
 		}
 	}()
-	e.At(5, func() {})
+	e.At(5, Cont{})
 }
 
 func TestEventOrderProperty(t *testing.T) {
@@ -123,7 +111,7 @@ func TestEventOrderProperty(t *testing.T) {
 		e := NewEngine()
 		var fired []Cycle
 		for _, d := range raw {
-			e.Schedule(Cycle(d), func() { fired = append(fired, e.Now()) })
+			e.Schedule(Cycle(d), ev(func() { fired = append(fired, e.Now()) }))
 		}
 		e.Run()
 		if len(fired) != len(raw) {

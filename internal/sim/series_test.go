@@ -12,7 +12,7 @@ func TestSeriesEpochAlignment(t *testing.T) {
 
 	// Jump the clock past several boundaries in one event: one row per
 	// boundary crossed, each on an absolute multiple of the epoch.
-	e.At(350, func() { e.Stats.Add("x", 9) })
+	e.At(350, ev(func() { e.Stats.Add("x", 9) }))
 	e.Run()
 	rows := s.Rows()
 	if len(rows) != 3 {
@@ -31,7 +31,7 @@ func TestSeriesEpochAlignment(t *testing.T) {
 	// to its attach time: attached at 350, first boundary is 400.
 	s2 := NewSeries("late", 100, "x")
 	e.Attach(s2)
-	e.At(450, func() {})
+	e.At(450, Cont{})
 	e.Run()
 	if rows := s2.Rows(); len(rows) != 1 || rows[0].EndCycle != 400 {
 		t.Fatalf("late series rows = %+v, want one row at cycle 400", rows)
@@ -42,7 +42,7 @@ func TestSeriesFinalPartialEpoch(t *testing.T) {
 	e := NewEngine()
 	s := NewSeries("run", 1000, "x")
 	e.Attach(s)
-	e.At(2500, func() { e.Stats.Add("x", 7) })
+	e.At(2500, ev(func() { e.Stats.Add("x", 7) }))
 	e.Run()
 
 	// CloseSeries flushes the partial epoch [2000, 2500) as a final row.

@@ -265,13 +265,6 @@ func (t *TLB) UpdateLine(pid arch.PID, vpn arch.VPN, lineIdx int, inOverlay bool
 	return u1 || u2
 }
 
-// UpdateEntry rewrites a cached entry wholesale (promotion actions).
-func (t *TLB) UpdateEntry(pid arch.PID, vpn arch.VPN, e Entry) {
-	k := key{pid, vpn}
-	t.l1.update(k, func(old *Entry) { *old = e })
-	t.l2.update(k, func(old *Entry) { *old = e })
-}
-
 // FlushPID drops every entry of the process (context teardown).
 func (t *TLB) FlushPID(pid arch.PID) {
 	t.l1.flushPID(pid)

@@ -177,17 +177,6 @@ func TestUpdateLineReachesBothLevels(t *testing.T) {
 	}
 }
 
-func TestUpdateEntry(t *testing.T) {
-	tl, w, _ := newTLB()
-	w.put(1, 10, Entry{PPN: 42, HasOverlay: true, OBits: 0xff})
-	tl.Lookup(1, 10)
-	tl.UpdateEntry(1, 10, Entry{PPN: 77})
-	e, _ := tl.Peek(1, 10)
-	if e.PPN != 77 || e.HasOverlay || e.OBits != 0 {
-		t.Fatalf("UpdateEntry failed: %+v", e)
-	}
-}
-
 func TestFlushPID(t *testing.T) {
 	tl, w, _ := newTLB()
 	w.put(1, 10, Entry{PPN: 1})
