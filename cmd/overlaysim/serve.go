@@ -33,7 +33,7 @@ func newServeCmd() *command {
 	queue := fs.Int("queue", 16, "accepted jobs that may wait behind the running ones")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job wall-clock cap (0 = unbounded)")
 	cacheSize := fs.Int("cache", 128, "result cache entries (negative disables caching)")
-	snapCache := fs.Int("snapshot-cache", 32, "warm-state snapshot cache families (negative disables warm-state reuse)")
+	snapCache := fs.Int("snapshot-cache", 32, "warm-state snapshot cache families (negative disables cross-job reuse)")
 	register := fs.String("register", "", "coordinator base `URL` to self-register with (worker mode)")
 	advertise := fs.String("advertise", "", "base `URL` this worker registers as (default http://<bound addr>)")
 	return &command{

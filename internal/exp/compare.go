@@ -5,8 +5,9 @@ package exp
 // under every registered translation backend, and the report puts the
 // per-backend cycles, TLB/OMT behaviour, and memory overhead side by
 // side. Backends fan across the pool like any other suite (one job per
-// backend), compose with warm-state snapshots (family keys are
-// backend-qualified), and are bit-identical at any worker count.
+// backend), resume their fork legs from warm-state snapshots (family
+// keys are backend-qualified), and are bit-identical at any worker
+// count.
 
 import (
 	"context"
@@ -152,9 +153,6 @@ func RunComparePool(ctx context.Context, pool Pool, params CompareParams) (*Comp
 		}
 		params.Backends[i] = backendName(b)
 	}
-	if pool.Snapshots == nil {
-		pool.Snapshots = NewSnapshotCache(16) // run-local: fork + spmv family per backend
-	}
 	results, err := harness.Map(ctx, pool.opts("compare"), params.Backends,
 		func(jobCtx context.Context, backend string, _ int) (CompareBackendResult, error) {
 			r, err := runBackendCompare(jobCtx, pool, params, spec, backend)
@@ -209,7 +207,7 @@ func runBackendCompare(ctx context.Context, pool Pool, params CompareParams, spe
 	}
 	res.Counters = compareCounters(mech.Stats)
 
-	res.SpMV, err = compareSpMVLeg(ctx, pool, backend, params.Matrices)
+	res.SpMV, err = compareSpMVLeg(backend, params.Matrices)
 	if err != nil {
 		return res, fmt.Errorf("spmv leg: %w", err)
 	}
@@ -243,51 +241,21 @@ func compareForkLeg(ctx context.Context, pool Pool, spec workload.Spec, fp ForkP
 // representation maps to regular pages and runs everywhere; the overlay
 // representation needs the Overlay Memory Store, so only the overlay
 // backend measures it.
-func compareSpMVLeg(ctx context.Context, pool Pool, backend string, limit int) (CompareSpMVLeg, error) {
+func compareSpMVLeg(backend string, limit int) (CompareSpMVLeg, error) {
 	specs := suiteSubset(limit)
 	leg := CompareSpMVLeg{Matrices: len(specs)}
 	for _, spec := range specs {
 		m := spec.Build()
 		cfg := spmvConfig(m.DenseBytes())
 		cfg.Backend = backend
-		newFramework := func() (*core.Framework, func(*core.Framework), error) {
-			if pool.Cold {
-				f, err := core.New(cfg)
-				return f, nil, err
-			}
-			key := fmt.Sprintf("compare/%s/pages=%d", backend, cfg.MemoryPages)
-			v, err := pool.Snapshots.getOrBuild(key, func() (any, error) {
-				pool.Snap.addFamily()
-				return warmPristineFamily(ctx, key, cfg)
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			f, done := v.(*pristineFamily).fork(ctx, pool, key)
-			return f, done, nil
-		}
-
-		c := sparse.NewCSR(m)
-		f, done, err := newFramework()
-		if err != nil {
-			return leg, err
-		}
-		proc := f.VM.NewProcess()
-		layout, err := sparse.MapCSR(f, proc, c)
-		if err != nil {
-			return leg, err
-		}
-		cycles, err := simulateTrace(f, proc, sparse.CSRTrace(c, layout))
+		cycles, err := runCSR(cfg, sparse.NewCSR(m))
 		if err != nil {
 			return leg, err
 		}
 		leg.CSRCycles += cycles
-		if done != nil {
-			done(f)
-		}
 
 		if backend == "overlay" {
-			f, done, err := newFramework()
+			f, err := core.New(cfg)
 			if err != nil {
 				return leg, err
 			}
@@ -305,9 +273,6 @@ func compareSpMVLeg(ctx context.Context, pool Pool, backend string, limit int) (
 				return leg, err
 			}
 			leg.OverlayCycles += cycles
-			if done != nil {
-				done(f)
-			}
 		}
 	}
 	return leg, nil

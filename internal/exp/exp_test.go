@@ -234,6 +234,24 @@ func TestSparsitySweepMonotone(t *testing.T) {
 	}
 }
 
+// TestSweepDenseBaselineIndependentOfPoint pins what lets the sweep
+// simulate its dense baseline once: the densest and the sparsest point
+// of the bench plan's sweep (8 points, 128 rows) take the same dense
+// cycles, each on a fresh framework.
+func TestSweepDenseBaselineIndependentOfPoint(t *testing.T) {
+	var cycles [2]uint64
+	for k, i := range []int{0, 7} {
+		m := sweepMatrix(i, 8, 128)
+		var err error
+		if cycles[k], err = runSweepDense(spmvConfig(m.DenseBytes()), m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cycles[0] != cycles[1] {
+		t.Errorf("dense cycles differ across sweep points: %d at 0%% zero lines, %d at 100%%", cycles[0], cycles[1])
+	}
+}
+
 func TestSweepNeedsTwoPoints(t *testing.T) {
 	if _, err := RunSparsitySweepPool(context.Background(), Pool{Parallel: 1}, 1, 64); err == nil {
 		t.Fatal("expected error")

@@ -115,7 +115,7 @@ var Experiments = []*Experiment{
 		flags: []specFlag{
 			{name: "matrices", why: nonNegative, usage: "number of suite matrices to run (0 = all 87)"},
 			{name: "dense", usage: "also run the dense baseline"},
-			parallelFlag, coldFlag,
+			parallelFlag,
 		},
 		normalize: wholeSuite,
 		run: func(ctx context.Context, pool Pool, n JobSpec) (*JobOutput, error) {
@@ -131,9 +131,7 @@ var Experiments = []*Experiment{
 		Summary: "Figure 11: memory overhead vs mapping granularity",
 		flags: []specFlag{
 			{name: "matrices", why: nonNegative, usage: "number of suite matrices (0 = all 87)"},
-			// linesize is purely analytic (a degenerate family with
-			// nothing to warm), but it accepts -cold like its siblings.
-			parallelFlag, coldFlag,
+			parallelFlag,
 		},
 		normalize: wholeSuite,
 		run: func(ctx context.Context, pool Pool, n JobSpec) (*JobOutput, error) {
@@ -152,7 +150,7 @@ var Experiments = []*Experiment{
 				usage: "sparsity levels between 0%% and 100%%"},
 			{name: "rows", def: 256, min: 8, why: "need at least one cache line of values",
 				usage: "matrix dimension"},
-			parallelFlag, coldFlag,
+			parallelFlag,
 		},
 		run: func(ctx context.Context, pool Pool, n JobSpec) (*JobOutput, error) {
 			results, err := RunSparsitySweepPool(ctx, pool, n.Points, n.Rows)

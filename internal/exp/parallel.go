@@ -29,9 +29,9 @@ type Pool struct {
 	// clients as SSE events.
 	OnProgress harness.ProgressFunc
 
-	// Cold disables warm-state snapshot reuse: every simulation is
-	// built and warmed from scratch, as the runners did before the
-	// snapshot layer existed. Results are bit-identical either way (the
+	// Cold disables warm-state snapshot reuse: fork and compare build
+	// and warm every fork run from scratch instead of resuming it from
+	// its family's warm-up. Results are bit-identical either way (the
 	// CI equivalence gate diffs the two); Cold exists for that gate and
 	// for debugging.
 	Cold bool

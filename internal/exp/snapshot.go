@@ -1,12 +1,14 @@
 package exp
 
-// Warm-state reuse plumbing: experiments that repeat the same expensive
-// setup (a fork warm-up, a pristine framework for a sweep family) build
-// it once, capture a core.Snapshot, and resume every measurement run
-// from the capture with copy-on-write memory sharing. Forked runs are
-// bit-identical to cold runs — the equivalence is enforced by tests and
-// a CI gate — so reuse is purely an execution optimisation, like the
-// harness's worker count. Pool.Cold switches it off.
+// Warm-state reuse plumbing: fork and compare run each benchmark's
+// warm-up once, capture a core.Snapshot at the fork point, and resume
+// every measurement run from the capture with copy-on-write memory
+// sharing. Forked runs are bit-identical to cold runs — the equivalence
+// is enforced by tests and a CI gate — so reuse is purely an execution
+// optimisation, like the harness's worker count. Pool.Cold switches it
+// off. Only a warm-up is worth capturing: a framework that has never
+// run holds nothing a fork could share, so SpMV and sweep runs build
+// theirs with core.New.
 
 import (
 	"container/list"

@@ -73,9 +73,6 @@ func TestForkedMatchesCold(t *testing.T) {
 		{Experiment: "fork", Bench: bench,
 			Warm:    uint64(30_000 + rng.Intn(3)*10_000),
 			Measure: uint64(60_000 + rng.Intn(3)*20_000)},
-		{Experiment: "spmv", Matrices: 2 + rng.Intn(2), Dense: true},
-		{Experiment: "linesize", Matrices: 2 + rng.Intn(3)},
-		{Experiment: "sweep", Points: 3 + rng.Intn(2), Rows: 64 * (1 + rng.Intn(2))},
 	}
 	// The property must hold per backend: every non-default backend gets
 	// its own fork leg (the plain fork spec above covers overlay), and the
@@ -147,26 +144,6 @@ func TestForkedMatchesColdPerRunStats(t *testing.T) {
 	}
 	if got := forked.Export.Counters[SnapWarmupsCounter]; got != 1 {
 		t.Errorf("warmups_reused counter = %d, want 1", got)
-	}
-}
-
-// TestSweepReuseAccounting checks the sweep's family shape: one family,
-// one dense-baseline fork plus one fork per point, every point's
-// warm-up skipped.
-func TestSweepReuseAccounting(t *testing.T) {
-	spec := JobSpec{Experiment: "sweep", Points: 3, Rows: 64}
-	out, err := spec.Run(context.Background(), Pool{Parallel: 2})
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	if got := out.Export.Counters[SnapForksCounter]; got != 4 {
-		t.Errorf("forks counter = %d, want 4 (dense baseline + 3 points)", got)
-	}
-	if got := out.Export.Counters[SnapWarmupsCounter]; got != 3 {
-		t.Errorf("warmups_reused counter = %d, want 3", got)
-	}
-	if out.Stats == nil || out.Stats.Get(SnapForksCounter) != 4 {
-		t.Errorf("output registry missing reuse counters for /metrics aggregation")
 	}
 }
 

@@ -39,9 +39,10 @@ type JobSpec struct {
 	// worker count, so Parallel is excluded from the cache key.
 	Parallel int `json:"parallel,omitempty"`
 
-	// Cold disables warm-state snapshot reuse for this run. Like
-	// Parallel it is an execution hint only — results are bit-identical
-	// either way — so it too is excluded from the cache key.
+	// Cold disables warm-state snapshot reuse for a fork or compare
+	// run. Like Parallel it is an execution hint only — results are
+	// bit-identical either way — so it too is excluded from the cache
+	// key.
 	Cold bool `json:"cold,omitempty"`
 
 	// Bench restricts a fork run to one benchmark (empty = all 15), or

@@ -108,6 +108,9 @@ func TestSpecValidation(t *testing.T) {
 		{"ok omsstress", JobSpec{Experiment: "omsstress", OMSCapacity: 8, Shared: true}, ""},
 		{"omsstress with bench", JobSpec{Experiment: "omsstress", Bench: "mcf"}, `"bench" does not apply`},
 		{"omsstress with cold", JobSpec{Experiment: "omsstress", Cold: true}, `"cold" does not apply`},
+		{"spmv with cold", JobSpec{Experiment: "spmv", Cold: true}, `"cold" does not apply`},
+		{"sweep with cold", JobSpec{Experiment: "sweep", Cold: true}, `"cold" does not apply`},
+		{"linesize with cold", JobSpec{Experiment: "linesize", Cold: true}, `"cold" does not apply`},
 		{"omsstress bad capacity", JobSpec{Experiment: "omsstress", OMSCapacity: -2}, "oms_capacity"},
 		{"omsstress bad tenants", JobSpec{Experiment: "omsstress", Tenants: -1}, "tenants"},
 		{"fork with tenants", JobSpec{Experiment: "fork", Tenants: 2}, `"tenants" does not apply`},

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -57,49 +55,6 @@ func spmvConfig(denseBytes int) core.Config {
 	return cfg
 }
 
-// pristineFamily is a configuration family's framework capture taken
-// right after construction — the engine has never run, so the capture
-// is trivially quiescent. Forking it is bit-equivalent to building the
-// same config from scratch but far cheaper: the fork shares the zeroed
-// memory frames copy-on-write instead of re-allocating them.
-type pristineFamily struct {
-	snap   *core.Snapshot
-	warmUS uint64 // wall clock the build+capture cost (≈ saved per reuse)
-
-	// resumes counts forks taken from this family over its lifetime;
-	// every resume past the first skipped a framework build that the
-	// cold path would have run.
-	resumes atomic.Uint64
-}
-
-// warmPristineFamily builds one framework of the given config and
-// captures it ("fork.snapshot" span).
-func warmPristineFamily(ctx context.Context, key string, cfg core.Config) (*pristineFamily, error) {
-	start := time.Now()
-	f, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sp := snapSpan(ctx, "fork.snapshot", key)
-	fam := &pristineFamily{snap: f.Snapshot()}
-	sp.End()
-	fam.warmUS = uint64(time.Since(start).Microseconds())
-	return fam, nil
-}
-
-// fork resumes one framework from the family ("fork.resume" span). The
-// returned func tallies the pool's reuse stats; call it once the
-// simulation completes, when the copy-on-write byte count is final.
-func (fam *pristineFamily) fork(ctx context.Context, pool Pool, key string) (*core.Framework, func(*core.Framework)) {
-	sp := snapSpan(ctx, "fork.resume", key)
-	f := core.NewFromSnapshot(fam.snap)
-	sp.End()
-	done := func(f *core.Framework) {
-		pool.Snap.addFork(f.Mem.BytesCopied(), fam.resumes.Add(1) > 1, fam.warmUS)
-	}
-	return f, done
-}
-
 // simulateTrace runs one trace to completion on a fresh core and returns
 // the cycles it took.
 func simulateTrace(f *core.Framework, proc *vm.Process, trace cpu.Trace) (uint64, error) {
@@ -113,111 +68,92 @@ func simulateTrace(f *core.Framework, proc *vm.Process, trace cpu.Trace) (uint64
 	return uint64(c.Cycles()), nil
 }
 
-// RunSpMV measures one matrix under the overlay and CSR representations
-// (and optionally the dense baseline), verifying along the way that all
-// representations compute the same product. Every representation runs
-// on a framework built from scratch; RunFigure10Pool's default path
-// measures the same thing on frameworks forked from a shared pristine
-// capture.
-func RunSpMV(m *sparse.Matrix, withDense bool) (SpMVResult, error) {
-	return runSpMV(func() (*core.Framework, func(*core.Framework), error) {
-		f, err := core.New(spmvConfig(m.DenseBytes()))
-		return f, nil, err
-	}, m, withDense)
-}
-
-// runSpMV measures one matrix with each representation simulated on its
-// own framework drawn from newFramework. The optional func returned
-// alongside a framework is called after that representation's
-// simulation completes (the snapshot path tallies reuse stats there).
-func runSpMV(newFramework func() (*core.Framework, func(*core.Framework), error), m *sparse.Matrix, withDense bool) (SpMVResult, error) {
-	res := SpMVResult{Matrix: m.Name, L: m.L(), NNZ: m.NNZ(), IdealBytes: m.IdealBytes()}
-
-	// Functional cross-check.
-	x := make([]float64, m.Cols)
+// spmvOperand returns the vector every SpMV simulation multiplies m by,
+// and the dense product each representation's result is checked against.
+func spmvOperand(m *sparse.Matrix) (x, want []float64) {
+	x = make([]float64, m.Cols)
 	for i := range x {
 		x[i] = 1.0 + float64(i%7)
 	}
-	want := m.MultiplyDense(x)
+	return x, m.MultiplyDense(x)
+}
 
-	// Overlay representation.
-	{
-		f, done, err := newFramework()
-		if err != nil {
-			return res, err
-		}
-		proc := f.VM.NewProcess()
-		o, layout, err := sparse.MapOverlay(f, proc, m)
-		if err != nil {
-			return res, err
-		}
-		got, err := o.Multiply(x)
-		if err != nil {
-			return res, err
-		}
-		if !vectorsEqual(want, got) {
-			return res, fmt.Errorf("exp: overlay SpMV result diverges for %s", m.Name)
-		}
-		trace, err := sparse.OverlayTrace(o, layout)
-		if err != nil {
-			return res, err
-		}
-		res.OverlayBytes = o.LineBytes()
-		res.OverlaySegBytes = o.MemoryBytes()
-		res.OverlayCycles, err = simulateTrace(f, proc, trace)
-		if err != nil {
-			return res, err
-		}
-		if done != nil {
-			done(f)
-		}
+// RunSpMV measures one matrix under the overlay and CSR representations
+// (and optionally the dense baseline), verifying along the way that all
+// representations compute the same product. Each representation runs
+// on its own framework built from scratch.
+func RunSpMV(m *sparse.Matrix, withDense bool) (SpMVResult, error) {
+	cfg := spmvConfig(m.DenseBytes())
+	res := SpMVResult{Matrix: m.Name, L: m.L(), NNZ: m.NNZ(), IdealBytes: m.IdealBytes()}
+	x, want := spmvOperand(m)
+
+	o, cycles, err := runOverlay(cfg, m, x, want)
+	if err != nil {
+		return res, err
 	}
+	res.OverlayBytes = o.LineBytes()
+	res.OverlaySegBytes = o.MemoryBytes()
+	res.OverlayCycles = cycles
 
-	// CSR representation.
-	{
-		c := sparse.NewCSR(m)
-		if !vectorsEqual(want, c.Multiply(x)) {
-			return res, fmt.Errorf("exp: CSR SpMV result diverges for %s", m.Name)
-		}
-		f, done, err := newFramework()
-		if err != nil {
-			return res, err
-		}
-		proc := f.VM.NewProcess()
-		layout, err := sparse.MapCSR(f, proc, c)
-		if err != nil {
-			return res, err
-		}
-		res.CSRBytes = c.MemoryBytes()
-		res.CSRCycles, err = simulateTrace(f, proc, sparse.CSRTrace(c, layout))
-		if err != nil {
-			return res, err
-		}
-		if done != nil {
-			done(f)
-		}
+	c := sparse.NewCSR(m)
+	if !vectorsEqual(want, c.Multiply(x)) {
+		return res, fmt.Errorf("exp: CSR SpMV result diverges for %s", m.Name)
+	}
+	res.CSRBytes = c.MemoryBytes()
+	if res.CSRCycles, err = runCSR(cfg, c); err != nil {
+		return res, err
 	}
 
 	if withDense {
-		f, done, err := newFramework()
-		if err != nil {
-			return res, err
-		}
-		proc := f.VM.NewProcess()
-		layout, err := sparse.MapDense(f, proc, m)
-		if err != nil {
-			return res, err
-		}
 		res.DenseBytes = m.DenseBytes()
-		res.DenseCycles, err = simulateTrace(f, proc, sparse.DenseTrace(m, layout))
-		if err != nil {
+		if res.DenseCycles, err = runSweepDense(cfg, m); err != nil {
 			return res, err
-		}
-		if done != nil {
-			done(f)
 		}
 	}
 	return res, nil
+}
+
+// runOverlay maps m as an overlay on a framework built from cfg, checks
+// the overlay product of x against want, and simulates one SpMV
+// iteration.
+func runOverlay(cfg core.Config, m *sparse.Matrix, x, want []float64) (*sparse.OverlayMatrix, uint64, error) {
+	f, err := core.New(cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	proc := f.VM.NewProcess()
+	o, layout, err := sparse.MapOverlay(f, proc, m)
+	if err != nil {
+		return nil, 0, err
+	}
+	got, err := o.Multiply(x)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !vectorsEqual(want, got) {
+		return nil, 0, fmt.Errorf("exp: overlay SpMV result diverges for %s", m.Name)
+	}
+	trace, err := sparse.OverlayTrace(o, layout)
+	if err != nil {
+		return nil, 0, err
+	}
+	cycles, err := simulateTrace(f, proc, trace)
+	return o, cycles, err
+}
+
+// runCSR maps c on a framework built from cfg and simulates one SpMV
+// iteration.
+func runCSR(cfg core.Config, c *sparse.CSR) (uint64, error) {
+	f, err := core.New(cfg)
+	if err != nil {
+		return 0, err
+	}
+	proc := f.VM.NewProcess()
+	layout, err := sparse.MapCSR(f, proc, c)
+	if err != nil {
+		return 0, err
+	}
+	return simulateTrace(f, proc, sparse.CSRTrace(c, layout))
 }
 
 func vectorsEqual(a, b []float64) bool {
@@ -236,41 +172,10 @@ func vectorsEqual(a, b []float64) bool {
 // one job per matrix fanned across the pool; each job builds its own
 // matrix. The result order (ascending L, as in the paper's x-axis) is
 // fixed by the suite, not by completion order.
-//
-// By default every simulation forks its framework from a pristine
-// capture shared by all matrices of the same footprint (the whole suite
-// is one configuration family today: every matrix is 2048×2048), built
-// lazily by the first job to need it. Cycle counts are bit-identical to
-// the cold path; pool.Cold builds every framework from scratch instead.
 func RunFigure10Pool(ctx context.Context, pool Pool, limit int, withDense bool) ([]SpMVResult, error) {
-	specs := suiteSubset(limit)
-	if pool.Cold {
-		return harness.Map(ctx, pool.opts("spmv"), specs,
-			func(_ context.Context, spec sparse.SuiteSpec, _ int) (SpMVResult, error) {
-				return RunSpMV(spec.Build(), withDense)
-			})
-	}
-	snaps := pool.Snapshots
-	if snaps == nil {
-		snaps = NewSnapshotCache(8) // run-local: one entry per distinct footprint
-	}
-	return harness.Map(ctx, pool.opts("spmv"), specs,
-		func(jobCtx context.Context, spec sparse.SuiteSpec, _ int) (SpMVResult, error) {
-			m := spec.Build()
-			cfg := spmvConfig(m.DenseBytes())
-			key := fmt.Sprintf("spmv/pages=%d", cfg.MemoryPages)
-			v, err := snaps.getOrBuild(key, func() (any, error) {
-				pool.Snap.addFamily()
-				return warmPristineFamily(jobCtx, key, cfg)
-			})
-			if err != nil {
-				return SpMVResult{}, err
-			}
-			fam := v.(*pristineFamily)
-			return runSpMV(func() (*core.Framework, func(*core.Framework), error) {
-				f, done := fam.fork(jobCtx, pool, key)
-				return f, done, nil
-			}, m, withDense)
+	return harness.Map(ctx, pool.opts("spmv"), suiteSubset(limit),
+		func(_ context.Context, spec sparse.SuiteSpec, _ int) (SpMVResult, error) {
+			return RunSpMV(spec.Build(), withDense)
 		})
 }
 

@@ -44,9 +44,11 @@ type Config struct {
 	CacheSize int
 
 	// SnapshotCacheSize bounds the warm-state snapshot cache in family
-	// entries (0 = 32, negative disables snapshot reuse). Cached family
-	// snapshots let jobs that share a configuration family skip warm-up
-	// simulation; results are bit-identical either way.
+	// entries (0 = 32). Cached family snapshots let fork and compare
+	// jobs that share a family skip its warm-up; results are
+	// bit-identical either way. A negative size disables only this
+	// cross-job reuse: a fork job still warms each benchmark once and
+	// resumes both mechanisms from it.
 	SnapshotCacheSize int
 
 	// Runner overrides job execution (nil = exp.JobSpec.Run).
@@ -98,9 +100,10 @@ type local struct {
 	queue   chan queued
 	runner  Runner
 	timeout time.Duration
-	// snapshots caches warm family state across jobs: two sweep jobs
-	// over the same matrix dimension share one warm-up. Entries are
-	// immutable, so concurrent jobs fork the same family safely.
+	// snapshots caches warm family state across jobs: two fork jobs
+	// with the same benchmark and warm window share one warm-up.
+	// Entries are immutable, so concurrent jobs fork the same family
+	// safely.
 	snapshots *exp.SnapshotCache
 }
 

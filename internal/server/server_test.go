@@ -875,20 +875,20 @@ func TestStoreAndCacheAgreeOnDigest(t *testing.T) {
 	}
 }
 
-// TestSnapshotReuseAcrossJobs runs two real sweep jobs that share a
-// configuration family (same rows, different points) and checks that
-// the second job's family warm-up came out of the snapshot cache, with
-// the reuse telemetry visible on /metrics.
+// TestSnapshotReuseAcrossJobs runs two real fork jobs that share a
+// family (same bench and warm window, different measured windows) and
+// checks that the second job's warm-up came out of the snapshot cache,
+// with the reuse telemetry visible on /metrics.
 func TestSnapshotReuseAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
 	s, ts := newTestServer(t, Config{Workers: 1})
 
-	if code, _, _ := postSpec(t, ts, `{"experiment":"sweep","points":2,"rows":32}`, true); code != http.StatusOK {
+	if code, _, _ := postSpec(t, ts, `{"experiment":"fork","bench":"hmmer","warm":20000,"measure":40000}`, true); code != http.StatusOK {
 		t.Fatalf("job 1: status = %d, want 200", code)
 	}
-	if code, _, _ := postSpec(t, ts, `{"experiment":"sweep","points":3,"rows":32}`, true); code != http.StatusOK {
+	if code, _, _ := postSpec(t, ts, `{"experiment":"fork","bench":"hmmer","warm":20000,"measure":50000}`, true); code != http.StatusOK {
 		t.Fatalf("job 2: status = %d, want 200", code)
 	}
 	snapshots := s.exec.(*local).snapshots
@@ -911,8 +911,7 @@ func TestSnapshotReuseAcrossJobs(t *testing.T) {
 	if byName["overlaysim_server_snapshot_cache_hits"] != 1 {
 		t.Errorf("snapshot cache hits gauge = %v, want 1", byName["overlaysim_server_snapshot_cache_hits"])
 	}
-	// Each job forks once per point plus one dense-baseline fork of the
-	// shared family.
+	// Each job forks the shared family once per mechanism.
 	if got := byName["overlaysim_"+sim.PromName(exp.SnapForksCounter)]; got < 2 {
 		t.Errorf("%s = %v, want >= 2", exp.SnapForksCounter, got)
 	}
