@@ -42,8 +42,6 @@ func TestServeMatchesCLI(t *testing.T) {
 			`{"experiment":"omsstress","tenants":2,"ops":2000,"segments":16,"oms_capacity":4}`},
 		{[]string{"omsstress", "-tenants=2", "-ops=2000", "-segments=16", "-oms-capacity=-1", "-oms-spill=false"},
 			`{"experiment":"omsstress","tenants":2,"ops":2000,"segments":16,"oms_capacity":-1,"nospill":true}`},
-		{[]string{"omsstress", "-tenants=2", "-ops=2000", "-segments=16", "-shared"},
-			`{"experiment":"omsstress","tenants":2,"ops":2000,"segments":16,"shared":true}`},
 	}
 
 	defer func() { serveReady, serveStop = nil, nil }()

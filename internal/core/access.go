@@ -31,13 +31,6 @@ func physLineLoc(ppn arch.PPN, line int) lineLoc {
 }
 
 func (f *Framework) overlayLineLoc(opn arch.OPN, entry *omt.Entry, line int) (lineLoc, error) {
-	if entry.SegBase.IsCold() {
-		base, _, err := f.OMS.Resolve(entry.SegBase)
-		if err != nil {
-			return lineLoc{}, fmt.Errorf("core: overlay refill for opn %#x: %w", uint64(opn), err)
-		}
-		entry.SegBase = base
-	}
 	slot, ok := f.OMS.LocateLine(entry.SegBase, line)
 	if !ok {
 		return lineLoc{}, fmt.Errorf("core: overlay line %d of opn %#x has no slot", line, uint64(opn))
@@ -105,13 +98,6 @@ func (f *Framework) overlayInsert(pid arch.PID, vpn arch.VPN, entry *omt.Entry, 
 		base, err := f.OMS.AllocSegment(oms.ClassFor(1))
 		if err != nil {
 			return lineLoc{}, fmt.Errorf("core: overlay alloc: %w", err)
-		}
-		entry.SegBase = base
-		f.OMS.SetOwner(base, uint64(opn))
-	} else if entry.SegBase.IsCold() {
-		base, _, err := f.OMS.Resolve(entry.SegBase)
-		if err != nil {
-			return lineLoc{}, fmt.Errorf("core: overlay refill for opn %#x: %w", uint64(opn), err)
 		}
 		entry.SegBase = base
 	}

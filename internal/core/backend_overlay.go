@@ -196,29 +196,14 @@ func (b *overlayBackend) Fork(parent *vm.Process, overlayMode bool) *vm.Process 
 	child := f.VM.Fork(parent, overlayMode)
 	var copyErr error
 	parent.Table.Range(func(vpn arch.VPN, pte *vm.PTE) bool {
-		srcOPN := arch.OverlayPage(parent.PID, vpn)
-		src := f.OMTTable.Get(srcOPN)
+		src := f.OMTTable.Get(arch.OverlayPage(parent.PID, vpn))
 		if src.OBits.Empty() {
 			return true
 		}
 		dstEntry := f.OMTTable.Ref(arch.OverlayPage(child.PID, vpn))
 		var buf [arch.LineSize]byte
 		for _, line := range src.OBits.Lines() {
-			// Re-read the parent's segment handle every iteration and copy
-			// the line out before inserting into the child: the child's
-			// insert may allocate, and at capacity an allocation can spill
-			// the parent's segment (unswizzling srcOPN to a cold reference).
-			segBase := f.OMTTable.Get(srcOPN).SegBase
-			if segBase.IsCold() {
-				resolved, _, err := f.OMS.Resolve(segBase)
-				if err != nil {
-					copyErr = err
-					return false
-				}
-				f.OMTTable.Ref(srcOPN).SegBase = resolved
-				segBase = resolved
-			}
-			slot, ok := f.OMS.LocateLine(segBase, line)
+			slot, ok := f.OMS.LocateLine(src.SegBase, line)
 			if !ok {
 				continue
 			}

@@ -40,16 +40,6 @@ type Config struct {
 	MemoryPages      int // physical frames backing main memory
 	OMSInitialFrames int // frames granted to the Overlay Memory Store at boot
 
-	// OMSCapacityFrames bounds the frames the Overlay Memory Store may
-	// own: at the budget, allocations evict cooling segments to the spill
-	// tier instead of growing the store. 0 = unlimited (the paper's
-	// configuration; the pre-buffer-manager behaviour, bit-identical).
-	OMSCapacityFrames int
-	// OMSSpill enables the spill tier when a capacity is set: evicted
-	// segments stay live behind cold OMT references and are refilled on
-	// demand, paying a modeled slow-store latency.
-	OMSSpill bool
-
 	TLB      tlb.Config
 	Cache    cache.HierarchyConfig
 	DRAM     dram.Config
@@ -204,12 +194,11 @@ type Framework struct {
 
 	// In-flight controller requests (overlay miss resolutions and
 	// delayed DRAM reads), same scheme.
-	ovl         []ovlReq
-	ovlFree     []uint32
-	ovlFetchFn  sim.ArgEvent
-	ovlWBFn     sim.ArgEvent
-	dramReadFn  sim.ArgEvent // readAfter's delay passed → DRAM read
-	dramWriteFn sim.ArgEvent // arg = line address; delayed DRAM write
+	ovl        []ovlReq
+	ovlFree    []uint32
+	ovlFetchFn sim.ArgEvent
+	ovlWBFn    sim.ArgEvent
+	dramReadFn sim.ArgEvent // readAfter's delay passed → DRAM read
 
 	ovlZeroFills *uint64
 	ovlStaleWBs  *uint64
@@ -274,16 +263,6 @@ func assemble(cfg Config, engine *sim.Engine, memory *mem.Memory, store *oms.Sto
 		OMS:      store,
 		OMTTable: table,
 	}
-	// Unswizzle hook: when the store spills a segment, rewrite its owner's
-	// OMT entry to the cold reference. Ref returns the authoritative entry
-	// pointer (the OMT cache hands out the same pointers), so cached
-	// copies observe the rewrite immediately.
-	store.SetEvictHook(func(owner uint64, cold arch.PhysAddr) {
-		f.OMTTable.Ref(arch.OPN(owner)).SegBase = cold
-	})
-	if cfg.OMSCapacityFrames > 0 {
-		store.SetCapacity(cfg.OMSCapacityFrames, cfg.OMSSpill)
-	}
 	mk, ok := backendRegistry[cfg.BackendName()]
 	if !ok {
 		panic("core: unknown backend " + cfg.BackendName())
@@ -317,7 +296,7 @@ func assemble(cfg Config, engine *sim.Engine, memory *mem.Memory, store *oms.Sto
 	f.ovlFetchFn = func(idx uint64) {
 		r := f.ovl[idx]
 		f.freeOvl(uint32(idx))
-		target, penalty, ok := f.locateOverlayLine(r.entry, r.line)
+		target, ok := f.locateOverlayLine(r.entry, r.line)
 		if !ok {
 			// No backing slot: the line's data never left the caches (or
 			// a prefetcher ran past the overlay). Zero-fill, no DRAM trip.
@@ -325,26 +304,16 @@ func assemble(cfg Config, engine *sim.Engine, memory *mem.Memory, store *oms.Sto
 			r.done.Invoke()
 			return
 		}
-		if penalty > 0 {
-			// The segment was refilled from the spill tier: the DRAM access
-			// waits out the slow-store latency.
-			f.readAfter(penalty, target, r.done)
-			return
-		}
 		f.DRAM.Read(target, r.done)
 	}
 	f.ovlWBFn = func(idx uint64) {
 		r := f.ovl[idx]
 		f.freeOvl(uint32(idx))
-		target, penalty, ok := f.locateOverlayLine(r.entry, r.line)
+		target, ok := f.locateOverlayLine(r.entry, r.line)
 		if !ok {
 			// Promotion discarded the overlay while the dirty line was in
 			// flight; drop the write-back.
 			*f.ovlStaleWBs++
-			return
-		}
-		if penalty > 0 {
-			f.Engine.Schedule(penalty, sim.Bind(f.dramWriteFn, uint64(target)))
 			return
 		}
 		f.DRAM.Write(target)
@@ -354,7 +323,6 @@ func assemble(cfg Config, engine *sim.Engine, memory *mem.Memory, store *oms.Sto
 		f.freeOvl(uint32(idx))
 		f.DRAM.Read(r.target, r.done)
 	}
-	f.dramWriteFn = func(addr uint64) { f.DRAM.Write(arch.PhysAddr(addr)) }
 	return f
 }
 
@@ -510,28 +478,15 @@ func (f *Framework) NewPort() *Port {
 }
 
 // locateOverlayLine resolves (entry, line) to a main-memory address,
-// guarding against segments freed while a request was in flight. A cold
-// (spilled) segment reference is resolved first — the segment is
-// refilled, the entry re-swizzled to the direct handle, and the returned
-// penalty carries the modeled slow-store latency of the refill.
-func (f *Framework) locateOverlayLine(entry *omt.Entry, line int) (arch.PhysAddr, sim.Cycle, bool) {
+// guarding against segments freed while a request was in flight.
+func (f *Framework) locateOverlayLine(entry *omt.Entry, line int) (arch.PhysAddr, bool) {
 	if entry.SegBase == 0 {
-		return 0, 0, false
-	}
-	var penalty sim.Cycle
-	if entry.SegBase.IsCold() {
-		base, p, err := f.OMS.Resolve(entry.SegBase)
-		if err != nil {
-			return 0, 0, false
-		}
-		entry.SegBase = base
-		penalty = p
+		return 0, false
 	}
 	if _, live := f.OMS.SegmentClass(entry.SegBase); !live {
-		return 0, 0, false
+		return 0, false
 	}
-	addr, ok := f.OMS.LocateLine(entry.SegBase, line)
-	return addr, penalty, ok
+	return f.OMS.LocateLine(entry.SegBase, line)
 }
 
 // broadcastLineUpdate delivers the overlaying-read-exclusive message to

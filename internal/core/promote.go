@@ -103,14 +103,6 @@ func (f *Framework) applyOverlayOnto(opn arch.OPN, dst arch.PPN) {
 	if entry.SegBase == 0 {
 		return
 	}
-	if entry.SegBase.IsCold() {
-		base, _, err := f.OMS.Resolve(entry.SegBase)
-		if err != nil {
-			panic(fmt.Sprintf("core: promote refill for opn %#x: %v", uint64(opn), err))
-		}
-		f.OMTTable.Ref(opn).SegBase = base
-		entry.SegBase = base
-	}
 	var buf [arch.LineSize]byte
 	for _, line := range entry.OBits.Lines() {
 		slot, ok := f.OMS.LocateLine(entry.SegBase, line)

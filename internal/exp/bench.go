@@ -442,7 +442,7 @@ func PrintBench(w io.Writer, r *BenchReport) {
 	}
 	fmt.Fprintf(w, "%-10s %6s %10.0fms %10.0fms %8.2fx\n", "total", "-", r.SeqWallMS, r.ParWallMS, r.Speedup)
 	if s := r.Snapshot; s.Forks > 0 {
-		fmt.Fprintf(w, "warm-state reuse: %d families, %d forks, %d warm-ups skipped, %.1f KB copied, ~%.0f ms warm-up saved\n",
-			s.Families, s.Forks, s.WarmupsReused, float64(s.BytesCopied)/1024, s.WarmupMSSaved)
+		fmt.Fprintf(w, "warm-state reuse: %d families, %d forks, %d warm-ups skipped, ~%.0f ms warm-up saved\n",
+			s.Families, s.Forks, s.WarmupsReused, s.WarmupMSSaved)
 	}
 }

@@ -48,3 +48,32 @@ func TestFigure11MatchesPaper(t *testing.T) {
 		prev, prevSize = beat, sz
 	}
 }
+
+// TestFigure10ExtremesMatchPaper checks Figure 10 at the suite's two
+// extremes, where the paper names its numbers: poisson3Db (L 1.09) runs
+// at 0.30× CSR's speed in 4.83× its memory, raefsky4 (L 8) at 1.92× in
+// 0.66×. Each ratio must lie within 15% of the paper's.
+func TestFigure10ExtremesMatchPaper(t *testing.T) {
+	specs := sparse.SuiteSpecs()
+	cases := []struct {
+		spec         sparse.SuiteSpec
+		perf, memory float64
+	}{
+		{specs[0], 0.30, 4.83},
+		{specs[len(specs)-1], 1.92, 0.66},
+	}
+	const tol = 0.15
+	within := func(got, paper float64) bool { return got >= paper*(1-tol) && got <= paper*(1+tol) }
+	for _, c := range cases {
+		r, err := RunSpMV(c.spec.Build(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !within(r.RelPerf(), c.perf) {
+			t.Errorf("%s (L %.2f): perf %.3fx CSR, want %.2fx ± %.0f%%", r.Matrix, r.L, r.RelPerf(), c.perf, 100*tol)
+		}
+		if !within(r.RelMem(), c.memory) {
+			t.Errorf("%s (L %.2f): memory %.3fx CSR, want %.2fx ± %.0f%%", r.Matrix, r.L, r.RelMem(), c.memory, 100*tol)
+		}
+	}
+}

@@ -255,20 +255,8 @@ func compareSpMVLeg(backend string, limit int) (CompareSpMVLeg, error) {
 		leg.CSRCycles += cycles
 
 		if backend == "overlay" {
-			f, err := core.New(cfg)
-			if err != nil {
-				return leg, err
-			}
-			proc := f.VM.NewProcess()
-			o, layout, err := sparse.MapOverlay(f, proc, m)
-			if err != nil {
-				return leg, err
-			}
-			trace, err := sparse.OverlayTrace(o, layout)
-			if err != nil {
-				return leg, err
-			}
-			cycles, err := simulateTrace(f, proc, trace)
+			x, want := spmvOperand(m)
+			_, cycles, err := runOverlay(cfg, m, x, want)
 			if err != nil {
 				return leg, err
 			}

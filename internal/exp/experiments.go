@@ -215,8 +215,6 @@ var Experiments = []*Experiment{
 				usage: "frame budget per tenant store (-1 = unlimited, no eviction)"},
 			{name: "oms-spill", json: "nospill", negate: true,
 				usage: "evict cold segments to the modeled spill tier"},
-			{name: "shared",
-				usage: "route all tenants through one lock-striped shared store (results are bit-identical either way)"},
 			parallelFlag,
 		},
 		run: func(ctx context.Context, pool Pool, n JobSpec) (*JobOutput, error) {
@@ -300,5 +298,5 @@ func knownBench(name string) error {
 // parameters; the spec's -1 (unlimited) is the runner's capacity 0.
 func omsStressParams(n JobSpec) OMSStressParams {
 	return OMSStressParams{Tenants: n.Tenants, Ops: n.Ops, Segments: n.Segments,
-		Capacity: max(n.OMSCapacity, 0), Spill: !n.NoSpill, Shared: n.Shared}
+		Capacity: max(n.OMSCapacity, 0), Spill: !n.NoSpill}
 }

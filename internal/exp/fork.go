@@ -333,7 +333,7 @@ func resumeMechanism(ctx context.Context, pool Pool, fam *forkFamily, params For
 	if err != nil {
 		return MechanismResult{}, err
 	}
-	pool.Snap.addFork(f.Mem.BytesCopied(), fam.resumes.Add(1) > 1, fam.warmUS)
+	pool.Snap.addFork(fam.resumes.Add(1) > 1, fam.warmUS)
 	return r, nil
 }
 

@@ -2,16 +2,15 @@ package exp
 
 // This file implements the `omsstress` experiment: a multi-tenant churn
 // workload against the Overlay Memory Store's buffer-manager mode. Each
-// tenant drives a private store (or a stripe of one lock-striped shared
-// store) through a deterministic seeded mix of segment allocs, frees,
-// line inserts and migrations, with the frame capacity set well below
-// the working set so the cooling queue and the beyond-DRAM spill tier
-// carry the overflow. Every read is verified against the deterministic
-// byte pattern the tenant wrote, so a segment that round-trips through
-// the spill tier with corrupted data or a broken slot mapping fails the
-// run rather than skewing a counter. Tenant streams are independent and
-// seeded from the tenant index, so results are bit-identical at any
-// harness worker count and identical between private and shared mode.
+// tenant drives its own store through a deterministic seeded mix of
+// segment allocs, frees, line inserts and migrations, with the frame
+// capacity set well below the working set so the cooling queue and the
+// beyond-DRAM spill tier carry the overflow. Every read is verified
+// against the deterministic byte pattern the tenant wrote, so a segment
+// that round-trips through the spill tier with corrupted data or a
+// broken slot mapping fails the run rather than skewing a counter.
+// Tenant streams are independent and seeded from the tenant index, so
+// results are bit-identical at any harness worker count.
 
 import (
 	"context"
@@ -33,7 +32,6 @@ type OMSStressParams struct {
 	Segments int  `json:"segments"` // overlay slots per tenant (working-set bound)
 	Capacity int  `json:"capacity"` // frame budget per tenant store; 0 = unlimited
 	Spill    bool `json:"spill"`    // evict cold segments to the spill tier
-	Shared   bool `json:"-"`        // route tenants through one lock-striped store (execution hint)
 }
 
 // DefaultOMSStressParams is the CLI default: four tenants whose ~192
@@ -69,28 +67,15 @@ type OMSStressResult struct {
 
 // stressTenant is one tenant's store plus the reference state the churn
 // loop tracks: the current (possibly cold) handle, class and written
-// lines per overlay slot. The evict hook rewrites refs in place exactly
-// as the OMT's swizzled SegBase pointers are rewritten in the framework.
+// lines per overlay slot. The evict hook rewrites refs in place when
+// the store spills a segment.
 type stressTenant struct {
 	st    *oms.Store
 	stats *sim.Stats
-	sh    *oms.Shared // nil in private mode
-	key   uint64
 
 	refs    []arch.PhysAddr
 	classes []int
 	lines   []arch.OBitVector
-}
-
-// with runs fn against the tenant's store, taking the stripe lock in
-// shared mode — every store operation goes through here so the locking
-// granularity matches what a shared deployment would pay.
-func (t *stressTenant) with(fn func(*oms.Store)) {
-	if t.sh != nil {
-		t.sh.With(t.key, fn)
-		return
-	}
-	fn(t.st)
 }
 
 // stressPattern is the deterministic byte each tenant writes at (slot,
@@ -117,7 +102,6 @@ func newStressTenant(tenant int, p OMSStressParams) (*stressTenant, error) {
 	t := &stressTenant{
 		st:      st,
 		stats:   stats,
-		key:     uint64(tenant),
 		refs:    make([]arch.PhysAddr, p.Segments),
 		classes: make([]int, p.Segments),
 		lines:   make([]arch.OBitVector, p.Segments),
@@ -137,34 +121,31 @@ func newStressTenant(tenant int, p OMSStressParams) (*stressTenant, error) {
 // abort the run; they indicate spill-tier data corruption, not workload
 // variance.
 func (t *stressTenant) churn(tenant int, p OMSStressParams) error {
+	s := t.st
 	rng := rand.New(rand.NewSource(int64(tenant) + 1))
 	var buf [arch.LineSize]byte
-	var opErr error
-	for op := 0; op < p.Ops && opErr == nil; op++ {
+	for op := 0; op < p.Ops; op++ {
 		slot := rng.Intn(p.Segments)
 		switch {
 		case t.refs[slot] == 0:
 			// Empty slot: allocate a small segment and write its first line.
 			class := rng.Intn(oms.NumClasses - 1)
 			line := rng.Intn(arch.LinesPerPage)
-			t.with(func(s *oms.Store) {
-				base, err := s.AllocSegment(class)
-				if err != nil {
-					opErr = err
-					return
-				}
-				s.SetOwner(base, uint64(slot)+1)
-				t.refs[slot] = base
-				t.classes[slot] = class
-				t.lines[slot] = 0
-				opErr = t.writeLine(s, slot, line, buf[:], tenant)
-			})
+			base, err := s.AllocSegment(class)
+			if err != nil {
+				return err
+			}
+			s.SetOwner(base, uint64(slot)+1)
+			t.refs[slot] = base
+			t.classes[slot] = class
+			t.lines[slot] = 0
+			if err := t.writeLine(slot, line, buf[:], tenant); err != nil {
+				return err
+			}
 
 		case rng.Intn(10) < 3:
 			// Free: cold references release their spill record directly.
-			t.with(func(s *oms.Store) {
-				s.FreeSegment(t.refs[slot])
-			})
+			s.FreeSegment(t.refs[slot])
 			t.refs[slot] = 0
 			t.lines[slot] = 0
 
@@ -173,37 +154,34 @@ func (t *stressTenant) churn(tenant int, p OMSStressParams) error {
 			// written, then insert another — migrating up a class when the
 			// segment is full.
 			line := rng.Intn(arch.LinesPerPage)
-			var pick int = -1
+			pick := -1
 			if present := t.lines[slot].Lines(); len(present) > 0 {
 				pick = present[rng.Intn(len(present))]
 			}
-			t.with(func(s *oms.Store) {
-				base, _, err := s.Resolve(t.refs[slot])
-				if err != nil {
-					opErr = err
-					return
+			base, _, err := s.Resolve(t.refs[slot])
+			if err != nil {
+				return err
+			}
+			t.refs[slot] = base
+			if pick >= 0 {
+				if err := t.verifyLine(slot, pick, buf[:], tenant); err != nil {
+					return err
 				}
-				t.refs[slot] = base
-				if pick >= 0 {
-					if opErr = t.verifyLine(s, slot, pick, buf[:], tenant); opErr != nil {
-						return
-					}
+			}
+			if !t.lines[slot].Has(line) {
+				if err := t.writeLine(slot, line, buf[:], tenant); err != nil {
+					return err
 				}
-				if !t.lines[slot].Has(line) {
-					opErr = t.writeLine(s, slot, line, buf[:], tenant)
-				}
-			})
+			}
 		}
-	}
-	if opErr != nil {
-		return fmt.Errorf("omsstress tenant %d: %w", tenant, opErr)
 	}
 	return nil
 }
 
 // writeLine inserts `line` into the slot's segment (migrating to the
 // next class when full) and writes the tenant's pattern bytes.
-func (t *stressTenant) writeLine(s *oms.Store, slot, line int, buf []byte, tenant int) error {
+func (t *stressTenant) writeLine(slot, line int, buf []byte, tenant int) error {
+	s := t.st
 	addr, full := s.InsertLine(t.refs[slot], line)
 	if full {
 		if t.classes[slot] >= oms.NumClasses-1 {
@@ -228,12 +206,12 @@ func (t *stressTenant) writeLine(s *oms.Store, slot, line int, buf []byte, tenan
 }
 
 // verifyLine reads a previously written line back and checks every byte.
-func (t *stressTenant) verifyLine(s *oms.Store, slot, line int, buf []byte, tenant int) error {
-	addr, ok := s.LocateLine(t.refs[slot], line)
+func (t *stressTenant) verifyLine(slot, line int, buf []byte, tenant int) error {
+	addr, ok := t.st.LocateLine(t.refs[slot], line)
 	if !ok {
 		return fmt.Errorf("slot %d line %d lost its segment slot", slot, line)
 	}
-	s.ReadLineData(addr, buf)
+	t.st.ReadLineData(addr, buf)
 	for i := range buf {
 		if want := stressPattern(tenant, slot, line, i); buf[i] != want {
 			return fmt.Errorf("slot %d line %d byte %d: got %#x want %#x (data corrupted across spill)",
@@ -249,54 +227,44 @@ func (t *stressTenant) verifyLine(s *oms.Store, slot, line int, buf []byte, tena
 // resident plus spilled bytes must equal the bytes of every live
 // segment the reference state still holds.
 func (t *stressTenant) result(tenant int) (OMSStressResult, error) {
-	var r OMSStressResult
-	var invErr error
-	t.with(func(s *oms.Store) {
-		live := 0
-		for slot, ref := range t.refs {
-			if ref != 0 {
-				live += oms.ClassBytes(t.classes[slot])
-			}
+	s := t.st
+	live := 0
+	for slot, ref := range t.refs {
+		if ref != 0 {
+			live += oms.ClassBytes(t.classes[slot])
 		}
-		if got := s.BytesInUse(); got != live {
-			invErr = fmt.Errorf("omsstress tenant %d: store holds %d bytes, reference state %d", tenant, got, live)
-			return
-		}
-		if s.ResidentBytes()+s.SpilledBytes() != s.BytesInUse() {
-			invErr = fmt.Errorf("omsstress tenant %d: resident %d + spilled %d != in use %d",
-				tenant, s.ResidentBytes(), s.SpilledBytes(), s.BytesInUse())
-			return
-		}
-		r = OMSStressResult{
-			Tenant:          tenant,
-			Allocs:          t.stats.Get("oms.segment_allocs"),
-			Frees:           t.stats.Get("oms.segment_frees"),
-			Splits:          t.stats.Get("oms.segment_splits"),
-			Coalesces:       t.stats.Get("oms.segment_coalesces"),
-			Migrations:      t.stats.Get("oms.migrations"),
-			Evictions:       t.stats.Get("oms.evictions"),
-			Spills:          t.stats.Get("oms.spills"),
-			Refills:         t.stats.Get("oms.refills"),
-			SecondChances:   t.stats.Get("oms.second_chances"),
-			Overruns:        t.stats.Get("oms.capacity_overruns"),
-			PenaltyCycles:   t.stats.Get("oms.spill_penalty_cycles"),
-			LineChecks:      t.stats.Get("omsstress.line_checks"),
-			FramesOwned:     s.FramesOwned(),
-			LiveSegments:    s.LiveSegments(),
-			SpilledSegments: s.SpilledSegments(),
-			ResidentBytes:   s.ResidentBytes(),
-			SpilledBytes:    s.SpilledBytes(),
-		}
-	})
-	return r, invErr
+	}
+	if got := s.BytesInUse(); got != live {
+		return OMSStressResult{}, fmt.Errorf("omsstress tenant %d: store holds %d bytes, reference state %d", tenant, got, live)
+	}
+	if s.ResidentBytes()+s.SpilledBytes() != s.BytesInUse() {
+		return OMSStressResult{}, fmt.Errorf("omsstress tenant %d: resident %d + spilled %d != in use %d",
+			tenant, s.ResidentBytes(), s.SpilledBytes(), s.BytesInUse())
+	}
+	return OMSStressResult{
+		Tenant:          tenant,
+		Allocs:          t.stats.Get("oms.segment_allocs"),
+		Frees:           t.stats.Get("oms.segment_frees"),
+		Splits:          t.stats.Get("oms.segment_splits"),
+		Coalesces:       t.stats.Get("oms.segment_coalesces"),
+		Migrations:      t.stats.Get("oms.migrations"),
+		Evictions:       t.stats.Get("oms.evictions"),
+		Spills:          t.stats.Get("oms.spills"),
+		Refills:         t.stats.Get("oms.refills"),
+		SecondChances:   t.stats.Get("oms.second_chances"),
+		Overruns:        t.stats.Get("oms.capacity_overruns"),
+		PenaltyCycles:   t.stats.Get("oms.spill_penalty_cycles"),
+		LineChecks:      t.stats.Get("omsstress.line_checks"),
+		FramesOwned:     s.FramesOwned(),
+		LiveSegments:    s.LiveSegments(),
+		SpilledSegments: s.SpilledSegments(),
+		ResidentBytes:   s.ResidentBytes(),
+		SpilledBytes:    s.SpilledBytes(),
+	}, nil
 }
 
 // RunOMSStressPool runs every tenant's churn as one harness job and
-// returns the per-tenant rows plus the merged stats registry. In shared
-// mode all tenant stores are wrapped in one lock-striped oms.Shared
-// (one stripe per tenant) before the jobs launch; because the op
-// streams are private per stripe, the metrics are bit-identical to
-// private mode — Shared only changes what the locks cost.
+// returns the per-tenant rows plus the merged stats registry.
 func RunOMSStressPool(ctx context.Context, pool Pool, p OMSStressParams) ([]OMSStressResult, *sim.Stats, error) {
 	if p.Tenants <= 0 || p.Ops <= 0 || p.Segments <= 0 {
 		return nil, nil, fmt.Errorf("omsstress: tenants, ops and segments must be positive")
@@ -309,16 +277,6 @@ func RunOMSStressPool(ctx context.Context, pool Pool, p OMSStressParams) ([]OMSS
 		}
 		tenants[i] = t
 	}
-	if p.Shared {
-		stores := make([]*oms.Store, p.Tenants)
-		for i, t := range tenants {
-			stores[i] = t.st
-		}
-		sh := oms.NewShared(stores)
-		for _, t := range tenants {
-			t.sh = sh
-		}
-	}
 	idx := make([]int, p.Tenants)
 	for i := range idx {
 		idx[i] = i
@@ -327,7 +285,7 @@ func RunOMSStressPool(ctx context.Context, pool Pool, p OMSStressParams) ([]OMSS
 		func(_ context.Context, tenant int, _ int) (OMSStressResult, error) {
 			t := tenants[tenant]
 			if err := t.churn(tenant, p); err != nil {
-				return OMSStressResult{}, err
+				return OMSStressResult{}, fmt.Errorf("omsstress tenant %d: %w", tenant, err)
 			}
 			return t.result(tenant)
 		})
@@ -343,10 +301,6 @@ func RunOMSStressPool(ctx context.Context, pool Pool, p OMSStressParams) ([]OMSS
 
 // PrintOMSStress renders the per-tenant table and totals.
 func PrintOMSStress(w io.Writer, p OMSStressParams, results []OMSStressResult) {
-	mode := "private stores"
-	if p.Shared {
-		mode = "lock-striped shared store"
-	}
 	capacity := "unlimited"
 	if p.Capacity > 0 {
 		capacity = fmt.Sprintf("%d frames", p.Capacity)
@@ -354,8 +308,8 @@ func PrintOMSStress(w io.Writer, p OMSStressParams, results []OMSStressResult) {
 			capacity += " + spill tier"
 		}
 	}
-	fmt.Fprintf(w, "OMS buffer-manager stress: %d tenants x %d ops over %d segments (%s, %s)\n",
-		p.Tenants, p.Ops, p.Segments, capacity, mode)
+	fmt.Fprintf(w, "OMS buffer-manager stress: %d tenants x %d ops over %d segments (%s)\n",
+		p.Tenants, p.Ops, p.Segments, capacity)
 	fmt.Fprintf(w, "%-7s %8s %8s %8s %8s %8s %8s %10s %12s %12s\n",
 		"tenant", "allocs", "migr", "evict", "spills", "refills", "2nd-ch", "checks", "resident", "spilled")
 	var tot OMSStressResult

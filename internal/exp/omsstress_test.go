@@ -71,28 +71,6 @@ func TestOMSStressDeterministic(t *testing.T) {
 	}
 }
 
-// TestOMSStressSharedMatchesPrivate asserts the lock-striped shared
-// store is an execution hint only: per-tenant op streams are private
-// per stripe, so the simulated metrics are bit-identical to private
-// stores. This is what justifies stripping Shared from the cache key.
-func TestOMSStressSharedMatchesPrivate(t *testing.T) {
-	p := tinyStressParams()
-	private := runStress(t, p, 2)
-	p.Shared = true
-	shared := runStress(t, p, 2)
-	for i := range private {
-		if private[i] != shared[i] {
-			t.Errorf("tenant %d diverged between private and shared mode:\n private %+v\n shared  %+v",
-				i, private[i], shared[i])
-		}
-	}
-	base := JobSpec{Experiment: "omsstress"}
-	hinted := JobSpec{Experiment: "omsstress", Shared: true, Parallel: 4}
-	if base.Key() != hinted.Key() {
-		t.Error("shared/parallel hints changed the omsstress cache key")
-	}
-}
-
 // TestOMSStressUnlimitedNeverSpills pins the unlimited-capacity mode:
 // no budget means no cooling queue and no spill traffic.
 func TestOMSStressUnlimitedNeverSpills(t *testing.T) {

@@ -26,7 +26,6 @@ import (
 // exports and server telemetry.
 const (
 	SnapForksCounter   = "sim.snapshot.forks"
-	SnapBytesCounter   = "sim.snapshot.bytes_copied"
 	SnapWarmupsCounter = "sim.snapshot.warmups_reused"
 )
 
@@ -37,7 +36,6 @@ type SnapshotStats struct {
 	families      atomic.Uint64
 	forks         atomic.Uint64
 	warmupsReused atomic.Uint64
-	bytesCopied   atomic.Uint64
 	warmupSavedUS atomic.Uint64 // microseconds of warm-up wall clock skipped
 }
 
@@ -47,12 +45,11 @@ func (s *SnapshotStats) addFamily() {
 	}
 }
 
-func (s *SnapshotStats) addFork(bytesCopied uint64, reusedWarmup bool, warmupSavedUS uint64) {
+func (s *SnapshotStats) addFork(reusedWarmup bool, warmupSavedUS uint64) {
 	if s == nil {
 		return
 	}
 	s.forks.Add(1)
-	s.bytesCopied.Add(bytesCopied)
 	if reusedWarmup {
 		s.warmupsReused.Add(1)
 		s.warmupSavedUS.Add(warmupSavedUS)
@@ -68,19 +65,17 @@ func (s *SnapshotStats) Provenance() SnapshotProvenance {
 		Families:      s.families.Load(),
 		Forks:         s.forks.Load(),
 		WarmupsReused: s.warmupsReused.Load(),
-		BytesCopied:   s.bytesCopied.Load(),
 		WarmupMSSaved: float64(s.warmupSavedUS.Load()) / 1000,
 	}
 }
 
 // SnapshotProvenance is the exported warm-state-reuse record: how many
 // family snapshots were built, how many runs resumed from one, and what
-// the reuse cost (copy-on-write bytes) and saved (warm-up wall clock).
+// the reuse saved (warm-up wall clock).
 type SnapshotProvenance struct {
 	Families      uint64  `json:"families"`
 	Forks         uint64  `json:"forks"`
 	WarmupsReused uint64  `json:"warmups_reused"`
-	BytesCopied   uint64  `json:"bytes_copied"`
 	WarmupMSSaved float64 `json:"warmup_ms_saved"`
 }
 
@@ -95,22 +90,20 @@ func (p *SnapshotProvenance) accumulate(q SnapshotProvenance) {
 	p.Families += q.Families
 	p.Forks += q.Forks
 	p.WarmupsReused += q.WarmupsReused
-	p.BytesCopied += q.BytesCopied
 	p.WarmupMSSaved += q.WarmupMSSaved
 }
 
-// AttachCounters adds the deterministic reuse tallies (counts and
-// simulated bytes; never wall clock) to an export's counter map, so
+// AttachCounters adds the deterministic reuse tallies (counts, never
+// wall clock) to an export's counter map, so
 // CLI -json documents and served jobs expose identical telemetry.
 func (p SnapshotProvenance) AttachCounters(ex *sim.Export) {
 	if ex == nil || p.Empty() {
 		return
 	}
 	if ex.Counters == nil {
-		ex.Counters = make(map[string]uint64, 3)
+		ex.Counters = make(map[string]uint64, 2)
 	}
 	ex.Counters[SnapForksCounter] = p.Forks
-	ex.Counters[SnapBytesCounter] = p.BytesCopied
 	ex.Counters[SnapWarmupsCounter] = p.WarmupsReused
 }
 
@@ -121,7 +114,6 @@ func (p SnapshotProvenance) AttachStats(stats *sim.Stats) {
 		return
 	}
 	stats.Add(SnapForksCounter, p.Forks)
-	stats.Add(SnapBytesCounter, p.BytesCopied)
 	stats.Add(SnapWarmupsCounter, p.WarmupsReused)
 }
 

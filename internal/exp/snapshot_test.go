@@ -28,7 +28,6 @@ func comparableExport(t *testing.T, out *JobOutput) []byte {
 			c[k] = v
 		}
 		delete(c, SnapForksCounter)
-		delete(c, SnapBytesCounter)
 		delete(c, SnapWarmupsCounter)
 		ex.Counters = c
 	}
@@ -99,7 +98,7 @@ func TestForkedMatchesCold(t *testing.T) {
 			if !bytes.Equal(cb, fb) {
 				t.Errorf("forked export diverges from cold\ncold:\n%s\nforked:\n%s", cb, fb)
 			}
-			for _, k := range []string{SnapForksCounter, SnapBytesCounter, SnapWarmupsCounter} {
+			for _, k := range []string{SnapForksCounter, SnapWarmupsCounter} {
 				if _, ok := cold.Export.Counters[k]; ok {
 					t.Errorf("cold export carries reuse counter %s", k)
 				}

@@ -86,26 +86,20 @@ type JobSpec struct {
 	// capped store then grants overflow frames and counts overruns
 	// instead of evicting.
 	NoSpill bool `json:"nospill,omitempty"`
-
-	// Shared routes omsstress tenants through one lock-striped shared
-	// store. Like Parallel it is an execution hint only — per-tenant op
-	// streams are private per stripe, so simulated metrics are
-	// bit-identical either way — and is excluded from the cache key.
-	Shared bool `json:"shared,omitempty"`
 }
 
 // fieldNames are the JSON names of the flag-settable JobSpec fields, in
 // the order fields returns them.
 var fieldNames = [...]string{"parallel", "cold", "bench", "backend", "warm", "measure",
 	"matrices", "dense", "points", "rows", "tenants", "ops", "segments",
-	"oms_capacity", "nospill", "shared"}
+	"oms_capacity", "nospill"}
 
 // fields returns a pointer to each flag-settable field of s, in
 // fieldNames order: an *int, *uint64, *string or *bool.
 func (s *JobSpec) fields() [len(fieldNames)]any {
 	return [...]any{&s.Parallel, &s.Cold, &s.Bench, &s.Backend, &s.Warm, &s.Measure,
 		&s.Matrices, &s.Dense, &s.Points, &s.Rows, &s.Tenants, &s.Ops, &s.Segments,
-		&s.OMSCapacity, &s.NoSpill, &s.Shared}
+		&s.OMSCapacity, &s.NoSpill}
 }
 
 // isZero reports whether the field p points at holds its zero value.
@@ -245,7 +239,6 @@ func (s JobSpec) CanonicalJSON() []byte {
 	c := s.Normalized()
 	c.Parallel = 0
 	c.Cold = false
-	c.Shared = false
 	b, err := json.Marshal(c)
 	if err != nil {
 		// JobSpec is a plain struct of marshalable fields; Marshal

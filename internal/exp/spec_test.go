@@ -29,7 +29,7 @@ func TestSpecRoundTrip(t *testing.T) {
 		{Experiment: "dualcore", Parallel: 2},
 		{Experiment: "omsstress"},
 		{Experiment: "omsstress", Tenants: 2, Ops: 4000, Segments: 48, OMSCapacity: 8, Parallel: 2},
-		{Experiment: "omsstress", OMSCapacity: -1, NoSpill: true, Shared: true},
+		{Experiment: "omsstress", OMSCapacity: -1, NoSpill: true},
 	}
 	for _, s := range specs {
 		args := s.CLIArgs()
@@ -105,7 +105,7 @@ func TestSpecValidation(t *testing.T) {
 		{"negative matrices", JobSpec{Experiment: "linesize", Matrices: -2}, "matrices"},
 		{"sweep one point", JobSpec{Experiment: "sweep", Points: 1}, "at least 2 sweep points"},
 		{"sweep tiny rows", JobSpec{Experiment: "sweep", Rows: 4}, "cache line"},
-		{"ok omsstress", JobSpec{Experiment: "omsstress", OMSCapacity: 8, Shared: true}, ""},
+		{"ok omsstress", JobSpec{Experiment: "omsstress", OMSCapacity: 8}, ""},
 		{"omsstress with bench", JobSpec{Experiment: "omsstress", Bench: "mcf"}, `"bench" does not apply`},
 		{"omsstress with cold", JobSpec{Experiment: "omsstress", Cold: true}, `"cold" does not apply`},
 		{"spmv with cold", JobSpec{Experiment: "spmv", Cold: true}, `"cold" does not apply`},
@@ -114,7 +114,6 @@ func TestSpecValidation(t *testing.T) {
 		{"omsstress bad capacity", JobSpec{Experiment: "omsstress", OMSCapacity: -2}, "oms_capacity"},
 		{"omsstress bad tenants", JobSpec{Experiment: "omsstress", Tenants: -1}, "tenants"},
 		{"fork with tenants", JobSpec{Experiment: "fork", Tenants: 2}, `"tenants" does not apply`},
-		{"sweep with shared", JobSpec{Experiment: "sweep", Shared: true}, `"shared" does not apply`},
 		{"spmv with nospill", JobSpec{Experiment: "spmv", NoSpill: true}, `"nospill" does not apply`},
 	}
 	for _, c := range cases {
@@ -214,7 +213,7 @@ func TestSpecKey(t *testing.T) {
 
 // TestSpecKeyIgnoresExecutionHints is the digest-agreement regression
 // for the result tiers (LRU cache, persistent store, coordinator shard
-// routing): every execution-only field — parallel, cold, shared — must
+// routing): every execution-only field — parallel, cold — must
 // be invisible to Key, individually and combined, or identical work
 // would land in different cache slots depending on how it was launched.
 func TestSpecKeyIgnoresExecutionHints(t *testing.T) {
@@ -223,11 +222,10 @@ func TestSpecKeyIgnoresExecutionHints(t *testing.T) {
 		base, variant JobSpec
 	}{
 		{"parallel", JobSpec{Experiment: "omsstress"}, JobSpec{Experiment: "omsstress", Parallel: 7}},
-		{"shared", JobSpec{Experiment: "omsstress"}, JobSpec{Experiment: "omsstress", Shared: true}},
 		{"cold", JobSpec{Experiment: "dualcore"}, JobSpec{Experiment: "dualcore", Cold: true}},
 		{"all combined",
-			JobSpec{Experiment: "omsstress", Tenants: 3, Ops: 500},
-			JobSpec{Experiment: "omsstress", Tenants: 3, Ops: 500, Parallel: 4, Shared: true}},
+			JobSpec{Experiment: "fork", Bench: "hmmer", Warm: 20000},
+			JobSpec{Experiment: "fork", Bench: "hmmer", Warm: 20000, Parallel: 4, Cold: true}},
 	}
 	for _, tc := range cases {
 		if tc.base.Key() != tc.variant.Key() {

@@ -3,7 +3,6 @@ package oms
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -341,130 +340,20 @@ func TestChurnConservation(t *testing.T) {
 	}
 }
 
-// TestCapacitySnapshotRestore snapshots a capacity-mode store mid-churn
-// (cooling queue populated, segments in the spill tier) and checks that
-// a restored store is observably identical: same footprint, same spill
-// images, and the same behaviour for the same subsequent op sequence.
-func TestCapacitySnapshotRestore(t *testing.T) {
-	m := mem.New(1 << 10)
-	var st sim.Stats
-	s, err := New(m, &st, 0)
+// TestSnapshotRefusesCapacityStore pins that snapshots capture only
+// unlimited stores: a store with a frame budget carries cooling-queue and
+// spill-tier state the capture leaves out, so Snapshot panics instead of
+// producing a capture that would restore without it.
+func TestSnapshotRefusesCapacityStore(t *testing.T) {
+	s, err := New(mem.New(64), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := newTracker(s)
 	s.SetCapacity(3, true)
-	rng := rand.New(rand.NewSource(7))
-	var owners []uint64
-	for i := 0; i < 1500; i++ {
-		churnStep(t, rng, s, tr, &owners)
-	}
-	if s.SpilledSegments() == 0 {
-		t.Fatal("want spilled segments at the snapshot point")
-	}
-
-	// Snapshot both the store bookkeeping and the memory it lives in (the
-	// same pairing core.Framework.Snapshot performs), then rebuild on a
-	// copy-on-write fork of the memory so the two stores evolve
-	// independently from identical state.
-	snap := s.Snapshot()
-	msnap := m.Snapshot()
-	var st2 sim.Stats
-	restored, err := New(mem.NewFromSnapshot(msnap), &st2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The restored store shares the tracker: hooks from either store
-	// update the same reference table, and the op streams below are
-	// driven independently but identically.
-	restored.SetEvictHook(func(owner uint64, cold arch.PhysAddr) { tr.refs[owner] = cold })
-	restored.Restore(snap)
-
-	checks := []struct {
-		name      string
-		got, want int
-	}{
-		{"FramesOwned", restored.FramesOwned(), s.FramesOwned()},
-		{"BytesInUse", restored.BytesInUse(), s.BytesInUse()},
-		{"ResidentBytes", restored.ResidentBytes(), s.ResidentBytes()},
-		{"SpilledBytes", restored.SpilledBytes(), s.SpilledBytes()},
-		{"LiveSegments", restored.LiveSegments(), s.LiveSegments()},
-		{"SpilledSegments", restored.SpilledSegments(), s.SpilledSegments()},
-	}
-	for _, c := range checks {
-		if c.got != c.want {
-			t.Fatalf("restored %s = %d, want %d", c.name, c.got, c.want)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Snapshot of a capacity-armed store did not panic")
 		}
-	}
-
-	// Same allocation stream from both stores must hand out the same
-	// addresses (free lists and cooling queue restored in exact order).
-	for i := 0; i < 64; i++ {
-		class := i % NumClasses
-		a, errA := s.AllocSegment(class)
-		b, errB := restored.AllocSegment(class)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("alloc %d diverged: %v vs %v", i, errA, errB)
-		}
-		if a != b {
-			t.Fatalf("alloc %d: original %#x, restored %#x", i, uint64(a), uint64(b))
-		}
-		s.FreeSegment(a)
-		restored.FreeSegment(b)
-	}
-}
-
-// TestSharedStriping hammers a lock-striped Shared store from many
-// goroutines (run with -race in CI) and checks per-shard conservation
-// afterwards.
-func TestSharedStriping(t *testing.T) {
-	const shards = 4
-	stores := make([]*Store, shards)
-	for i := range stores {
-		m := mem.New(512)
-		var st sim.Stats
-		s, err := New(m, &st, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores[i] = s
-	}
-	sh := NewShared(stores)
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			live := make(map[uint64][]arch.PhysAddr)
-			for i := 0; i < 2000; i++ {
-				key := uint64(rng.Intn(shards * 2)) // collide across goroutines
-				sh.With(key, func(s *Store) {
-					if len(live[key]) == 0 || rng.Intn(2) == 0 {
-						base, err := s.AllocSegment(rng.Intn(NumClasses))
-						if err != nil {
-							panic(err)
-						}
-						live[key] = append(live[key], base)
-					} else {
-						n := len(live[key])
-						s.FreeSegment(live[key][n-1])
-						live[key] = live[key][:n-1]
-					}
-				})
-			}
-			for key, bases := range live {
-				for _, base := range bases {
-					sh.With(key, func(s *Store) { s.FreeSegment(base) })
-				}
-			}
-		}(int64(g))
-	}
-	wg.Wait()
-	for i, s := range stores {
-		if s.LiveSegments() != 0 || s.BytesInUse() != 0 {
-			t.Fatalf("shard %d not drained: live=%d bytes=%d", i, s.LiveSegments(), s.BytesInUse())
-		}
-	}
+	}()
+	s.Snapshot()
 }

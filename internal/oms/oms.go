@@ -24,6 +24,8 @@
 // swizzled handles: a resident segment is referenced by its physical
 // base address, a spilled one by a cold reference (arch.ColdBit) that
 // Resolve turns back into a direct handle by refilling the segment.
+// The overlay framework never sets a capacity; the omsstress experiment
+// is the one user of this mode.
 //
 // Segment metadata is stored functionally in main memory (the metadata
 // line really occupies the segment's first 64 bytes), exactly where the
@@ -247,10 +249,10 @@ func (s *Store) SetCapacity(frames int, spill bool) {
 func (s *Store) SetEvictHook(fn func(owner uint64, cold arch.PhysAddr)) { s.evictHook = fn }
 
 // SetOwner associates a live resident segment with the opaque token of
-// its reference holder (the overlay page number for OMT-held segments, a
-// harness handle otherwise). Only owned segments are eligible for
-// eviction — the spill path must be able to unswizzle the owner's
-// reference through the evict hook. A no-op when no capacity is set.
+// its reference holder (omsstress passes a tenant's slot index plus one,
+// since 0 means unowned). Only owned segments are eligible for eviction
+// — the spill path must be able to unswizzle the owner's reference
+// through the evict hook. A no-op when no capacity is set.
 func (s *Store) SetOwner(base arch.PhysAddr, owner uint64) {
 	if s.capacity == 0 {
 		return

@@ -1,19 +1,16 @@
 package oms
 
-import (
-	"repro/internal/arch"
-	"repro/internal/sim"
-)
+import "repro/internal/arch"
 
 // Snapshot support: the store's bookkeeping is flat arrays (the unit
-// table carries the free lists, cooling queue and class tags
-// intrusively), so a capture is a value copy of those arrays plus the
-// footprint totals and the spill tier — free-list and cooling-queue
-// order is preserved exactly (AllocSegment pops the tail and the clock
-// sweeps from the head, so order is timing-relevant). Segment contents
-// and metadata lines live in main memory and are covered by the mem
-// package's copy-on-write snapshot; spilled segment images live host-
-// side in the spill records and are deep-copied here.
+// table carries the free lists and class tags intrusively), so a capture
+// is a value copy of those arrays plus the footprint totals — free-list
+// order is preserved exactly (AllocSegment pops the tail, so order is
+// timing-relevant). Segment contents and metadata lines live in main
+// memory and are covered by the mem package's copy-on-write snapshot.
+// Only unlimited stores are captured: the framework, the one caller,
+// never arms a frame budget, so the cooling queue and spill tier are
+// always empty here.
 
 // Snapshot is an immutable capture of a Store's bookkeeping.
 type Snapshot struct {
@@ -26,56 +23,28 @@ type Snapshot struct {
 	owned    int
 	inUse    int
 	liveSegs int
-
-	capacity     int
-	spill        bool
-	spillLat     sim.Cycle
-	spillLineLat sim.Cycle
-
-	coolHead, coolTail int32
-	coolLen            int
-
-	spillRecs    []spillRec
-	spillFree    []int32
-	spilledBytes int
-	spilledSegs  int
 }
 
-// Snapshot captures the store.
+// Snapshot captures the store. It panics on a store with a frame budget
+// (SetCapacity): its cooling queue and spill tier are not captured.
 func (s *Store) Snapshot() *Snapshot {
-	snap := &Snapshot{
-		frames:       append([]arch.PPN(nil), s.frames...),
-		units:        append([]unit(nil), s.units...),
-		freeHead:     s.freeHead,
-		freeTail:     s.freeTail,
-		owned:        s.owned,
-		inUse:        s.inUse,
-		liveSegs:     s.liveSegs,
-		capacity:     s.capacity,
-		spill:        s.spill,
-		spillLat:     s.spillLat,
-		spillLineLat: s.spillLineLat,
-		coolHead:     s.coolHead,
-		coolTail:     s.coolTail,
-		coolLen:      s.coolLen,
-		spillFree:    append([]int32(nil), s.spillFree...),
-		spilledBytes: s.spilledBytes,
-		spilledSegs:  s.spilledSegs,
+	if s.capacity != 0 {
+		panic("oms: snapshot of a capacity-armed store")
 	}
-	snap.spillRecs = make([]spillRec, len(s.spillRecs))
-	for i, rec := range s.spillRecs {
-		snap.spillRecs[i] = spillRec{
-			data:  append([]byte(nil), rec.data...),
-			owner: rec.owner,
-			class: rec.class,
-		}
+	return &Snapshot{
+		frames:   append([]arch.PPN(nil), s.frames...),
+		units:    append([]unit(nil), s.units...),
+		freeHead: s.freeHead,
+		freeTail: s.freeTail,
+		owned:    s.owned,
+		inUse:    s.inUse,
+		liveSegs: s.liveSegs,
 	}
-	return snap
 }
 
 // Restore loads the captured bookkeeping into this store (typically a
-// freshly built one wired to a forked Memory). The evict hook and trace
-// attachment are not part of the capture — the owner re-wires them.
+// freshly built one wired to a forked Memory). The trace attachment is
+// not part of the capture — the owner re-wires it.
 func (s *Store) Restore(snap *Snapshot) {
 	s.frames = append(s.frames[:0], snap.frames...)
 	s.units = append(s.units[:0], snap.units...)
@@ -90,27 +59,4 @@ func (s *Store) Restore(snap *Snapshot) {
 	s.owned = snap.owned
 	s.inUse = snap.inUse
 	s.liveSegs = snap.liveSegs
-	s.capacity = snap.capacity
-	s.spill = snap.spill
-	s.spillLat = snap.spillLat
-	s.spillLineLat = snap.spillLineLat
-	s.coolHead = snap.coolHead
-	s.coolTail = snap.coolTail
-	s.coolLen = snap.coolLen
-	s.pinned = -1
-	s.spillRecs = s.spillRecs[:0]
-	for _, rec := range snap.spillRecs {
-		s.spillRecs = append(s.spillRecs, spillRec{
-			data:  append([]byte(nil), rec.data...),
-			owner: rec.owner,
-			class: rec.class,
-		})
-	}
-	s.spillFree = append(s.spillFree[:0], snap.spillFree...)
-	s.spilledBytes = snap.spilledBytes
-	s.spilledSegs = snap.spilledSegs
-	if s.capacity != 0 {
-		s.bindCapacityCounters()
-		s.syncGauges()
-	}
 }

@@ -821,8 +821,8 @@ func TestStoreReadErrorFallsBackToEngine(t *testing.T) {
 }
 
 // TestStoreAndCacheAgreeOnDigest is the digest-agreement regression:
-// a spec canonicalized with execution-only fields (parallel, cold,
-// shared) set must produce the same digest for the LRU cache, the
+// a spec canonicalized with an execution-only field (parallel) set
+// must produce the same digest for the LRU cache, the
 // persistent store, and exp.JobSpec.Key — so every tier answers a
 // resubmission spelled with different execution hints.
 func TestStoreAndCacheAgreeOnDigest(t *testing.T) {
@@ -831,7 +831,7 @@ func TestStoreAndCacheAgreeOnDigest(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, Runner: runner.run, Store: store})
 
 	base := `{"experiment":"omsstress","tenants":2,"ops":100,"segments":8}`
-	variant := `{"experiment":"omsstress","tenants":2,"ops":100,"segments":8,"parallel":4,"shared":true}`
+	variant := `{"experiment":"omsstress","tenants":2,"ops":100,"segments":8,"parallel":4}`
 
 	status, doc, _ := postSpec(t, ts, base, true)
 	if status != http.StatusOK || doc.State != StateDone {
