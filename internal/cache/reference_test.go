@@ -421,3 +421,64 @@ func TestFlatTagStoreMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoredLevelMatchesReference checks that a capture holding only
+// the valid ways is exact. At random points the level is captured and
+// restored into a freshly built one, whose empty ways hold constructor
+// values where the reference's hold stale replacement words, and both
+// carry on with the same calls: lookups, fills, invalidates and retags
+// within and across sets. Every call's result (hits, victims and their
+// dirty state) and the hit/miss totals and dirty lines must match the
+// reference after every step.
+func TestRestoredLevelMatchesReference(t *testing.T) {
+	const steps = 3000
+	for _, g := range refGeometries {
+		for seed := int64(1); seed <= 2; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", g.name, seed), func(t *testing.T) {
+				flat := New(g.name, g.size, g.ways, g.flat)
+				ref := newRefCache(g.size, g.ways, g.ref)
+				rng := rand.New(rand.NewSource(seed))
+				a := newRefAddrs(rand.New(rand.NewSource(seed+100)), flat.Sets(), g.ways)
+				restores := 0
+				for i := 0; i < steps; i++ {
+					if rng.Intn(60) == 0 {
+						fresh := New(g.name, g.size, g.ways, g.flat)
+						fresh.Restore(flat.Snapshot())
+						flat = fresh
+						restores++
+					}
+					if err := a.step(flat, ref); err != nil {
+						t.Fatalf("step %d (after %d restores): %v", i, restores, err)
+					}
+					if err := sameState(flat, ref); err != nil {
+						t.Fatalf("step %d (after %d restores): %v", i, restores, err)
+					}
+				}
+				if restores < 10 || a.evictions == 0 {
+					t.Fatalf("sequence too tame: %d restores, %d evictions", restores, a.evictions)
+				}
+			})
+		}
+	}
+}
+
+// TestFullCaptureNoLargerThanDense checks the capture encoding's worst
+// case: with every way valid it holds no more than the dense capture it
+// replaced, which kept a tag word, a dirty byte and a replacement word
+// for every way.
+func TestFullCaptureNoLargerThanDense(t *testing.T) {
+	for _, g := range refGeometries {
+		c := New(g.name, g.size, g.ways, g.flat)
+		n := c.Sets() * c.Ways()
+		for line := 0; line < n; line++ {
+			c.Fill(arch.PhysAddr(line<<arch.LineShift), line%2 == 0)
+		}
+		word := 8 // LRU stamp
+		if _, ok := c.repl.(*drrip); ok {
+			word = 1 // DRRIP RRPV
+		}
+		if got, dense := c.Snapshot().Bytes(), n*(8+1+word); got > dense {
+			t.Errorf("%s: full capture holds %d bytes, the dense capture %d", g.name, got, dense)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"repro/internal/arch"
 	"repro/internal/sim"
 	"repro/internal/tlb"
@@ -116,6 +118,14 @@ func (b *utopiaBackend) MetadataBytes() int {
 type utopiaSnapshot struct {
 	rest    [][]restWay
 	claimed int
+}
+
+func (s *utopiaSnapshot) bytes() int {
+	b := int(unsafe.Sizeof(*s))
+	for _, set := range s.rest {
+		b += 24 + len(set)*int(unsafe.Sizeof(restWay{}))
+	}
+	return b
 }
 
 func (b *utopiaBackend) SnapshotState() any {

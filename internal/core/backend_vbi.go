@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/sim"
@@ -249,6 +250,10 @@ func (b *vbiBackend) MetadataBytes() int {
 type vbiSnapshot struct {
 	mtl      [][]mtlWay
 	mtlClock uint64
+}
+
+func (s *vbiSnapshot) bytes() int {
+	return int(unsafe.Sizeof(*s)) + len(s.mtl)*(24+mtlWays*int(unsafe.Sizeof(mtlWay{})))
 }
 
 func (b *vbiBackend) SnapshotState() any {

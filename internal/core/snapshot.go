@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/dram"
@@ -50,6 +52,19 @@ type Snapshot struct {
 	prefetch *prefetch.Snapshot
 	ports    []portSnapshot
 	backend  any // backend-private state (TranslationBackend.SnapshotState)
+}
+
+// Bytes returns the bytes the capture holds, summed over its components.
+func (s *Snapshot) Bytes() int {
+	b := int(unsafe.Sizeof(*s)) + s.stats.Bytes() + s.mem.Bytes() + s.vm.Bytes() + s.oms.Bytes() +
+		s.omtTable.Bytes() + s.omtCache.Bytes() + s.dram.Bytes() + s.hier.Bytes() + s.prefetch.Bytes()
+	for _, p := range s.ports {
+		b += int(unsafe.Sizeof(p)) + p.tlb.Bytes()
+	}
+	if st, ok := s.backend.(interface{ bytes() int }); ok {
+		b += st.bytes()
+	}
+	return b
 }
 
 // Snapshot captures the framework. It panics if any access is still in

@@ -1,5 +1,7 @@
 package cpu
 
+import "unsafe"
+
 // Snapshot support: between runs the core is quiescent — no tick event
 // pending, every occupied window slot completed (in-flight completions
 // drain with the engine) — so its state is the window ring, the
@@ -13,6 +15,9 @@ type Snapshot struct {
 	head, tail uint64
 	fetched    uint64
 }
+
+// Bytes returns the bytes the capture holds.
+func (s *Snapshot) Bytes() int { return int(unsafe.Sizeof(*s)) }
 
 // Snapshot captures the window and cursors. It panics if the core is
 // running or any slot has an operation in flight — snapshots are only

@@ -1,6 +1,10 @@
 package dram
 
-import "repro/internal/sim"
+import (
+	"unsafe"
+
+	"repro/internal/sim"
+)
 
 // Snapshot support: at a quiescence point the controller's read queue
 // and write buffer have fully drained (issue self-reschedules while any
@@ -11,6 +15,11 @@ import "repro/internal/sim"
 type Snapshot struct {
 	banks     []bank
 	busFreeAt sim.Cycle
+}
+
+// Bytes returns the bytes the capture holds.
+func (s *Snapshot) Bytes() int {
+	return int(unsafe.Sizeof(*s)) + len(s.banks)*int(unsafe.Sizeof(bank{}))
 }
 
 // Snapshot captures the bank and bus state. It panics if requests are

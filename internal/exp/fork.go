@@ -261,6 +261,9 @@ type forkFamily struct {
 	resumes atomic.Uint64
 }
 
+// Bytes returns the bytes the family's capture holds.
+func (fam *forkFamily) Bytes() int { return fam.snap.Bytes() + fam.cpu.Bytes() }
+
 // forkFamilyKey canonicalises the knobs that shape a fork family's warm
 // state (the benchmark and the warm window; the measured window does
 // not affect it), mirroring the job cache's canonical-spec discipline.
@@ -302,6 +305,23 @@ func warmForkFamily(ctx context.Context, spec workload.Spec, params ForkParams) 
 	return fam, nil
 }
 
+// resume rebuilds an independent framework and core positioned at the
+// family's fork point.
+func (fam *forkFamily) resume() (*core.Framework, *cpu.Core, error) {
+	f := core.NewFromSnapshot(fam.snap)
+	// The workload trace wraps RNG state that cannot be captured;
+	// rebuild it and replay the records the warm-up consumed.
+	trace := fam.spec.NewTrace()
+	for i := uint64(0); i < fam.fetched; i++ {
+		if _, ok := trace.Next(); !ok {
+			return nil, nil, fmt.Errorf("exp: trace exhausted during replay")
+		}
+	}
+	c := cpu.New(f.Engine, f.Port(0), fam.pid, trace)
+	c.Restore(fam.cpu)
+	return f, c, nil
+}
+
 // resumeMechanism rebuilds an independent framework from the family
 // capture ("fork.resume" span) and measures one mechanism from the
 // shared fork point.
@@ -310,18 +330,11 @@ func resumeMechanism(ctx context.Context, pool Pool, fam *forkFamily, params For
 	if resume != nil {
 		resume.SetAttr("mechanism", mechName(overlayMode))
 	}
-	f := core.NewFromSnapshot(fam.snap)
-	// The workload trace wraps RNG state that cannot be captured;
-	// rebuild it and replay the records the warm-up consumed.
-	trace := fam.spec.NewTrace()
-	for i := uint64(0); i < fam.fetched; i++ {
-		if _, ok := trace.Next(); !ok {
-			resume.End()
-			return MechanismResult{}, fmt.Errorf("exp: trace exhausted during replay")
-		}
+	f, c, err := fam.resume()
+	if err != nil {
+		resume.End()
+		return MechanismResult{}, err
 	}
-	c := cpu.New(f.Engine, f.Port(0), fam.pid, trace)
-	c.Restore(fam.cpu)
 	proc, ok := f.VM.Process(fam.pid)
 	if !ok {
 		resume.End()

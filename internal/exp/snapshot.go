@@ -128,6 +128,7 @@ type SnapshotCache struct {
 	max     int
 	ll      *list.List // front = most recently used
 	entries map[string]*list.Element
+	bytes   int // the resident families' Bytes(), summed
 	hits    atomic.Uint64
 	misses  atomic.Uint64
 }
@@ -137,6 +138,7 @@ type snapCacheEntry struct {
 	once  sync.Once
 	value any
 	err   error
+	bytes int // counted in SnapshotCache.bytes while resident (guarded by mu)
 }
 
 // NewSnapshotCache builds a cache bounded to max families (max <= 0
@@ -148,6 +150,17 @@ func NewSnapshotCache(max int) *SnapshotCache {
 // Hits and Misses report the cache's lifetime lookup tallies.
 func (c *SnapshotCache) Hits() uint64   { return c.hits.Load() }
 func (c *SnapshotCache) Misses() uint64 { return c.misses.Load() }
+
+// Bytes reports the bytes the cached families hold, as their Bytes
+// methods count them.
+func (c *SnapshotCache) Bytes() int {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}
 
 // Len reports the number of cached families.
 func (c *SnapshotCache) Len() int {
@@ -175,9 +188,7 @@ func (c *SnapshotCache) getOrBuild(key string, build func() (any, error)) (any, 
 		el = c.ll.PushFront(&snapCacheEntry{key: key})
 		c.entries[key] = el
 		for c.ll.Len() > c.max {
-			oldest := c.ll.Back()
-			c.ll.Remove(oldest)
-			delete(c.entries, oldest.Value.(*snapCacheEntry).key)
+			c.remove(c.ll.Back())
 		}
 	}
 	entry := el.Value.(*snapCacheEntry)
@@ -188,23 +199,40 @@ func (c *SnapshotCache) getOrBuild(key string, build func() (any, error)) (any, 
 		built = true
 		entry.value, entry.err = build()
 	})
+	size := 0
 	if built {
 		c.misses.Add(1)
+		if sized, ok := entry.value.(interface{ Bytes() int }); ok {
+			size = sized.Bytes()
+		}
 	} else {
 		c.hits.Add(1)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resident := c.entries[entry.key] == el
 	if entry.err != nil {
 		// Do not let a transient failure poison the key: drop the entry
 		// so the next lookup retries.
-		c.mu.Lock()
-		if cur, ok := c.entries[entry.key]; ok && cur == el {
-			c.ll.Remove(el)
-			delete(c.entries, entry.key)
+		if resident {
+			c.remove(el)
 		}
-		c.mu.Unlock()
 		return nil, entry.err
 	}
+	if built && resident {
+		entry.bytes = size
+		c.bytes += size
+	}
 	return entry.value, nil
+}
+
+// remove evicts el; c.mu must be held.
+func (c *SnapshotCache) remove(el *list.Element) {
+	entry := el.Value.(*snapCacheEntry)
+	c.ll.Remove(el)
+	delete(c.entries, entry.key)
+	c.bytes -= entry.bytes
+	entry.bytes = 0
 }
 
 // snapSpan opens one warm-state phase span ("fork.snapshot" around a

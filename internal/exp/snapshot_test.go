@@ -6,10 +6,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"repro/internal/arch"
+	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/cpu"
+	"repro/internal/mem"
+	"repro/internal/sim"
+	"repro/internal/tlb"
 	"repro/internal/workload"
 )
 
@@ -159,15 +164,10 @@ func TestForkResumeSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := core.NewFromSnapshot(fam.snap)
-	trace := spec.NewTrace()
-	for i := uint64(0); i < fam.fetched; i++ {
-		if _, ok := trace.Next(); !ok {
-			t.Fatal("trace exhausted during replay")
-		}
+	f, c, err := fam.resume()
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := cpu.New(f.Engine, f.Port(0), fam.pid, trace)
-	c.Restore(fam.cpu)
 
 	// Prime: materialise the workload's hot pages and event slabs.
 	c.Run(30_000)
@@ -182,6 +182,93 @@ func TestForkResumeSteadyStateAllocs(t *testing.T) {
 	// growth); the point is that it does not scale with instructions.
 	if allocs > 64 {
 		t.Errorf("fork-resume steady state allocates %.0f per %d-instruction chunk, want <= 64", allocs, chunk)
+	}
+}
+
+// resumed keeps BenchmarkForkResume's result alive.
+var resumed *core.Framework
+
+// BenchmarkForkResume times what every forked fork or compare leg pays
+// before it measures: core.NewFromSnapshot, the trace replay and
+// cpu.Core.Restore, resuming from one hmmer family warmed over 20,000
+// instructions.
+func BenchmarkForkResume(b *testing.B) {
+	spec, err := workload.ByName("hmmer")
+	if err != nil {
+		b.Fatal(err)
+	}
+	fam, err := warmForkFamily(context.Background(), spec, ForkParams{WarmInstructions: 20_000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if resumed, _, err = fam.resume(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// fullWalker maps every page, so each TLB miss fills a way.
+type fullWalker struct{}
+
+func (fullWalker) Walk(arch.PID, arch.VPN) (tlb.Entry, sim.Cycle, bool) {
+	return tlb.Entry{}, 0, true
+}
+
+// fullCaptureBytes returns the cache, TLB and memory-table bytes of a
+// capture of cfg's components with every way valid and every frame
+// allocated.
+func fullCaptureBytes(cfg core.Config) int {
+	n := 0
+	for i, lc := range []cache.LevelConfig{cfg.Cache.L1, cfg.Cache.L2, cfg.Cache.L3} {
+		c := cache.New(fmt.Sprint("l", i+1), lc.Size, lc.Ways, lc.NewRepl)
+		for line := 0; line < c.Sets()*c.Ways(); line++ {
+			c.Fill(arch.PhysAddr(line<<arch.LineShift), line%2 == 0)
+		}
+		n += c.Snapshot().Bytes()
+	}
+	tl := tlb.New(cfg.TLB, fullWalker{}, &sim.Stats{})
+	for vpn := 0; vpn < cfg.TLB.L2Entries; vpn++ {
+		tl.Lookup(1, arch.VPN(vpn))
+	}
+	n += tl.Snapshot().Bytes()
+	m := mem.New(cfg.MemoryPages)
+	for m.FreePages() > 0 {
+		if _, err := m.Alloc(); err != nil {
+			panic(err)
+		}
+	}
+	return n + m.Snapshot().Bytes()
+}
+
+// TestCaptureHoldsOnlyLiveState checks that a family capture's size
+// follows what the warm-up touched, not the tables' capacity: after a
+// 2,000-instruction hmmer warm-up the caches, TLB and memory tables fill
+// a few percent of their slots, and their capture holds at most an
+// eighth of a capture of the same components completely full.
+func TestCaptureHoldsOnlyLiveState(t *testing.T) {
+	spec, err := workload.ByName("hmmer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ForkConfig(spec, "")
+	f, _, c, err := newForkRun(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(2_000)
+	f.Engine.Run()
+	live := f.Hier.Snapshot().Bytes() + f.Port(0).TLB.Snapshot().Bytes() + f.Mem.Snapshot().Bytes()
+	full := fullCaptureBytes(cfg)
+	t.Logf("hmmer after 2,000 instructions: %d capture bytes, full levels %d (%.3f)", live, full, float64(live)/float64(full))
+	if live*8 > full {
+		t.Errorf("capture holds %d bytes, more than 1/8 of a full capture's %d", live, full)
+	}
+	snap := f.Snapshot()
+	if snap.Bytes() < live {
+		t.Errorf("framework capture counts %d bytes, fewer than its caches, TLB and memory alone (%d)", snap.Bytes(), live)
 	}
 }
 
@@ -215,6 +302,61 @@ func TestSnapshotCache(t *testing.T) {
 	c.getOrBuild("b", build("B2"))
 	if builds != before+1 {
 		t.Fatal("evicted entry was not rebuilt")
+	}
+}
+
+// sizedValue is a cached value that reports its own size.
+type sizedValue int
+
+func (v sizedValue) Bytes() int { return int(v) }
+
+// TestSnapshotCacheBytes checks the running size total: a build adds
+// its value's Bytes once, a hit adds nothing, an eviction subtracts and
+// a failed build counts nothing.
+func TestSnapshotCacheBytes(t *testing.T) {
+	c := NewSnapshotCache(2)
+	put := func(key string, n int, err error) {
+		c.getOrBuild(key, func() (any, error) { return sizedValue(n), err })
+	}
+	put("a", 100, nil)
+	put("b", 20, nil)
+	put("a", 999, nil) // a hit: "a" keeps its first build
+	if got := c.Bytes(); got != 120 {
+		t.Fatalf("bytes = %d, want 120", got)
+	}
+	put("c", 3, nil) // evicts "b"
+	if got := c.Bytes(); got != 103 {
+		t.Fatalf("bytes after an eviction = %d, want 103", got)
+	}
+	put("d", 50, fmt.Errorf("transient")) // evicts "a", then is dropped
+	if got := c.Bytes(); got != 3 {
+		t.Fatalf("bytes after a failed build = %d, want 3", got)
+	}
+}
+
+// TestSnapshotCacheBytesConcurrent runs lookups that build, hit and
+// evict from several goroutines at once; afterwards the running total
+// must equal the resident families' sizes.
+func TestSnapshotCacheBytesConcurrent(t *testing.T) {
+	c := NewSnapshotCache(3)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := (g + i) % 5
+				c.getOrBuild(fmt.Sprint(k), func() (any, error) { return sizedValue(k + 1), nil })
+			}
+		}(g)
+	}
+	wg.Wait()
+	want := 0
+	for _, el := range c.entries {
+		want += int(el.Value.(*snapCacheEntry).value.(sizedValue))
+	}
+	if got := c.Bytes(); got != want {
+		t.Fatalf("bytes = %d, want the resident families' %d", got, want)
 	}
 }
 

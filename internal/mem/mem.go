@@ -21,24 +21,28 @@ const ZeroPPN arch.PPN = 0
 
 // Memory is byte-addressable main memory with lazy frame materialisation:
 // a frame with no contents reads as zeroes and occupies no host memory.
-// The frame and allocation tables are dense slices indexed by frame
+// The frame table and the allocation bitmap are indexed by frame
 // number, so per-access lookups are a bounds check and a load rather
-// than a map probe.
+// than a map probe. They grow with use, not with capacity: the frame
+// table ends at the highest frame ever materialised and the allocation
+// bitmap at the allocation high-water mark (nextFree); a frame past the
+// end of either reads as zero and unallocated, as it would in a table
+// sized to totalPages.
 type Memory struct {
 	frames     []*[arch.PageSize]byte // nil entry: frame reads as zero
 	totalPages int
 	nextFree   arch.PPN
 	freeList   []arch.PPN
-	allocated  []bool
+	allocated  arch.Bitmap
 	allocCount int
 
-	// shared, when non-nil, is a bitmap over frames marking pages whose
-	// backing array is shared with a Snapshot (copy-on-write): the first
-	// materialising write to a shared frame copies it into a private
-	// array. Replacing the frame pointer (Alloc recycling, CopyPage of a
-	// zero source) only clears the bit — the shared array is never
-	// mutated, so concurrent forks of one snapshot stay independent.
-	shared      []uint64
+	// shared marks frames whose backing array is shared with a Snapshot
+	// (copy-on-write): the first materialising write to a shared frame
+	// copies it into a private array. Replacing the frame pointer (Alloc
+	// recycling, CopyPage of a zero source) only clears the bit — the
+	// shared array is never mutated, so concurrent forks of one snapshot
+	// stay independent.
+	shared      arch.Bitmap
 	bytesCopied uint64
 }
 
@@ -48,14 +52,8 @@ func New(totalPages int) *Memory {
 	if totalPages < 2 {
 		panic("mem: need at least two pages (zero page + one usable)")
 	}
-	m := &Memory{
-		frames:     make([]*[arch.PageSize]byte, totalPages),
-		totalPages: totalPages,
-		nextFree:   1,
-		allocated:  make([]bool, totalPages),
-		allocCount: 1,
-	}
-	m.allocated[ZeroPPN] = true
+	m := &Memory{totalPages: totalPages, nextFree: 1, allocated: arch.NewBitmap(1), allocCount: 1}
+	m.allocated.Set(int(ZeroPPN))
 	return m
 }
 
@@ -74,10 +72,9 @@ func (m *Memory) Alloc() (arch.PPN, error) {
 	if n := len(m.freeList); n > 0 {
 		ppn := m.freeList[n-1]
 		m.freeList = m.freeList[:n-1]
-		m.allocated[ppn] = true
+		m.allocated.Set(int(ppn))
 		m.allocCount++
-		m.frames[ppn] = nil // recycled frames read as zero again
-		m.clearShared(ppn)
+		m.dropFrame(ppn) // recycled frames read as zero again
 		return ppn, nil
 	}
 	if int(m.nextFree) >= m.totalPages {
@@ -85,7 +82,8 @@ func (m *Memory) Alloc() (arch.PPN, error) {
 	}
 	ppn := m.nextFree
 	m.nextFree++
-	m.allocated[ppn] = true
+	m.allocated = m.allocated.Grow(int(m.nextFree))
+	m.allocated.Set(int(ppn))
 	m.allocCount++
 	return ppn, nil
 }
@@ -96,15 +94,22 @@ func (m *Memory) Free(ppn arch.PPN) {
 	if ppn == ZeroPPN {
 		panic("mem: freeing the zero page")
 	}
-	if !m.allocated[ppn] {
+	if !m.allocated.Has(int(ppn)) {
 		panic(fmt.Sprintf("mem: double free of ppn %#x", uint64(ppn)))
 	}
-	m.allocated[ppn] = false
+	m.allocated.Clear(int(ppn))
 	m.allocCount--
 	m.freeList = append(m.freeList, ppn)
 }
 
 func (m *Memory) frame(ppn arch.PPN, materialise bool) *[arch.PageSize]byte {
+	if uint64(ppn) >= uint64(len(m.frames)) {
+		m.checkPPN(ppn)
+		if !materialise {
+			return nil
+		}
+		m.cover(int(ppn))
+	}
 	f := m.frames[ppn]
 	if !materialise {
 		return f
@@ -114,21 +119,37 @@ func (m *Memory) frame(ppn arch.PPN, materialise bool) *[arch.PageSize]byte {
 		m.frames[ppn] = f
 		return f
 	}
-	if m.shared != nil && m.shared[ppn>>6]&(1<<(uint(ppn)&63)) != 0 {
+	if m.shared.Has(int(ppn)) {
 		// First write to a frame shared with a snapshot: copy on write.
 		c := new([arch.PageSize]byte)
 		*c = *f
 		m.frames[ppn] = c
-		m.shared[ppn>>6] &^= 1 << (uint(ppn) & 63)
+		m.shared.Clear(int(ppn))
 		m.bytesCopied += arch.PageSize
 		return c
 	}
 	return f
 }
 
-func (m *Memory) clearShared(ppn arch.PPN) {
-	if m.shared != nil {
-		m.shared[ppn>>6] &^= 1 << (uint(ppn) & 63)
+// cover extends the frame table to hold ppn.
+func (m *Memory) cover(ppn int) {
+	for len(m.frames) <= ppn {
+		m.frames = append(m.frames, nil)
+	}
+}
+
+// dropFrame makes ppn read as zero again without touching a shared array.
+func (m *Memory) dropFrame(ppn arch.PPN) {
+	m.checkPPN(ppn)
+	if uint64(ppn) < uint64(len(m.frames)) {
+		m.frames[ppn] = nil
+	}
+	m.shared.Clear(int(ppn))
+}
+
+func (m *Memory) checkPPN(ppn arch.PPN) {
+	if uint64(ppn) >= uint64(m.totalPages) {
+		panic(fmt.Sprintf("mem: ppn %#x out of range (%d pages)", uint64(ppn), m.totalPages))
 	}
 }
 
@@ -263,8 +284,7 @@ func (m *Memory) CopyPage(dst, src arch.PPN) {
 	}
 	sf := m.frame(src, false)
 	if sf == nil {
-		m.frames[dst] = nil // copying a zero frame: dst reads as zero
-		m.clearShared(dst)
+		m.dropFrame(dst) // copying a zero frame: dst reads as zero
 		return
 	}
 	df := m.frame(dst, true)

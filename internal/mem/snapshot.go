@@ -7,33 +7,44 @@ package mem
 // the simulator itself); BytesCopied reports how much each fork ended
 // up privatising. Capturing a snapshot also marks the parent's own
 // frames copy-on-write, so the snapshot stays immutable even if the
-// parent keeps running.
+// parent keeps running. A capture holds only the materialised frames
+// and the allocation bitmap, so its size follows the live tables.
 
-import "repro/internal/arch"
+import (
+	"unsafe"
+
+	"repro/internal/arch"
+)
 
 // Snapshot is an immutable capture of a Memory's full state. It is safe
 // to fork from one snapshot concurrently: the shared frame arrays are
 // never written after capture.
 type Snapshot struct {
-	frames     []*[arch.PageSize]byte
+	present    arch.Bitmap            // the materialised frames' ppns
+	frames     []*[arch.PageSize]byte // the materialised frames, in ppn order
+	allocated  arch.Bitmap
 	totalPages int
 	nextFree   arch.PPN
 	freeList   []arch.PPN
-	allocated  []bool
 	allocCount int
 }
 
 // TotalPages returns the captured capacity in frames.
 func (s *Snapshot) TotalPages() int { return s.totalPages }
 
+// Bytes returns the bytes the capture holds, counting each materialised
+// frame's contents (shared copy-on-write with the parent and forks).
+func (s *Snapshot) Bytes() int {
+	return int(unsafe.Sizeof(*s)) + s.present.Bytes() + len(s.frames)*(8+arch.PageSize) +
+		s.allocated.Bytes() + 8*len(s.freeList)
+}
+
 // markAllShared flags every materialised frame as snapshot-shared.
 func (m *Memory) markAllShared() {
-	if m.shared == nil {
-		m.shared = make([]uint64, (m.totalPages+63)/64)
-	}
+	m.shared = m.shared.Grow(len(m.frames))
 	for ppn, f := range m.frames {
 		if f != nil {
-			m.shared[ppn>>6] |= 1 << (uint(ppn) & 63)
+			m.shared.Set(ppn)
 		}
 	}
 }
@@ -42,12 +53,19 @@ func (m *Memory) markAllShared() {
 // copy-on-write too, so later parent writes cannot leak into the
 // snapshot (or into forks taken from it).
 func (m *Memory) Snapshot() *Snapshot {
+	present := arch.NewBitmap(len(m.frames))
+	for ppn, f := range m.frames {
+		if f != nil {
+			present.Set(ppn)
+		}
+	}
 	s := &Snapshot{
-		frames:     append([]*[arch.PageSize]byte(nil), m.frames...),
+		present:    present,
+		frames:     arch.Gather(present, m.frames),
+		allocated:  append(arch.Bitmap(nil), m.allocated...),
 		totalPages: m.totalPages,
 		nextFree:   m.nextFree,
 		freeList:   append([]arch.PPN(nil), m.freeList...),
-		allocated:  append([]bool(nil), m.allocated...),
 		allocCount: m.allocCount,
 	}
 	m.markAllShared()
@@ -59,13 +77,18 @@ func (m *Memory) Snapshot() *Snapshot {
 // copy-on-write. The fork's BytesCopied starts at zero.
 func NewFromSnapshot(s *Snapshot) *Memory {
 	m := &Memory{
-		frames:     append([]*[arch.PageSize]byte(nil), s.frames...),
 		totalPages: s.totalPages,
 		nextFree:   s.nextFree,
 		freeList:   append([]arch.PPN(nil), s.freeList...),
-		allocated:  append([]bool(nil), s.allocated...),
+		allocated:  append(arch.Bitmap(nil), s.allocated...),
 		allocCount: s.allocCount,
 	}
+	k := 0
+	s.present.Each(func(ppn int) {
+		m.cover(ppn)
+		m.frames[ppn] = s.frames[k]
+		k++
+	})
 	m.markAllShared()
 	return m
 }

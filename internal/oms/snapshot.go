@@ -1,6 +1,10 @@
 package oms
 
-import "repro/internal/arch"
+import (
+	"unsafe"
+
+	"repro/internal/arch"
+)
 
 // Snapshot support: the store's bookkeeping is flat arrays (the unit
 // table carries the free lists and class tags intrusively), so a capture
@@ -23,6 +27,11 @@ type Snapshot struct {
 	owned    int
 	inUse    int
 	liveSegs int
+}
+
+// Bytes returns the bytes the capture holds.
+func (snap *Snapshot) Bytes() int {
+	return int(unsafe.Sizeof(*snap)) + 8*len(snap.frames) + len(snap.units)*int(unsafe.Sizeof(unit{}))
 }
 
 // Snapshot captures the store. It panics on a store with a frame budget

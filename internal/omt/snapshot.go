@@ -1,6 +1,10 @@
 package omt
 
-import "repro/internal/arch"
+import (
+	"unsafe"
+
+	"repro/internal/arch"
+)
 
 // Snapshot support: the authoritative Table is deep-copied (radix nodes
 // and entry leaves) and the controller cache's intrusive-LRU residency
@@ -35,6 +39,20 @@ func (t *Table) Clone() *Table {
 	return c
 }
 
+// Bytes returns the bytes the table holds: its radix nodes and entry
+// leaves.
+func (t *Table) Bytes() int { return t.root.bytes() }
+
+func (n *node) bytes() int {
+	b := int(unsafe.Sizeof(*n)) + len(n.entries)*int(unsafe.Sizeof(Entry{}))
+	for _, child := range n.children {
+		if child != nil {
+			b += child.bytes()
+		}
+	}
+	return b
+}
+
 // CacheSnapshot is an immutable capture of the OMT cache's residency
 // and LRU state.
 type CacheSnapshot struct {
@@ -42,6 +60,13 @@ type CacheSnapshot struct {
 	index      map[arch.OPN]int32
 	head, tail int32
 	free       []int32
+}
+
+// Bytes returns the bytes the capture holds (the index counted at its
+// keys and values).
+func (s *CacheSnapshot) Bytes() int {
+	return int(unsafe.Sizeof(*s)) + len(s.slots)*int(unsafe.Sizeof(cacheSlot{})) +
+		len(s.index)*12 + 4*len(s.free)
 }
 
 // Snapshot captures the cache's LRU list, slot array and index.

@@ -1,5 +1,7 @@
 package prefetch
 
+import "unsafe"
+
 // Snapshot support: the stream table and its LRU clock are plain
 // values; capturing them is a slice copy.
 
@@ -7,6 +9,11 @@ package prefetch
 type Snapshot struct {
 	streams []stream
 	clock   uint64
+}
+
+// Bytes returns the bytes the capture holds.
+func (s *Snapshot) Bytes() int {
+	return int(unsafe.Sizeof(*s)) + len(s.streams)*int(unsafe.Sizeof(stream{}))
 }
 
 // Snapshot captures the stream table.

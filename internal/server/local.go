@@ -263,7 +263,7 @@ func (l *local) Routes(mux *http.ServeMux) {
 }
 
 // WriteMetrics renders the live queue gauges and the snapshot cache's
-// reuse counters.
+// reuse counters and size.
 func (l *local) WriteMetrics(w io.Writer, r *http.Request) {
 	fmt.Fprintf(w, "# HELP overlaysim_server_queue_depth jobs waiting in the bounded queue\n"+
 		"# TYPE overlaysim_server_queue_depth gauge\noverlaysim_server_queue_depth %d\n",
@@ -281,6 +281,9 @@ func (l *local) WriteMetrics(w io.Writer, r *http.Request) {
 		fmt.Fprintf(w, "# HELP overlaysim_server_snapshot_cache_entries cached warm-state families\n"+
 			"# TYPE overlaysim_server_snapshot_cache_entries gauge\noverlaysim_server_snapshot_cache_entries %d\n",
 			l.snapshots.Len())
+		fmt.Fprintf(w, "# HELP overlaysim_server_snapshot_cache_bytes bytes the cached warm-state families hold\n"+
+			"# TYPE overlaysim_server_snapshot_cache_bytes gauge\noverlaysim_server_snapshot_cache_bytes %d\n",
+			l.snapshots.Bytes())
 	}
 }
 

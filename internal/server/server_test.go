@@ -911,6 +911,9 @@ func TestSnapshotReuseAcrossJobs(t *testing.T) {
 	if byName["overlaysim_server_snapshot_cache_hits"] != 1 {
 		t.Errorf("snapshot cache hits gauge = %v, want 1", byName["overlaysim_server_snapshot_cache_hits"])
 	}
+	if got, want := byName["overlaysim_server_snapshot_cache_bytes"], float64(snapshots.Bytes()); got != want || got == 0 {
+		t.Errorf("snapshot cache bytes gauge = %v, want the cache's %v (non-zero)", got, want)
+	}
 	// Each job forks the shared family once per mechanism.
 	if got := byName["overlaysim_"+sim.PromName(exp.SnapForksCounter)]; got < 2 {
 		t.Errorf("%s = %v, want >= 2", exp.SnapForksCounter, got)

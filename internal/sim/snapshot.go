@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Snapshot support for the engine and the statistics registry. A
 // snapshot is only meaningful at a quiescence point — after Run() has
@@ -43,6 +46,19 @@ func (e *Engine) LoadClock(c Clock) {
 type StatsSnapshot struct {
 	Counters map[string]uint64
 	Hists    map[string]*Histogram
+}
+
+// Bytes returns the bytes the capture holds, counting each counter and
+// histogram at its name, value and map slot.
+func (snap *StatsSnapshot) Bytes() int {
+	b := int(unsafe.Sizeof(*snap))
+	for name := range snap.Counters {
+		b += 24 + len(name)
+	}
+	for name := range snap.Hists {
+		b += 24 + len(name) + int(unsafe.Sizeof(Histogram{}))
+	}
+	return b
 }
 
 // Capture deep-copies the registry's current state.

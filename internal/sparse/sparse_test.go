@@ -359,3 +359,24 @@ func TestCSRTraceGathersPerNNZ(t *testing.T) {
 		t.Fatalf("stores = %d, want %d", stores, m.Rows)
 	}
 }
+
+// TestCSRTraceAllocsIndependentOfSize pins that a trace generator reuses
+// one instruction buffer: draining CSRTrace over a matrix with 4× the
+// rows and non-zeros allocates as many times as over the small one.
+func TestCSRTraceAllocsIndependentOfSize(t *testing.T) {
+	drainAllocs := func(rows int) float64 {
+		c := NewCSR(Random("trace", rows, 256, rows*16, 2, 1))
+		return testing.AllocsPerRun(5, func() {
+			tr := CSRTrace(c, Layout{})
+			for {
+				if _, ok := tr.Next(); !ok {
+					return
+				}
+			}
+		})
+	}
+	small, large := drainAllocs(128), drainAllocs(512)
+	if small != large {
+		t.Errorf("draining CSRTrace allocates %.0f times at 128 rows and %.0f at 512", small, large)
+	}
+}

@@ -116,6 +116,27 @@ func MapCSR(f *core.Framework, proc *vm.Process, c *CSR) (Layout, error) {
 	return l, nil
 }
 
+// instrQueue holds the instructions a trace generator has produced but
+// not yet returned. Generators refill it only once it is drained, so one
+// buffer serves the whole trace.
+type instrQueue struct {
+	buf  []cpu.Instr
+	head int
+}
+
+func (q *instrQueue) push(ins ...cpu.Instr) { q.buf = append(q.buf, ins...) }
+
+// pop returns the next queued instruction; once the queue is drained it
+// rewinds the buffer and reports false.
+func (q *instrQueue) pop() (cpu.Instr, bool) {
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+		return cpu.Instr{}, false
+	}
+	q.head++
+	return q.buf[q.head-1], true
+}
+
 // DenseTrace yields one dense SpMV iteration: for every matrix line, load
 // the line and the matching x line, then 8 multiply-accumulates; one y
 // store per row. This is both the dense baseline and (conceptually) the
@@ -123,25 +144,23 @@ func MapCSR(f *core.Framework, proc *vm.Process, c *CSR) (Layout, error) {
 func DenseTrace(m *Matrix, l Layout) cpu.Trace {
 	linesPerRow := m.Cols / ValuesPerLine
 	r, lb := 0, 0
-	var pending []cpu.Instr
+	var pending instrQueue
 	return cpu.FuncTrace(func() (cpu.Instr, bool) {
 		for {
-			if len(pending) > 0 {
-				in := pending[0]
-				pending = pending[1:]
+			if in, ok := pending.pop(); ok {
 				return in, true
 			}
 			if r >= m.Rows {
 				return cpu.Instr{}, false
 			}
-			pending = append(pending,
+			pending.push(
 				cpu.Instr{Kind: cpu.Load, VA: l.MatBase + arch.VirtAddr((r*linesPerRow+lb)*arch.LineSize)},
 				cpu.Instr{Kind: cpu.Load, VA: l.XBase + arch.VirtAddr(lb*arch.LineSize)},
 				cpu.Instr{Kind: cpu.Compute, N: ValuesPerLine},
 			)
 			lb++
 			if lb >= linesPerRow {
-				pending = append(pending, cpu.Instr{Kind: cpu.Store, VA: l.YBase + arch.VirtAddr(r*8)})
+				pending.push(cpu.Instr{Kind: cpu.Store, VA: l.YBase + arch.VirtAddr(r*8)})
 				lb = 0
 				r++
 			}
@@ -156,18 +175,16 @@ func DenseTrace(m *Matrix, l Layout) cpu.Trace {
 func CSRTrace(c *CSR, l Layout) cpu.Trace {
 	r, i := 0, 0
 	fmasPending := 0
-	var pending []cpu.Instr
+	var pending instrQueue
 	flushFMAs := func() {
 		if fmasPending > 0 {
-			pending = append(pending, cpu.Instr{Kind: cpu.Compute, N: fmasPending})
+			pending.push(cpu.Instr{Kind: cpu.Compute, N: fmasPending})
 			fmasPending = 0
 		}
 	}
 	return cpu.FuncTrace(func() (cpu.Instr, bool) {
 		for {
-			if len(pending) > 0 {
-				in := pending[0]
-				pending = pending[1:]
+			if in, ok := pending.pop(); ok {
 				return in, true
 			}
 			if r >= c.Rows() {
@@ -175,14 +192,14 @@ func CSRTrace(c *CSR, l Layout) cpu.Trace {
 			}
 			// Row prologue: the row-pointer line, amortised 16 rows/line.
 			if i == int(c.RowPtr[r]) && r%16 == 0 {
-				pending = append(pending, cpu.Instr{
+				pending.push(cpu.Instr{
 					Kind: cpu.Load, VA: l.RowPtrBase + arch.VirtAddr(r*4),
 				})
 			}
 			if i >= int(c.RowPtr[r+1]) {
 				// Row epilogue: flush the row's tail FMAs, store y[r].
 				flushFMAs()
-				pending = append(pending, cpu.Instr{
+				pending.push(cpu.Instr{
 					Kind: cpu.Store, VA: l.YBase + arch.VirtAddr(r*8),
 				})
 				r++
@@ -190,13 +207,13 @@ func CSRTrace(c *CSR, l Layout) cpu.Trace {
 			}
 			if i%ValuesPerLine == 0 {
 				flushFMAs()
-				pending = append(pending, cpu.Instr{Kind: cpu.Load, VA: l.ValsBase + arch.VirtAddr(i*8)})
+				pending.push(cpu.Instr{Kind: cpu.Load, VA: l.ValsBase + arch.VirtAddr(i*8)})
 			}
 			if i%16 == 0 {
-				pending = append(pending, cpu.Instr{Kind: cpu.Load, VA: l.ColsBase + arch.VirtAddr(i*4)})
+				pending.push(cpu.Instr{Kind: cpu.Load, VA: l.ColsBase + arch.VirtAddr(i*4)})
 			}
 			col := int(c.Cols[i])
-			pending = append(pending, cpu.Instr{Kind: cpu.Load, VA: l.XBase + arch.VirtAddr(col*8)})
+			pending.push(cpu.Instr{Kind: cpu.Load, VA: l.XBase + arch.VirtAddr(col*8)})
 			fmasPending++
 			i++
 		}
@@ -222,12 +239,10 @@ func OverlayTrace(o *OverlayMatrix, l Layout) (cpu.Trace, error) {
 	idx := 0
 	lastRow := -1
 	flushed := false
-	var pending []cpu.Instr
+	var pending instrQueue
 	return cpu.FuncTrace(func() (cpu.Instr, bool) {
 		for {
-			if len(pending) > 0 {
-				in := pending[0]
-				pending = pending[1:]
+			if in, ok := pending.pop(); ok {
 				return in, true
 			}
 			if idx >= len(lines) {
@@ -241,11 +256,11 @@ func OverlayTrace(o *OverlayMatrix, l Layout) (cpu.Trace, error) {
 			idx++
 			row := gl / linesPerRow
 			if lastRow != -1 && row != lastRow {
-				pending = append(pending, cpu.Instr{Kind: cpu.Store, VA: l.YBase + arch.VirtAddr(lastRow*8)})
+				pending.push(cpu.Instr{Kind: cpu.Store, VA: l.YBase + arch.VirtAddr(lastRow*8)})
 			}
 			lastRow = row
 			colLine := gl % linesPerRow
-			pending = append(pending,
+			pending.push(
 				// Matrix lines stream through the overlay computation
 				// model (OBitVector-driven, no TLB); x is a normal load.
 				cpu.Instr{Kind: cpu.LoadOverlay, VA: l.MatBase + arch.VirtAddr(gl*arch.LineSize)},

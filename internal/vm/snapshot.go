@@ -1,6 +1,10 @@
 package vm
 
-import "repro/internal/arch"
+import (
+	"unsafe"
+
+	"repro/internal/arch"
+)
 
 // Snapshot support: the manager's process table (with deep-copied page
 // tables), frame share counts and PID allocator are captured by value.
@@ -34,11 +38,31 @@ func (pt *PageTable) Clone() *PageTable {
 	return c
 }
 
+func (n *ptNode) bytes() int {
+	b := int(unsafe.Sizeof(*n)) + len(n.ptes)*int(unsafe.Sizeof(PTE{}))
+	for _, child := range n.children {
+		if child != nil {
+			b += child.bytes()
+		}
+	}
+	return b
+}
+
 // Snapshot is an immutable capture of a Manager's OS state.
 type Snapshot struct {
 	procs   map[arch.PID]*PageTable
 	refs    map[arch.PPN]int
 	nextPID arch.PID
+}
+
+// Bytes returns the bytes the capture holds: every page table's nodes
+// plus the share counts (counted at their keys and values).
+func (s *Snapshot) Bytes() int {
+	b := int(unsafe.Sizeof(*s)) + 16*len(s.refs)
+	for _, table := range s.procs {
+		b += table.root.bytes()
+	}
+	return b
 }
 
 // Snapshot captures the manager (page tables deep-copied).
