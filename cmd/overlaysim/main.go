@@ -600,11 +600,23 @@ func traceReplay(stdout io.Writer, bench, in string) error {
 		return err
 	}
 	port := f.NewPort()
-	c := cpu.New(f.Engine, port, proc.PID, r)
+	// End at the first memory record the footprint does not map, which
+	// the simulated core would otherwise take as a fault.
+	var unmapped error
+	c := cpu.New(f.Engine, port, proc.PID, cpu.FuncTrace(func() (cpu.Instr, bool) {
+		in, ok := r.Next()
+		if ok && in.Kind != cpu.Compute {
+			if _, mapped := proc.Table.Get(in.VA.Page()); !mapped {
+				unmapped = fmt.Errorf("trace: record %d: va %#x is outside %s's footprint", r.Count()-1, uint64(in.VA), bench)
+				return cpu.Instr{}, false
+			}
+		}
+		return in, ok
+	}))
 	c.Run(0)
 	f.Engine.Run()
-	if r.Err() != nil {
-		return r.Err()
+	if err := errors.Join(r.Err(), unmapped); err != nil {
+		return err
 	}
 	fmt.Fprintf(stdout, "replayed %d instructions in %d cycles (CPI %.3f)\n",
 		c.Retired(), c.Cycles(), c.CPI())

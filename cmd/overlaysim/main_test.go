@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/cpu"
+	"repro/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -463,5 +468,38 @@ func TestGoldenUsage(t *testing.T) {
 	}
 	if !bytes.Equal(stderr.Bytes(), want) {
 		t.Errorf("usage text differs from golden file %s\ngot:\n%s", golden, stderr.Bytes())
+	}
+}
+
+// TestTraceReplayRejectsBadAddresses replays crafted traces holding one
+// load outside the benchmark's footprint (2^40) or outside the 48-bit
+// virtual address space (2^50). Each must exit 1 with a one-line trace:
+// error naming the record and the address, neither panicking in the
+// core nor aliasing onto a mapped page.
+func TestTraceReplayRejectsBadAddresses(t *testing.T) {
+	for _, va := range []arch.VirtAddr{1 << 40, 1 << 50} {
+		path := filepath.Join(t.TempDir(), "bad.trace")
+		var buf bytes.Buffer
+		w, err := trace.NewWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(cpu.Instr{Kind: cpu.Load, VA: va}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"trace", "-bench=hmmer", "-in=" + path}, &stdout, &stderr)
+		msg := stderr.String()
+		want := fmt.Sprintf("overlaysim: trace: record 0: va %#x ", uint64(va))
+		if code != 1 || !strings.HasPrefix(msg, want) || strings.Count(msg, "\n") != 1 {
+			t.Errorf("va %#x: exit %d, stderr %q; want exit 1 and one line starting %q (stdout %q)",
+				uint64(va), code, msg, want, stdout.String())
+		}
 	}
 }

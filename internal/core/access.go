@@ -212,7 +212,7 @@ func (f *Framework) Fork(parent *vm.Process, overlayMode bool) *vm.Process {
 // Exit tears down a process: every page overlay is released, then the
 // address space itself.
 func (f *Framework) Exit(proc *vm.Process) {
-	proc.Table.Range(func(vpn arch.VPN, pte *vm.PTE) bool {
+	proc.Table.Range(func(vpn arch.VPN, _ vm.PTE) bool {
 		if !f.OMTTable.Get(arch.OverlayPage(proc.PID, vpn)).Empty() {
 			f.clearOverlay(proc.PID, vpn)
 		}

@@ -39,8 +39,8 @@ func (b *baselineBackend) Walk(pid arch.PID, vpn arch.VPN) (tlb.Entry, sim.Cycle
 	if !ok {
 		return tlb.Entry{}, lat, false
 	}
-	pte := proc.Table.Lookup(vpn)
-	if pte == nil {
+	pte, ok := proc.Table.Get(vpn)
+	if !ok {
 		return tlb.Entry{}, lat, false
 	}
 	return tlb.Entry{PPN: pte.PPN, COW: pte.COW, Writable: pte.Writable}, lat, true
@@ -57,16 +57,16 @@ func (b *baselineBackend) Translate(p *Port, pid arch.PID, va arch.VirtAddr) (ar
 // ResolveRead reads through the page tables: the bytes always live in
 // the mapped frame.
 func (b *baselineBackend) ResolveRead(proc *vm.Process, vpn arch.VPN, line int) (lineLoc, error) {
-	pte := proc.Table.Lookup(vpn)
-	if pte == nil {
+	pte, ok := proc.Table.Get(vpn)
+	if !ok {
 		return lineLoc{}, fmt.Errorf("core: read fault at pid %d vpn %#x", proc.PID, uint64(vpn))
 	}
 	return physLineLoc(pte.PPN, line), nil
 }
 
 func (b *baselineBackend) ResolveWrite(proc *vm.Process, vpn arch.VPN, line int) (writeResolution, error) {
-	pte := proc.Table.Lookup(vpn)
-	if pte == nil {
+	pte, ok := proc.Table.Get(vpn)
+	if !ok {
 		return writeResolution{}, fmt.Errorf("core: write fault at pid %d vpn %#x", proc.PID, uint64(vpn))
 	}
 	return b.resolveWriteTail(proc, pte, vpn, line)
@@ -76,22 +76,20 @@ func (b *baselineBackend) ResolveWrite(proc *vm.Process, vpn arch.VPN, line int)
 // stores to writable pages, trap-and-copy (or last-sharer reuse) for COW
 // pages, protection fault otherwise. The overlay backend funnels its
 // non-overlay pages through the same code.
-func (b *baselineBackend) resolveWriteTail(proc *vm.Process, pte *vm.PTE, vpn arch.VPN, line int) (writeResolution, error) {
+func (b *baselineBackend) resolveWriteTail(proc *vm.Process, pte vm.PTE, vpn arch.VPN, line int) (writeResolution, error) {
 	f := b.f
 	if pte.Writable {
 		*f.plainWrites++
 		return writeResolution{kind: writePlain, loc: physLineLoc(pte.PPN, line)}, nil
 	}
 	if pte.COW {
-		oldPPN := pte.PPN
-		_, copied, err := f.VM.BreakCOW(proc, vpn)
+		ppn, copied, err := f.VM.BreakCOW(proc, vpn)
 		if err != nil {
 			return writeResolution{}, err
 		}
-		pte = proc.Table.Lookup(vpn)
 		res := writeResolution{
-			loc:          physLineLoc(pte.PPN, line),
-			srcCacheAddr: arch.PhysAddrOf(oldPPN, 0),
+			loc:          physLineLoc(ppn, line),
+			srcCacheAddr: arch.PhysAddrOf(pte.PPN, 0),
 		}
 		if copied {
 			res.kind = writeCOWCopy

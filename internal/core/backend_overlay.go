@@ -38,8 +38,8 @@ func (b *overlayBackend) Walk(pid arch.PID, vpn arch.VPN) (tlb.Entry, sim.Cycle,
 	if !ok {
 		return tlb.Entry{}, lat, false
 	}
-	pte := proc.Table.Lookup(vpn)
-	if pte == nil {
+	pte, ok := proc.Table.Get(vpn)
+	if !ok {
 		return tlb.Entry{}, lat, false
 	}
 	e := tlb.Entry{
@@ -75,15 +75,15 @@ func (b *overlayBackend) Translate(p *Port, pid arch.PID, va arch.VirtAddr) (arc
 // ResolveRead locates the bytes a load of (pid, vpn, line) must return.
 func (b *overlayBackend) ResolveRead(proc *vm.Process, vpn arch.VPN, line int) (lineLoc, error) {
 	f := b.f
-	pte := proc.Table.Lookup(vpn)
-	if pte == nil {
+	pte, ok := proc.Table.Get(vpn)
+	if !ok {
 		return lineLoc{}, fmt.Errorf("core: read fault at pid %d vpn %#x", proc.PID, uint64(vpn))
 	}
 	if pte.Overlay && !pte.Shadow {
 		opn := arch.OverlayPage(proc.PID, vpn)
 		entry := f.OMTTable.Get(opn)
 		if entry.OBits.Has(line) {
-			return f.overlayLineLoc(opn, f.OMTTable.Ref(opn), line)
+			return f.overlayLineLoc(opn, &entry, line)
 		}
 	}
 	return physLineLoc(pte.PPN, line), nil
@@ -95,8 +95,8 @@ func (b *overlayBackend) ResolveRead(proc *vm.Process, vpn arch.VPN, line int) (
 // write the payload bytes.
 func (b *overlayBackend) ResolveWrite(proc *vm.Process, vpn arch.VPN, line int) (writeResolution, error) {
 	f := b.f
-	pte := proc.Table.Lookup(vpn)
-	if pte == nil {
+	pte, ok := proc.Table.Get(vpn)
+	if !ok {
 		return writeResolution{}, fmt.Errorf("core: write fault at pid %d vpn %#x", proc.PID, uint64(vpn))
 	}
 	opn := arch.OverlayPage(proc.PID, vpn)
@@ -195,7 +195,7 @@ func (b *overlayBackend) Fork(parent *vm.Process, overlayMode bool) *vm.Process 
 	f := b.f
 	child := f.VM.Fork(parent, overlayMode)
 	var copyErr error
-	parent.Table.Range(func(vpn arch.VPN, pte *vm.PTE) bool {
+	parent.Table.Range(func(vpn arch.VPN, _ vm.PTE) bool {
 		src := f.OMTTable.Get(arch.OverlayPage(parent.PID, vpn))
 		if src.OBits.Empty() {
 			return true

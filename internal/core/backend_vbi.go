@@ -142,8 +142,8 @@ func (b *vbiBackend) Translate(p *Port, pid arch.PID, va arch.VirtAddr) (arch.Ph
 // frame the block left (the same frame on a last-sharer reuse).
 func (b *vbiBackend) ResolveWrite(proc *vm.Process, vpn arch.VPN, line int) (writeResolution, error) {
 	f := b.f
-	pte := proc.Table.Lookup(vpn)
-	if pte == nil {
+	pte, ok := proc.Table.Get(vpn)
+	if !ok {
 		return writeResolution{}, fmt.Errorf("core: write fault at pid %d vpn %#x", proc.PID, uint64(vpn))
 	}
 	if pte.Writable {
@@ -226,11 +226,8 @@ func (b *vbiBackend) tableWalk(pid arch.PID, vpn arch.VPN) (arch.PPN, bool) {
 	if !ok {
 		return 0, false
 	}
-	pte := proc.Table.Lookup(vpn)
-	if pte == nil {
-		return 0, false
-	}
-	return pte.PPN, true
+	pte, ok := proc.Table.Get(vpn)
+	return pte.PPN, ok
 }
 
 // Fork shares every page copy-on-write. No TLB flush is needed — cores

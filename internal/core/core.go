@@ -226,7 +226,10 @@ type portAccess struct {
 
 // ovlReq is one controller request waiting out a latency: an overlay
 // fetch/write-back before being located in the Overlay Memory Store
-// (entry, line), or a located DRAM read (target).
+// (entry, line), or a located DRAM read (target). entry points into the
+// OMT across engine events, which is safe only because the table is
+// shared (omt.Table.Share) at quiescence, when every slot is free:
+// Snapshot panics while any request is in flight.
 type ovlReq struct {
 	entry  *omt.Entry
 	line   int
@@ -246,7 +249,7 @@ func New(cfg Config) (*Framework, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return assemble(cfg, engine, memory, store, &omt.Table{}), nil
+	return assemble(cfg, engine, memory, store, omt.NewTable()), nil
 }
 
 // assemble wires a framework around pre-built bottom components. New

@@ -23,8 +23,8 @@ func (f *Framework) ShadowStore(pid arch.PID, va arch.VirtAddr, data []byte) err
 	}
 	for n := 0; n < len(data); {
 		a := va + arch.VirtAddr(n)
-		pte := proc.Table.Lookup(a.Page())
-		if pte == nil {
+		pte, ok := proc.Table.Get(a.Page())
+		if !ok {
 			return fmt.Errorf("core: shadow store fault at %#x", uint64(a))
 		}
 		if !pte.Shadow {
@@ -55,8 +55,8 @@ func (f *Framework) ShadowLoad(pid arch.PID, va arch.VirtAddr, buf []byte) error
 	}
 	for n := 0; n < len(buf); {
 		a := va + arch.VirtAddr(n)
-		pte := proc.Table.Lookup(a.Page())
-		if pte == nil {
+		pte, ok := proc.Table.Get(a.Page())
+		if !ok {
 			return fmt.Errorf("core: shadow load fault at %#x", uint64(a))
 		}
 		if !pte.Shadow {
@@ -69,7 +69,7 @@ func (f *Framework) ShadowLoad(pid arch.PID, va arch.VirtAddr, buf []byte) error
 		opn := arch.OverlayPage(pid, a.Page())
 		entry := f.OMTTable.Get(opn)
 		if entry.OBits.Has(a.Line()) {
-			loc, err := f.overlayLineLoc(opn, f.OMTTable.Ref(opn), a.Line())
+			loc, err := f.overlayLineLoc(opn, &entry, a.Line())
 			if err != nil {
 				return err
 			}

@@ -45,7 +45,7 @@ type Snapshot struct {
 	mem      *mem.Snapshot
 	vm       *vm.Snapshot
 	oms      *oms.Snapshot
-	omtTable *omt.Table
+	omtTable omt.Table
 	omtCache *omt.CacheSnapshot
 	dram     *dram.Snapshot
 	hier     *cache.HierarchySnapshot
@@ -83,7 +83,7 @@ func (f *Framework) Snapshot() *Snapshot {
 		mem:      f.Mem.Snapshot(),
 		vm:       f.VM.Snapshot(),
 		oms:      f.OMS.Snapshot(),
-		omtTable: f.OMTTable.Clone(),
+		omtTable: f.OMTTable.Share(),
 		omtCache: f.OMTCache.Snapshot(),
 		dram:     f.DRAM.Snapshot(),
 		hier:     f.Hier.Snapshot(),
@@ -119,11 +119,11 @@ func NewFromSnapshot(s *Snapshot) *Framework {
 	if err != nil {
 		panic("core: oms rebuild failed: " + err.Error())
 	}
-	table := s.omtTable.Clone()
-	f := assemble(s.cfg, engine, memory, store, table)
+	table := s.omtTable // shares the capture's nodes, copied on first write
+	f := assemble(s.cfg, engine, memory, store, &table)
 	f.VM.Restore(s.vm)
 	f.OMS.Restore(s.oms)
-	f.OMTCache.Restore(s.omtCache, table)
+	f.OMTCache.Restore(s.omtCache, &table)
 	f.DRAM.Restore(s.dram)
 	f.Hier.Restore(s.hier)
 	f.Prefetch.Restore(s.prefetch)

@@ -3,6 +3,8 @@ package exp
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -164,5 +166,39 @@ func TestBenchPlanNormalize(t *testing.T) {
 	}
 	if len(p.ForkNames) == 0 || p.SpMVMatrices != short.SpMVMatrices || p.SweepRows != short.SweepRows {
 		t.Errorf("zero fields not defaulted: %+v", p)
+	}
+}
+
+// TestShortBenchMatchesBaseline is the exact half of `bench -check` in
+// tier-1: every case of the short plan runs once, sequentially, and each
+// simulated metric must equal BENCH_harness.json's. A one-cycle change
+// to a timing constant fails here, not only in the CI bench job; the
+// wall-clock gate stays in CI.
+func TestShortBenchMatchesBaseline(t *testing.T) {
+	fh, err := os.Open(filepath.Join("..", "..", "BENCH_harness.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	base, err := LoadBenchBaseline(fh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]map[string]uint64, len(base.Experiments))
+	for _, e := range base.Experiments {
+		want[e.Name] = e.Metrics
+	}
+	for _, c := range ShortBenchPlan().cases() {
+		got, err := c.run(context.Background(), Pool{Parallel: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if diffs := diffMetrics(want[c.name], got); len(diffs) > 0 {
+			t.Errorf("%s drifted from BENCH_harness.json (%d keys):\n  %s", c.name, len(diffs), strings.Join(diffs, "\n  "))
+		}
+		delete(want, c.name)
+	}
+	for name := range want {
+		t.Errorf("BENCH_harness.json records %q, which the short plan no longer runs", name)
 	}
 }

@@ -126,9 +126,9 @@ func (p SnapshotProvenance) AttachStats(stats *sim.Stats) {
 type SnapshotCache struct {
 	mu      sync.Mutex
 	max     int
-	ll      *list.List // front = most recently used
-	entries map[string]*list.Element
-	bytes   int // the resident families' Bytes(), summed
+	ll      *list.List               // built families; front = most recently used
+	entries map[string]*list.Element // built, or building outside ll
+	bytes   int                      // the resident families' Bytes(), summed
 	hits    atomic.Uint64
 	misses  atomic.Uint64
 }
@@ -175,7 +175,8 @@ func (c *SnapshotCache) Len() int {
 // getOrBuild returns the family stored under key, building it at most
 // once per residency (concurrent callers for the same key share one
 // build). A nil cache or a non-positive bound degrades to a plain
-// build. A failed build is not cached.
+// build. Only a successful build joins the LRU list and evicts, so a
+// failed one, which is not cached, costs no resident family.
 func (c *SnapshotCache) getOrBuild(key string, build func() (any, error)) (any, error) {
 	if c == nil || c.max <= 0 {
 		return build()
@@ -183,13 +184,10 @@ func (c *SnapshotCache) getOrBuild(key string, build func() (any, error)) (any, 
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	if ok {
-		c.ll.MoveToFront(el)
+		c.ll.MoveToFront(el) // a no-op while the build runs
 	} else {
-		el = c.ll.PushFront(&snapCacheEntry{key: key})
+		el = &list.Element{Value: &snapCacheEntry{key: key}}
 		c.entries[key] = el
-		for c.ll.Len() > c.max {
-			c.remove(c.ll.Back())
-		}
 	}
 	entry := el.Value.(*snapCacheEntry)
 	c.mu.Unlock()
@@ -210,18 +208,21 @@ func (c *SnapshotCache) getOrBuild(key string, build func() (any, error)) (any, 
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resident := c.entries[entry.key] == el
 	if entry.err != nil {
 		// Do not let a transient failure poison the key: drop the entry
 		// so the next lookup retries.
-		if resident {
-			c.remove(el)
+		if c.entries[entry.key] == el {
+			delete(c.entries, entry.key)
 		}
 		return nil, entry.err
 	}
-	if built && resident {
+	if built {
 		entry.bytes = size
 		c.bytes += size
+		c.entries[entry.key] = c.ll.PushFront(entry)
+		for c.ll.Len() > c.max {
+			c.remove(c.ll.Back())
+		}
 	}
 	return entry.value, nil
 }

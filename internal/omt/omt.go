@@ -22,102 +22,43 @@ type Entry struct {
 // Empty reports whether the entry carries no overlay state.
 func (e Entry) Empty() bool { return e.OBits == 0 && e.SegBase == 0 }
 
-// The table is a 4-level radix over the 52 meaningful OPN bits
-// (overlay bit + 15-bit PID + 36-bit VPN), 13 bits per level.
-const (
-	radixLevels = 4
-	radixBits   = 13
-	radixFanout = 1 << radixBits
-	radixMask   = radixFanout - 1
-)
-
-type node struct {
-	children [radixFanout]*node
-	entries  []Entry
-}
-
-// Table is the in-memory OMT.
+// Table is the in-memory OMT: a 6-level radix over the 52 meaningful
+// OPN bits (overlay bit + 15-bit PID + 36-bit VPN), 9 bits a level.
 type Table struct {
-	root    node
-	lastHop int // interior nodes touched by the last walk (test aid)
+	tree arch.Radix[Entry]
 }
 
-func idx(opn arch.OPN, level int) int {
-	shift := uint(radixBits * (radixLevels - 1 - level))
-	return int(uint64(opn)>>shift) & radixMask
-}
+// NewTable returns an empty table.
+func NewTable() *Table { return &Table{arch.NewRadix[Entry](6)} }
 
 // Get returns the entry for opn (zero entry if absent).
-func (t *Table) Get(opn arch.OPN) Entry {
-	if e := t.find(opn); e != nil {
-		return *e
-	}
-	return Entry{}
-}
+func (t *Table) Get(opn arch.OPN) Entry { return t.tree.Get(uint64(opn)) }
 
-func (t *Table) find(opn arch.OPN) *Entry {
-	n := &t.root
-	t.lastHop = 0
-	for level := 0; level < radixLevels-1; level++ {
-		t.lastHop++
-		n = n.children[idx(opn, level)]
-		if n == nil {
-			return nil
-		}
-	}
-	if n.entries == nil {
-		return nil
-	}
-	return &n.entries[idx(opn, radixLevels-1)]
-}
-
-// Ref returns a pointer to the entry, materialising the path. The pointer
-// stays valid until Delete.
-func (t *Table) Ref(opn arch.OPN) *Entry {
-	n := &t.root
-	for level := 0; level < radixLevels-1; level++ {
-		i := idx(opn, level)
-		if n.children[i] == nil {
-			n.children[i] = &node{}
-			if level == radixLevels-2 {
-				n.children[i].entries = make([]Entry, radixFanout)
-			}
-		}
-		n = n.children[i]
-	}
-	return &n.entries[idx(opn, radixLevels-1)]
-}
+// Ref returns a writable pointer to the entry, materialising the path
+// and copying any node shared with a capture. Write through it only
+// until the next Share (arch.Radix).
+func (t *Table) Ref(opn arch.OPN) *Entry { return t.tree.Ref(uint64(opn)) }
 
 // Delete clears the entry for opn.
 func (t *Table) Delete(opn arch.OPN) {
-	if e := t.find(opn); e != nil {
-		*e = Entry{}
+	if !t.Get(opn).Empty() {
+		*t.Ref(opn) = Entry{}
 	}
 }
 
 // Count returns the number of non-empty entries (the OMT's live
 // metadata footprint; translation backends charge bytes per entry).
-func (t *Table) Count() int {
-	return countNode(&t.root, 0)
+func (t *Table) Count() (n int) {
+	t.tree.Range(func(uint64, Entry) bool { n++; return true })
+	return n
 }
 
-func countNode(n *node, level int) int {
-	total := 0
-	if level == radixLevels-1 {
-		for i := range n.entries {
-			if !n.entries[i].Empty() {
-				total++
-			}
-		}
-		return total
-	}
-	for _, c := range n.children {
-		if c != nil {
-			total += countNode(c, level+1)
-		}
-	}
-	return total
-}
+// Share returns a table holding t's nodes for a capture (arch.Radix); a
+// copy of the share is an independent table.
+func (t *Table) Share() Table { return Table{t.tree.Share()} }
+
+// Bytes returns the bytes the table's nodes hold.
+func (t *Table) Bytes() int { return t.tree.Bytes() }
 
 // Cache is the 64-entry OMT cache in the memory controller (Fig. 6, Ë).
 // It is a latency model over the authoritative Table: entries returned by
@@ -224,7 +165,8 @@ func (c *Cache) pushFront(i int32) {
 }
 
 // Lookup returns the (authoritative) entry pointer for opn and the access
-// latency: a cache hit or a full OMT walk that then fills the cache.
+// latency: a cache hit or a full OMT walk that then fills the cache. The
+// pointer comes from Table.Ref and obeys its validity rule.
 func (c *Cache) Lookup(opn arch.OPN) (*Entry, sim.Cycle) {
 	if i, ok := c.index[opn]; ok {
 		if c.head != i {

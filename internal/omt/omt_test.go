@@ -10,14 +10,14 @@ import (
 func opnOf(pid arch.PID, vpn arch.VPN) arch.OPN { return arch.OverlayPage(pid, vpn) }
 
 func TestTableGetAbsentIsZero(t *testing.T) {
-	var tbl Table
+	tbl := NewTable()
 	if !tbl.Get(opnOf(1, 1)).Empty() {
 		t.Fatal("absent entry not empty")
 	}
 }
 
 func TestTableRefPersists(t *testing.T) {
-	var tbl Table
+	tbl := NewTable()
 	opn := opnOf(1, 10)
 	e := tbl.Ref(opn)
 	e.OBits = e.OBits.Set(5)
@@ -29,7 +29,7 @@ func TestTableRefPersists(t *testing.T) {
 }
 
 func TestTableDistinctOPNs(t *testing.T) {
-	var tbl Table
+	tbl := NewTable()
 	for pid := arch.PID(0); pid < 4; pid++ {
 		for vpn := arch.VPN(0); vpn < 64; vpn++ {
 			tbl.Ref(opnOf(pid, vpn)).SegBase = arch.PhysAddr(uint64(pid)<<32 | uint64(vpn))
@@ -46,7 +46,7 @@ func TestTableDistinctOPNs(t *testing.T) {
 }
 
 func TestTableDelete(t *testing.T) {
-	var tbl Table
+	tbl := NewTable()
 	opn := opnOf(2, 20)
 	tbl.Ref(opn).OBits = 0xff
 	tbl.Delete(opn)
@@ -57,9 +57,9 @@ func TestTableDelete(t *testing.T) {
 }
 
 func TestCacheHitMissLatency(t *testing.T) {
-	var tbl Table
+	tbl := NewTable()
 	var st sim.Stats
-	c := NewCache(DefaultCacheConfig(), &tbl, &st)
+	c := NewCache(DefaultCacheConfig(), tbl, &st)
 	cfg := DefaultCacheConfig()
 	opn := opnOf(1, 1)
 
@@ -77,9 +77,9 @@ func TestCacheHitMissLatency(t *testing.T) {
 }
 
 func TestCacheReturnsAuthoritativePointer(t *testing.T) {
-	var tbl Table
+	tbl := NewTable()
 	var st sim.Stats
-	c := NewCache(DefaultCacheConfig(), &tbl, &st)
+	c := NewCache(DefaultCacheConfig(), tbl, &st)
 	opn := opnOf(1, 7)
 	e, _ := c.Lookup(opn)
 	e.OBits = e.OBits.Set(9)
@@ -90,10 +90,10 @@ func TestCacheReturnsAuthoritativePointer(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	var tbl Table
+	tbl := NewTable()
 	var st sim.Stats
 	cfg := CacheConfig{Entries: 4, HitLatency: 5, MissLatency: 1000}
-	c := NewCache(cfg, &tbl, &st)
+	c := NewCache(cfg, tbl, &st)
 	for i := 0; i < 4; i++ {
 		c.Lookup(opnOf(1, arch.VPN(i)))
 	}
@@ -111,9 +111,9 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheInvalidate(t *testing.T) {
-	var tbl Table
+	tbl := NewTable()
 	var st sim.Stats
-	c := NewCache(DefaultCacheConfig(), &tbl, &st)
+	c := NewCache(DefaultCacheConfig(), tbl, &st)
 	opn := opnOf(1, 1)
 	c.Lookup(opn)
 	c.Invalidate(opn)

@@ -6,52 +6,11 @@ import (
 	"repro/internal/arch"
 )
 
-// Snapshot support: the authoritative Table is deep-copied (radix nodes
-// and entry leaves) and the controller cache's intrusive-LRU residency
-// state is captured by value. Restored cache slots resolve entries
-// dynamically through Table.Ref, so re-pointing a restored cache at a
-// forked table is all the rebinding needed.
-
-func cloneNode(n *node) *node {
-	c := &node{}
-	if n.entries != nil {
-		c.entries = append([]Entry(nil), n.entries...)
-	}
-	for i, child := range n.children {
-		if child != nil {
-			c.children[i] = cloneNode(child)
-		}
-	}
-	return c
-}
-
-// Clone deep-copies the table.
-func (t *Table) Clone() *Table {
-	c := &Table{}
-	if t.root.entries != nil {
-		c.root.entries = append([]Entry(nil), t.root.entries...)
-	}
-	for i, child := range t.root.children {
-		if child != nil {
-			c.root.children[i] = cloneNode(child)
-		}
-	}
-	return c
-}
-
-// Bytes returns the bytes the table holds: its radix nodes and entry
-// leaves.
-func (t *Table) Bytes() int { return t.root.bytes() }
-
-func (n *node) bytes() int {
-	b := int(unsafe.Sizeof(*n)) + len(n.entries)*int(unsafe.Sizeof(Entry{}))
-	for _, child := range n.children {
-		if child != nil {
-			b += child.bytes()
-		}
-	}
-	return b
-}
+// Snapshot support: the authoritative Table is shared node for node
+// with the capture (Table.Share) and the controller cache's
+// intrusive-LRU residency state is captured by value. Restored cache
+// slots resolve entries dynamically through Table.Ref, so re-pointing a
+// restored cache at a forked table is all the rebinding needed.
 
 // CacheSnapshot is an immutable capture of the OMT cache's residency
 // and LRU state.
@@ -85,8 +44,9 @@ func (c *Cache) Snapshot() *CacheSnapshot {
 }
 
 // Restore loads the captured residency state into this cache and points
-// it at the given table (a fork's own deep copy). The cache must have
-// the same capacity as the one that produced the snapshot.
+// it at the given table (a fork's own copy of the captured one). The
+// cache must have the same capacity as the one that produced the
+// snapshot.
 func (c *Cache) Restore(s *CacheSnapshot, table *Table) {
 	if len(s.slots) != len(c.slots) {
 		panic("omt: cache restore capacity mismatch")

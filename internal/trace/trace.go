@@ -104,10 +104,13 @@ func Record(w io.Writer, src cpu.Trace, limit uint64) (uint64, error) {
 	return tw.Count(), tw.Flush()
 }
 
-// Reader decodes a recorded stream; it implements cpu.Trace.
+// Reader decodes a recorded stream; it implements cpu.Trace. A trace
+// file is untrusted input: a burst of no instructions (or more than an
+// int holds) and a VA at or above 2^arch.VirtBits are decoding errors.
 type Reader struct {
 	r      *bufio.Reader
 	lastVA arch.VirtAddr
+	count  uint64
 	err    error
 }
 
@@ -135,32 +138,43 @@ func (t *Reader) Next() (cpu.Instr, bool) {
 		return cpu.Instr{}, false
 	}
 	if err != nil {
-		t.err = fmt.Errorf("trace: kind: %w", err)
-		return cpu.Instr{}, false
+		return t.fail("kind: %w", err)
 	}
 	in := cpu.Instr{Kind: cpu.Kind(kind)}
 	switch in.Kind {
 	case cpu.Compute:
 		n, err := binary.ReadUvarint(t.r)
 		if err != nil {
-			t.err = fmt.Errorf("trace: burst: %w", err)
-			return cpu.Instr{}, false
+			return t.fail("burst: %w", err)
 		}
-		in.N = int(n)
+		if in.N = int(n); in.N <= 0 {
+			return t.fail("burst of %d instructions", n)
+		}
 	case cpu.Load, cpu.Store, cpu.LoadOverlay:
 		delta, err := binary.ReadVarint(t.r)
 		if err != nil {
-			t.err = fmt.Errorf("trace: delta: %w", err)
-			return cpu.Instr{}, false
+			return t.fail("delta: %w", err)
 		}
 		in.VA = arch.VirtAddr(int64(t.lastVA) + delta)
+		if !in.VA.Canonical() {
+			return t.fail("va %#x is at or above 2^%d", uint64(in.VA), arch.VirtBits)
+		}
 		t.lastVA = in.VA
 	default:
-		t.err = fmt.Errorf("trace: unknown kind %d", kind)
-		return cpu.Instr{}, false
+		return t.fail("unknown kind %d", kind)
 	}
+	t.count++
 	return in, true
 }
+
+// fail ends the stream with a decoding error naming the record.
+func (t *Reader) fail(format string, args ...any) (cpu.Instr, bool) {
+	t.err = fmt.Errorf("trace: record %d: %w", t.count, fmt.Errorf(format, args...))
+	return cpu.Instr{}, false
+}
+
+// Count returns the number of records decoded so far.
+func (t *Reader) Count() uint64 { return t.count }
 
 // Err reports a decoding failure, if any (EOF is not an error).
 func (t *Reader) Err() error { return t.err }

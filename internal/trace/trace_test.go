@@ -171,3 +171,83 @@ func TestTruncatedStream(t *testing.T) {
 		t.Fatal("truncation not reported")
 	}
 }
+
+// FuzzTraceReader feeds arbitrary bytes to the decoder behind `trace
+// -in`. Decoding must not panic and must end, every VA it returns must
+// lie below 2^48, and re-encoding the decoded records with a Writer must
+// decode to the same records.
+func FuzzTraceReader(f *testing.F) {
+	spec, _ := workload.ByName("hmmer")
+	var buf bytes.Buffer
+	if _, err := Record(&buf, spec.NewTrace(), 64); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var got []cpu.Instr
+		for {
+			in, ok := r.Next()
+			if !ok {
+				break
+			}
+			if !in.VA.Canonical() {
+				t.Fatalf("record %d: va %#x is at or above 2^%d", len(got), uint64(in.VA), arch.VirtBits)
+			}
+			got = append(got, in)
+			// A record takes at least two bytes past the 8-byte header.
+			if 2*len(got) > len(data)-8 {
+				t.Fatalf("decoded %d records from %d bytes", len(got), len(data))
+			}
+		}
+		again := roundTrip(t, got)
+		if len(again) != len(got) {
+			t.Fatalf("re-encoded %d records decode to %d", len(got), len(again))
+		}
+		for i := range got {
+			if again[i] != got[i] {
+				t.Fatalf("record %d: %+v re-encodes to %+v", i, got[i], again[i])
+			}
+		}
+	})
+}
+
+func TestReaderRejectsBadRecords(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		in   cpu.Instr
+		want string
+	}{
+		{"va past 48 bits", cpu.Instr{Kind: cpu.Load, VA: 1 << 50}, "trace: record 1: va 0x4000000000000 is at or above 2^48"},
+		{"negative va", cpu.Instr{Kind: cpu.Store, VA: ^arch.VirtAddr(0)}, "trace: record 1: va 0xffffffffffffffff is at or above 2^48"},
+	} {
+		var buf bytes.Buffer
+		if _, err := Record(&buf, cpu.NewSliceTrace([]cpu.Instr{{Kind: cpu.Load, VA: 0x1000}, c.in}), 0); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			if _, ok := r.Next(); !ok {
+				break
+			}
+		}
+		if r.Err() == nil || r.Err().Error() != c.want || r.Count() != 1 {
+			t.Errorf("%s: err %v after %d records, want %q after 1", c.name, r.Err(), r.Count(), c.want)
+		}
+	}
+	// A burst of zero instructions is never written (Writer records at
+	// least 1), so the reader refuses one.
+	r, err := NewReader(bytes.NewReader([]byte("POTRACE1\x00\x00")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.Next(); ok || r.Err() == nil || r.Err().Error() != "trace: record 0: burst of 0 instructions" {
+		t.Fatalf("zero burst: err %v", r.Err())
+	}
+}

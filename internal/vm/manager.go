@@ -34,7 +34,7 @@ func NewManager(m *mem.Memory) *Manager {
 
 // NewProcess creates an empty process.
 func (mgr *Manager) NewProcess() *Process {
-	p := &Process{PID: mgr.nextPID, Table: &PageTable{}}
+	p := &Process{PID: mgr.nextPID, Table: NewPageTable()}
 	mgr.nextPID++
 	mgr.procs[p.PID] = p
 	return p
@@ -112,13 +112,14 @@ func (mgr *Manager) release(ppn arch.PPN) {
 // between the two mechanisms (§2.2).
 func (mgr *Manager) Fork(parent *Process, overlayMode bool) *Process {
 	child := mgr.NewProcess()
-	parent.Table.Range(func(vpn arch.VPN, pte *PTE) bool {
+	parent.Table.Range(func(vpn arch.VPN, pte PTE) bool {
 		if pte.Writable || pte.COW {
 			pte.Writable = false
 			pte.COW = true
 			pte.Overlay = pte.Overlay || overlayMode
+			*parent.Table.Lookup(vpn) = pte
 		}
-		child.Table.Map(vpn, *pte)
+		child.Table.Map(vpn, pte)
 		mgr.refs[pte.PPN]++
 		return true
 	})
@@ -198,12 +199,12 @@ func (mgr *Manager) ReplaceFrame(p *Process, vpn arch.VPN, newPPN arch.PPN) erro
 
 // Exit tears down a process, releasing every frame it maps.
 func (mgr *Manager) Exit(p *Process) {
-	p.Table.Range(func(vpn arch.VPN, pte *PTE) bool {
+	p.Table.Range(func(vpn arch.VPN, pte PTE) bool {
 		mgr.release(pte.PPN)
 		return true
 	})
 	delete(mgr.procs, p.PID)
-	p.Table = &PageTable{}
+	p.Table = NewPageTable()
 }
 
 // MappedPages counts the present PTEs across every live process —
@@ -211,10 +212,7 @@ func (mgr *Manager) Exit(p *Process) {
 func (mgr *Manager) MappedPages() int {
 	n := 0
 	for _, p := range mgr.procs {
-		p.Table.Range(func(arch.VPN, *PTE) bool {
-			n++
-			return true
-		})
+		n += p.Table.Mapped()
 	}
 	return n
 }
@@ -225,8 +223,8 @@ func (mgr *Manager) MappedPages() int {
 func (mgr *Manager) ReadBytes(p *Process, va arch.VirtAddr, buf []byte) error {
 	for n := 0; n < len(buf); {
 		a := va + arch.VirtAddr(n)
-		pte := p.Table.Lookup(a.Page())
-		if pte == nil {
+		pte, ok := p.Table.Get(a.Page())
+		if !ok {
 			return fmt.Errorf("vm: read fault at %#x", uint64(a))
 		}
 		span := int(arch.PageSize - a.Offset())
@@ -244,18 +242,19 @@ func (mgr *Manager) ReadBytes(p *Process, va arch.VirtAddr, buf []byte) error {
 func (mgr *Manager) WriteBytes(p *Process, va arch.VirtAddr, data []byte) error {
 	for n := 0; n < len(data); {
 		a := va + arch.VirtAddr(n)
-		pte := p.Table.Lookup(a.Page())
-		if pte == nil {
+		pte, ok := p.Table.Get(a.Page())
+		if !ok {
 			return fmt.Errorf("vm: write fault at %#x", uint64(a))
 		}
 		if !pte.Writable {
 			if !pte.COW {
 				return fmt.Errorf("vm: write to read-only page %#x", uint64(a.Page()))
 			}
-			if _, _, err := mgr.BreakCOW(p, a.Page()); err != nil {
+			ppn, _, err := mgr.BreakCOW(p, a.Page())
+			if err != nil {
 				return err
 			}
-			pte = p.Table.Lookup(a.Page())
+			pte.PPN = ppn
 		}
 		span := int(arch.PageSize - a.Offset())
 		if span > len(data)-n {

@@ -13,14 +13,6 @@ import (
 	"repro/internal/arch"
 )
 
-// Page-table geometry: 48-bit virtual addresses, 4 levels of 9 bits.
-const (
-	ptLevels  = 4
-	ptBits    = 9
-	ptFanout  = 1 << ptBits
-	ptIdxMask = ptFanout - 1
-)
-
 // PTE is a leaf page-table entry. The overlay framework adds no fields to
 // it beyond the two OS-visible mode bits.
 type PTE struct {
@@ -32,63 +24,34 @@ type PTE struct {
 	PPN      arch.PPN
 }
 
-type ptNode struct {
-	children [ptFanout]*ptNode // nil at leaf level
-	ptes     []PTE             // non-nil only at leaf level
-}
-
-// PageTable is a 4-level radix table mapping VPN → PTE.
+// PageTable is a 4-level radix table mapping VPN → PTE (48-bit virtual
+// addresses, 9 bits a level). A non-present PTE is the zero PTE.
 type PageTable struct {
-	root     ptNode
-	mapped   int
-	walkCost int // interior nodes touched by the last Walk (test aid)
+	tree   arch.Radix[PTE]
+	mapped int
 }
 
-func levelIndex(vpn arch.VPN, level int) int {
-	shift := uint(ptBits * (ptLevels - 1 - level))
-	return int(uint64(vpn)>>shift) & ptIdxMask
+// NewPageTable returns an empty page table.
+func NewPageTable() *PageTable { return &PageTable{tree: arch.NewRadix[PTE](4)} }
+
+// Get returns the PTE for vpn and whether it is present.
+func (pt *PageTable) Get(vpn arch.VPN) (PTE, bool) {
+	pte := pt.tree.Get(uint64(vpn))
+	return pte, pte.Present
 }
 
-// Lookup returns a pointer to the PTE for vpn, or nil if no leaf exists.
+// Lookup returns a writable pointer to the PTE for vpn, or nil if vpn is
+// not mapped. Unlike Get, it copies any node shared with a capture.
 func (pt *PageTable) Lookup(vpn arch.VPN) *PTE {
-	n := &pt.root
-	pt.walkCost = 0
-	for level := 0; level < ptLevels-1; level++ {
-		pt.walkCost++
-		n = n.children[levelIndex(vpn, level)]
-		if n == nil {
-			return nil
-		}
-	}
-	if n.ptes == nil {
+	if _, ok := pt.Get(vpn); !ok {
 		return nil
 	}
-	pte := &n.ptes[levelIndex(vpn, ptLevels-1)]
-	if !pte.Present {
-		return nil
-	}
-	return pte
-}
-
-// Ensure returns the PTE slot for vpn, materialising interior nodes.
-func (pt *PageTable) Ensure(vpn arch.VPN) *PTE {
-	n := &pt.root
-	for level := 0; level < ptLevels-1; level++ {
-		idx := levelIndex(vpn, level)
-		if n.children[idx] == nil {
-			n.children[idx] = &ptNode{}
-			if level == ptLevels-2 {
-				n.children[idx].ptes = make([]PTE, ptFanout)
-			}
-		}
-		n = n.children[idx]
-	}
-	return &n.ptes[levelIndex(vpn, ptLevels-1)]
+	return pt.tree.Ref(uint64(vpn))
 }
 
 // Map installs a mapping; it panics on double-map (an OS bug upstream).
 func (pt *PageTable) Map(vpn arch.VPN, pte PTE) {
-	slot := pt.Ensure(vpn)
+	slot := pt.tree.Ref(uint64(vpn))
 	if slot.Present {
 		panic(fmt.Sprintf("vm: vpn %#x already mapped", uint64(vpn)))
 	}
@@ -114,30 +77,12 @@ func (pt *PageTable) Unmap(vpn arch.VPN) (PTE, bool) {
 // Mapped returns the number of present leaf entries.
 func (pt *PageTable) Mapped() int { return pt.mapped }
 
-// Range calls fn for every present mapping in ascending VPN order within
-// the materialised subtrees.
-func (pt *PageTable) Range(fn func(vpn arch.VPN, pte *PTE) bool) {
-	var walk func(n *ptNode, prefix uint64, level int) bool
-	walk = func(n *ptNode, prefix uint64, level int) bool {
-		if n.ptes != nil {
-			for i := range n.ptes {
-				if n.ptes[i].Present {
-					vpn := arch.VPN(prefix<<ptBits | uint64(i))
-					if !fn(vpn, &n.ptes[i]) {
-						return false
-					}
-				}
-			}
-			return true
-		}
-		for i, c := range n.children {
-			if c != nil {
-				if !walk(c, prefix<<ptBits|uint64(i), level+1) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	walk(&pt.root, 0, 0)
+// Range calls fn with every present mapping in ascending VPN order until
+// fn returns false. A caller that changes a PTE writes it via Lookup.
+func (pt *PageTable) Range(fn func(vpn arch.VPN, pte PTE) bool) {
+	pt.tree.Range(func(key uint64, pte PTE) bool { return fn(arch.VPN(key), pte) })
 }
+
+// Share returns a table holding pt's nodes for a capture (arch.Radix);
+// a copy of the share is an independent table.
+func (pt *PageTable) Share() PageTable { return PageTable{pt.tree.Share(), pt.mapped} }

@@ -11,7 +11,7 @@ import (
 func newMgr(pages int) *Manager { return NewManager(mem.New(pages)) }
 
 func TestPageTableMapLookupUnmap(t *testing.T) {
-	pt := &PageTable{}
+	pt := NewPageTable()
 	if pt.Lookup(5) != nil {
 		t.Fatal("lookup on empty table should return nil")
 	}
@@ -33,7 +33,7 @@ func TestPageTableMapLookupUnmap(t *testing.T) {
 }
 
 func TestPageTableDoubleMapPanics(t *testing.T) {
-	pt := &PageTable{}
+	pt := NewPageTable()
 	pt.Map(5, PTE{Present: true, PPN: 1})
 	defer func() {
 		if recover() == nil {
@@ -45,7 +45,7 @@ func TestPageTableDoubleMapPanics(t *testing.T) {
 
 func TestPageTableSparseVPNs(t *testing.T) {
 	// VPNs spread across the full 36-bit VPN space must not collide.
-	pt := &PageTable{}
+	pt := NewPageTable()
 	rng := rand.New(rand.NewSource(11))
 	want := map[arch.VPN]arch.PPN{}
 	for i := 0; i < 500; i++ {
@@ -66,13 +66,13 @@ func TestPageTableSparseVPNs(t *testing.T) {
 }
 
 func TestPageTableRangeOrderAndCount(t *testing.T) {
-	pt := &PageTable{}
+	pt := NewPageTable()
 	vpns := []arch.VPN{100, 5, 1 << 30, 7, 600}
 	for i, v := range vpns {
 		pt.Map(v, PTE{Present: true, PPN: arch.PPN(i + 1)})
 	}
 	var got []arch.VPN
-	pt.Range(func(vpn arch.VPN, pte *PTE) bool {
+	pt.Range(func(vpn arch.VPN, pte PTE) bool {
 		got = append(got, vpn)
 		return true
 	})
@@ -87,12 +87,12 @@ func TestPageTableRangeOrderAndCount(t *testing.T) {
 }
 
 func TestRangeEarlyStop(t *testing.T) {
-	pt := &PageTable{}
+	pt := NewPageTable()
 	for i := 0; i < 10; i++ {
 		pt.Map(arch.VPN(i), PTE{Present: true, PPN: arch.PPN(i + 1)})
 	}
 	n := 0
-	pt.Range(func(arch.VPN, *PTE) bool { n++; return n < 3 })
+	pt.Range(func(arch.VPN, PTE) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Fatalf("visited %d, want 3", n)
 	}
