@@ -1,23 +1,22 @@
-// Package repro's root benchmark harness: one testing.B benchmark per
-// table and figure of the paper's evaluation (§5), plus ablation benches
-// for the design choices DESIGN.md calls out. The benchmarks report the
-// paper's headline metrics via b.ReportMetric, so
+// Package repro's root benchmark harness: the Table 2 machine's
+// construction, the Table 1 techniques, and ablation benches for the
+// design choices DESIGN.md calls out. The benchmarks report their
+// headline metrics via b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //
-// regenerates a compact, comparable version of every result. The
-// full-size sweeps live behind `overlaysim` (see README).
+// prints a compact, comparable record of each. The paper's figures are
+// regenerated by the `overlaysim` experiment subcommands (see README),
+// and pinned by internal/exp's export digests and its claims tests.
 package repro
 
 import (
-	"context"
+	"fmt"
 	"io"
 	"testing"
 
-	"fmt"
 	"repro/internal/arch"
 	"repro/internal/cache"
-
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/exp"
@@ -39,113 +38,6 @@ func BenchmarkTable2Config(b *testing.B) {
 		}
 		core.Describe(io.Discard, f.Config)
 	}
-}
-
-// forkPair runs one benchmark under both mechanisms at bench scale.
-func forkPair(b *testing.B, name string) exp.ForkResult {
-	b.Helper()
-	spec, err := workload.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := exp.RunForkBenchmark(context.Background(), spec, exp.QuickForkParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return r
-}
-
-// BenchmarkFigure8ForkMemory regenerates Figure 8's comparison for one
-// representative benchmark per write-working-set type, reporting the
-// memory reduction overlay-on-write achieves over copy-on-write.
-func BenchmarkFigure8ForkMemory(b *testing.B) {
-	for _, name := range []string{"hmmer", "lbm", "mcf"} {
-		b.Run(name, func(b *testing.B) {
-			var reduction float64
-			for i := 0; i < b.N; i++ {
-				r := forkPair(b, name)
-				reduction = r.MemoryReduction()
-			}
-			b.ReportMetric(100*reduction, "%mem-reduction")
-		})
-	}
-}
-
-// BenchmarkFigure9ForkCPI regenerates Figure 9's CPI comparison,
-// reporting the overlay-on-write speedup.
-func BenchmarkFigure9ForkCPI(b *testing.B) {
-	for _, name := range []string{"hmmer", "cactus", "lbm", "mcf"} {
-		b.Run(name, func(b *testing.B) {
-			var speedup float64
-			for i := 0; i < b.N; i++ {
-				r := forkPair(b, name)
-				speedup = r.Speedup()
-			}
-			b.ReportMetric(100*(speedup-1), "%speedup")
-		})
-	}
-}
-
-// BenchmarkFigure10SpMV regenerates Figure 10 at three points of the L
-// axis (the two extremes plus the crossover region), reporting overlay
-// performance and memory relative to CSR.
-func BenchmarkFigure10SpMV(b *testing.B) {
-	specs := sparse.SuiteSpecs()
-	picks := map[string]sparse.SuiteSpec{
-		"lowL":  specs[0],
-		"midL":  specs[sparse.SuiteSize/2],
-		"highL": specs[sparse.SuiteSize-1],
-	}
-	for label, spec := range picks {
-		spec := spec
-		b.Run(label, func(b *testing.B) {
-			var r exp.SpMVResult
-			for i := 0; i < b.N; i++ {
-				m := spec.Build()
-				var err error
-				r, err = exp.RunSpMV(m, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(r.RelPerf(), "x-perf-vs-csr")
-			b.ReportMetric(r.RelMem(), "x-mem-vs-csr")
-			b.ReportMetric(r.L, "L")
-		})
-	}
-}
-
-// BenchmarkFigure11LineSize regenerates Figure 11 (analytic), reporting
-// the mean page-granularity overhead over ideal (the paper's 53×).
-func BenchmarkFigure11LineSize(b *testing.B) {
-	var mean4k float64
-	for i := 0; i < b.N; i++ {
-		results, err := exp.RunFigure11Pool(context.Background(), exp.Pool{Parallel: 1}, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sum := 0.0
-		for _, r := range results {
-			sum += r.Overheads[4096]
-		}
-		mean4k = sum / float64(len(results))
-	}
-	b.ReportMetric(mean4k, "x-4KB-overhead-vs-ideal")
-}
-
-// BenchmarkSparsitySweepVsDense regenerates the §5.2 in-text sweep,
-// reporting the overlay speedup over the dense representation at the
-// sparsest point.
-func BenchmarkSparsitySweepVsDense(b *testing.B) {
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		results, err := exp.RunSparsitySweepPool(context.Background(), exp.Pool{Parallel: 1}, 4, 128)
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup = results[len(results)-1].Speedup()
-	}
-	b.ReportMetric(speedup, "x-vs-dense-at-max-sparsity")
 }
 
 // --- Table 1 techniques -------------------------------------------------

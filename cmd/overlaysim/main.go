@@ -383,19 +383,15 @@ func newExperimentCmd(e *exp.Experiment) *command {
 	}
 }
 
+// benchPlan is the matrix bench runs; tests swap in a smaller one.
+var benchPlan = exp.ShortBenchPlan
+
 func newBenchCmd() *command {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	short := fs.Bool("short", false, "run the quick CI matrix instead of the full one")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the parallel phase (0 = GOMAXPROCS)")
 	jsonPath := fs.String("json", "", "write the machine-readable baseline (JSON, schema v1) to this `file`")
 	check := fs.String("check", "", "compare this run against the recorded baseline `file`; drift exits 1")
-	wallTol := fs.Float64("wall-tolerance", 0.25, "allowed wall-clock regression vs baseline (0.25 = +25%%; 0 disables)")
-	benches := fs.String("benches", "", "override the fork benchmark list (comma-separated)")
-	warm := fs.Uint64("warm", 0, "override fork warm-up instructions")
-	measure := fs.Uint64("measure", 0, "override fork measured instructions")
-	matrices := fs.Int("matrices", 0, "override the SpMV/linesize matrix count")
-	points := fs.Int("points", 0, "override the sparsity-sweep point count")
-	rows := fs.Int("rows", 0, "override the sparsity-sweep matrix dimension")
+	wallTol := fs.Float64("wall-tolerance", 0.25, "allowed wall-clock regression vs baseline (0.25 = +25%; 0 disables)")
 	return &command{
 		name:    "bench",
 		summary: "run the fixed experiment matrix sequentially and in parallel; baseline for CI",
@@ -431,29 +427,7 @@ func newBenchCmd() *command {
 					return fmt.Errorf("%s: %w", *check, err)
 				}
 			}
-			plan := exp.DefaultBenchPlan()
-			if *short {
-				plan = exp.ShortBenchPlan()
-			}
-			if *benches != "" {
-				plan.ForkNames = strings.Split(*benches, ",")
-			}
-			if *warm != 0 {
-				plan.ForkParams.WarmInstructions = *warm
-			}
-			if *measure != 0 {
-				plan.ForkParams.MeasureInstructions = *measure
-			}
-			if *matrices != 0 {
-				plan.SpMVMatrices = *matrices
-				plan.LineSizeMatrices = *matrices
-			}
-			if *points != 0 {
-				plan.SweepPoints = *points
-			}
-			if *rows != 0 {
-				plan.SweepRows = *rows
-			}
+			plan := benchPlan()
 			workers := *parallel
 			if workers == 0 {
 				workers = runtime.GOMAXPROCS(0)
@@ -481,8 +455,11 @@ func newBenchCmd() *command {
 				if err := exp.CheckBench(baseline, report, *wallTol); err != nil {
 					return err
 				}
-				fmt.Fprintf(stdout, "baseline check passed: metrics exact, wall within +%.0f%% of %s\n",
-					*wallTol*100, *check)
+				wall := "wall not checked"
+				if *wallTol > 0 {
+					wall = fmt.Sprintf("wall within +%.0f%%", *wallTol*100)
+				}
+				fmt.Fprintf(stdout, "baseline check passed against %s: metrics exact, %s\n", *check, wall)
 			}
 			return nil
 		},

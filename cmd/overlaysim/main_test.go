@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/cpu"
+	"repro/internal/exp"
 	"repro/internal/trace"
 )
 
@@ -150,6 +151,7 @@ func TestExitCodes(t *testing.T) {
 		{"bench bad flag", []string{"bench", "-nope"}, 2},
 		{"bench negative parallel", []string{"bench", "-parallel=-4"}, 2},
 		{"bench negative tolerance", []string{"bench", "-wall-tolerance=-0.5"}, 2},
+		{"bench has one matrix", []string{"bench", "-short"}, 2},
 		{"trace without -out/-in", []string{"trace"}, 2},
 		{"trace with both -out and -in", []string{"trace", "-out=a", "-in=b"}, 2},
 		{"stats bad flag", []string{"stats", "-nope"}, 2},
@@ -230,16 +232,26 @@ func TestProfileFlags(t *testing.T) {
 
 // TestBenchCLI runs a tiny bench matrix through the CLI: the JSON
 // export must be a loadable baseline, and a -check against the file it
-// just wrote must pass (same machine, same run ⇒ metrics exact).
+// just wrote must pass (same machine, same run ⇒ metrics exact). The
+// check runs at -wall-tolerance=0: two runs on a loaded host can differ
+// by more than the default +25%, and TestCheckBench covers the wall
+// gate.
 func TestBenchCLI(t *testing.T) {
+	defer func(plan func() exp.BenchPlan) { benchPlan = plan }(benchPlan)
+	benchPlan = func() exp.BenchPlan {
+		return exp.BenchPlan{
+			ForkNames:        []string{"hmmer"},
+			ForkParams:       exp.ForkParams{WarmInstructions: 20_000, MeasureInstructions: 40_000},
+			SpMVMatrices:     2,
+			LineSizeMatrices: 2,
+			SweepPoints:      2,
+			SweepRows:        64,
+		}
+	}
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "bench.json")
-	tiny := []string{
-		"-short", "-parallel=2", "-benches=hmmer", "-warm=20000", "-measure=40000",
-		"-matrices=2", "-points=2", "-rows=64",
-	}
 	var stdout, stderr bytes.Buffer
-	code := run(append([]string{"bench", "-json=" + jsonPath}, tiny...), &stdout, &stderr)
+	code := run([]string{"bench", "-parallel=2", "-json=" + jsonPath}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("bench exited %d, stderr: %s", code, stderr.String())
 	}
@@ -284,7 +296,7 @@ func TestBenchCLI(t *testing.T) {
 	// Re-running against the just-written baseline must pass the gate.
 	stdout.Reset()
 	stderr.Reset()
-	code = run(append([]string{"bench", "-check=" + jsonPath}, tiny...), &stdout, &stderr)
+	code = run([]string{"bench", "-parallel=2", "-wall-tolerance=0", "-check=" + jsonPath}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("bench -check exited %d, stderr: %s", code, stderr.String())
 	}
@@ -295,8 +307,7 @@ func TestBenchCLI(t *testing.T) {
 	// A baseline recorded at a different worker count is rejected (exit 1).
 	stdout.Reset()
 	stderr.Reset()
-	mismatched := append([]string{"bench", "-check=" + jsonPath, "-short", "-parallel=1"}, tiny[2:]...)
-	if code = run(mismatched, &stdout, &stderr); code != 1 {
+	if code = run([]string{"bench", "-parallel=1", "-check=" + jsonPath}, &stdout, &stderr); code != 1 {
 		t.Fatalf("mismatched -parallel check exited %d, want 1", code)
 	}
 }

@@ -2,9 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/server"
 	"repro/internal/sim"
 )
 
@@ -132,4 +136,49 @@ overlaysim_server_job_wall_ms_count 4
 			t.Errorf("%s = %v, want %v\n%s", k, got[k], v, out.String())
 		}
 	}
+}
+
+// TestMalformedScrapeCountsAsError: a worker whose /metrics body does
+// not parse is skipped and counted, and the coordinator still answers.
+// The line below once panicked the parser, and net/http's recovery
+// turned the coordinator's whole scrape into a dropped connection.
+func TestMalformedScrapeCountsAsError(t *testing.T) {
+	_, good, _ := newTestWorker(t, server.Config{Workers: 1, Runner: (&countingRunner{}).run})
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			io.WriteString(w, `x{a="} 1`+"\n") //nolint:errcheck
+		}
+	}))
+	defer bad.Close()
+	_, cts := newTestCoordinator(t, Config{Workers: []string{good.URL, bad.URL}})
+
+	status, raw := getBody(t, cts.URL+"/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("coordinator /metrics: status %d\n%s", status, raw)
+	}
+	if !strings.Contains(string(raw), "\noverlaysim_coord_scrape_errors 1\n") {
+		t.Errorf("malformed worker scrape not counted:\n%s", raw)
+	}
+	if _, _, err := sim.ParsePrometheus(bytes.NewReader(raw)); err != nil {
+		t.Errorf("coordinator /metrics does not parse: %v\n%s", err, raw)
+	}
+}
+
+// FuzzScrapeMerge holds the coordinator's scrape path — a worker's
+// /metrics body parsed, merged into a fleet of two such workers and
+// rendered — to two properties: no input panics it, and the rendering
+// of every body the parser accepts parses again.
+func FuzzScrapeMerge(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		samples, types, err := sim.ParsePrometheus(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		sc := scrape{samples: samples, types: types}
+		var out bytes.Buffer
+		writeMerged(&out, mergeScrapes([]scrape{sc, sc}))
+		if _, _, err := sim.ParsePrometheus(&out); err != nil {
+			t.Fatalf("merged rendering does not parse: %v\n%s", err, out.String())
+		}
+	})
 }

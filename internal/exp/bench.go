@@ -1,14 +1,15 @@
 package exp
 
-// This file implements `overlaysim bench`: a fixed job matrix over all
-// five experiments that doubles as (a) the parallel-harness
-// verification — every experiment runs once sequentially and once at
-// the requested worker count, and the simulated metrics must match
-// bit for bit — and (b) the CI regression gate: the report is written
-// as a schema-versioned export, checked in as BENCH_harness.json, and
+// This file implements `overlaysim bench`: a fixed matrix of job specs
+// over all seven experiments, each run through JobSpec.Run as the CLI,
+// serve and perfbench run them. It doubles as (a) the parallel-harness
+// verification — every case runs once sequentially and once at the
+// requested worker count, and the simulated metrics must match bit for
+// bit — and (b) the CI regression gate: the report is written as a
+// schema-versioned export, checked in as BENCH_harness.json, and
 // CheckBench fails the build when simulated cycles drift (the
-// simulator is deterministic, so the comparison is exact) or the
-// short-mode wall clock regresses beyond the tolerance.
+// simulator is deterministic, so the comparison is exact) or the wall
+// clock regresses beyond the tolerance.
 
 import (
 	"context"
@@ -16,16 +17,14 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
-// BenchPlan fixes the job matrix one bench run executes. The zero
-// value of any field falls back to the corresponding ShortBenchPlan
-// setting, so CLI overrides can shrink individual experiments without
-// respecifying the whole plan.
+// BenchPlan sizes the bench matrix; the bench export records it as its
+// config block.
 type BenchPlan struct {
 	ForkNames        []string   `json:"fork_names"`
 	ForkParams       ForkParams `json:"fork_params"`
@@ -35,9 +34,9 @@ type BenchPlan struct {
 	SweepRows        int        `json:"sweep_rows"`
 }
 
-// ShortBenchPlan is the quick matrix CI runs on every push: one fork
-// benchmark per workload type, a small SpMV subsample, and the
-// sparsity sweep at reduced dimension.
+// ShortBenchPlan is the matrix `overlaysim bench` runs: one fork
+// benchmark per workload type, a small SpMV subsample, and the sparsity
+// sweep at reduced dimension.
 func ShortBenchPlan() BenchPlan {
 	return BenchPlan{
 		ForkNames:        []string{"hmmer", "lbm", "mcf"},
@@ -49,54 +48,11 @@ func ShortBenchPlan() BenchPlan {
 	}
 }
 
-// DefaultBenchPlan is the fuller matrix for local runs: six fork
-// benchmarks (two per type) at a longer window, more matrices, and
-// the paper-sized sparsity sweep (11 points, 256×256).
-func DefaultBenchPlan() BenchPlan {
-	return BenchPlan{
-		ForkNames:        []string{"hmmer", "tonto", "lbm", "soplex", "mcf", "astar"},
-		ForkParams:       ForkParams{WarmInstructions: 120_000, MeasureInstructions: 300_000},
-		SpMVMatrices:     12,
-		LineSizeMatrices: 20,
-		SweepPoints:      11,
-		SweepRows:        256,
-	}
-}
-
-// normalize fills zero fields from the short plan.
-func (p BenchPlan) normalize() BenchPlan {
-	short := ShortBenchPlan()
-	if len(p.ForkNames) == 0 {
-		p.ForkNames = short.ForkNames
-	}
-	if p.ForkParams.WarmInstructions == 0 {
-		p.ForkParams.WarmInstructions = short.ForkParams.WarmInstructions
-	}
-	if p.ForkParams.MeasureInstructions == 0 {
-		p.ForkParams.MeasureInstructions = short.ForkParams.MeasureInstructions
-	}
-	if p.SpMVMatrices == 0 {
-		p.SpMVMatrices = short.SpMVMatrices
-	}
-	if p.LineSizeMatrices == 0 {
-		p.LineSizeMatrices = short.LineSizeMatrices
-	}
-	if p.SweepPoints == 0 {
-		p.SweepPoints = short.SweepPoints
-	}
-	if p.SweepRows == 0 {
-		p.SweepRows = short.SweepRows
-	}
-	return p
-}
-
 // BenchExperiment is one experiment's row in the bench report.
 type BenchExperiment struct {
 	Name      string            `json:"name"`
-	Jobs      int               `json:"jobs"`
 	SeqWallMS float64           `json:"seq_wall_ms"` // harness at Parallel 1
 	ParWallMS float64           `json:"par_wall_ms"` // harness at report Parallel
-	Speedup   float64           `json:"speedup"`     // SeqWallMS / ParWallMS
 	Metrics   map[string]uint64 `json:"metrics"`     // simulated, machine-independent
 
 	// Snapshot records the experiment's warm-state reuse (from the
@@ -115,171 +71,113 @@ type BenchReport struct {
 	Parallel    int                `json:"parallel"`
 	SeqWallMS   float64            `json:"seq_wall_ms"`
 	ParWallMS   float64            `json:"par_wall_ms"`
-	Speedup     float64            `json:"speedup"`
 	Snapshot    SnapshotProvenance `json:"snapshot"` // summed across experiments
 	Experiments []BenchExperiment  `json:"experiments"`
 }
 
-// benchCase is one experiment of the matrix: run executes it over the
-// given pool and reduces the outcome to the deterministic metric map.
+// benchCase is one experiment of the matrix: the job specs it runs, and
+// metrics, which reads the deterministic metrics from one spec's typed
+// export results into m.
 type benchCase struct {
-	name string
-	jobs int
-	run  func(ctx context.Context, pool Pool) (map[string]uint64, error)
+	name    string
+	specs   []JobSpec
+	metrics func(m map[string]uint64, results any)
 }
 
 func (p BenchPlan) cases() []benchCase {
+	forks := make([]JobSpec, len(p.ForkNames))
+	for i, b := range p.ForkNames {
+		forks[i] = JobSpec{Experiment: "fork", Bench: b,
+			Warm: p.ForkParams.WarmInstructions, Measure: p.ForkParams.MeasureInstructions}
+	}
 	return []benchCase{
-		{
-			name: "fork",
-			jobs: len(p.ForkNames),
-			run: func(ctx context.Context, pool Pool) (map[string]uint64, error) {
-				results, err := RunForkSuitePool(ctx, pool, p.ForkParams, p.ForkNames)
-				if err != nil {
-					return nil, err
+		{"fork", forks, func(m map[string]uint64, results any) {
+			for _, r := range results.([]ForkResult) {
+				m[r.Benchmark+".cow.cycles"] = r.CoW.Cycles
+				m[r.Benchmark+".oow.cycles"] = r.OoW.Cycles
+				m[r.Benchmark+".cow.added_bytes"] = uint64(r.CoW.AddedBytes)
+				m[r.Benchmark+".oow.added_bytes"] = uint64(r.OoW.AddedBytes)
+			}
+		}},
+		{"spmv", []JobSpec{{Experiment: "spmv", Matrices: p.SpMVMatrices}}, func(m map[string]uint64, results any) {
+			for _, r := range results.([]SpMVResult) {
+				m[r.Matrix+".overlay.cycles"] = r.OverlayCycles
+				m[r.Matrix+".csr.cycles"] = r.CSRCycles
+			}
+		}},
+		{"linesize", []JobSpec{{Experiment: "linesize", Matrices: p.LineSizeMatrices}}, func(m map[string]uint64, results any) {
+			// Analytic overheads are float ratios; scale to milli-units
+			// so the export stays integral. Same inputs → same floats →
+			// same rounding, so the comparison is still exact.
+			for _, r := range results.([]LineSizeResult) {
+				for _, sz := range LineSizes {
+					m[fmt.Sprintf("%s.overhead_milli.%d", r.Matrix, sz)] = uint64(r.Overheads[sz]*1000 + 0.5)
 				}
-				m := make(map[string]uint64, 4*len(results))
-				for _, r := range results {
-					m[r.Benchmark+".cow.cycles"] = r.CoW.Cycles
-					m[r.Benchmark+".oow.cycles"] = r.OoW.Cycles
-					m[r.Benchmark+".cow.added_bytes"] = uint64(r.CoW.AddedBytes)
-					m[r.Benchmark+".oow.added_bytes"] = uint64(r.OoW.AddedBytes)
+				m[r.Matrix+".csr_milli"] = uint64(r.CSR*1000 + 0.5)
+			}
+		}},
+		{"sweep", []JobSpec{{Experiment: "sweep", Points: p.SweepPoints, Rows: p.SweepRows}}, func(m map[string]uint64, results any) {
+			for i, r := range results.([]SweepResult) {
+				m[fmt.Sprintf("point%02d.overlay.cycles", i)] = r.OverlayCycles
+				m[fmt.Sprintf("point%02d.dense.cycles", i)] = r.DenseCycles
+			}
+		}},
+		{"compare", []JobSpec{{Experiment: "compare", Bench: p.ForkNames[0], Warm: p.ForkParams.WarmInstructions,
+			Measure: p.ForkParams.MeasureInstructions, Matrices: 2}}, func(m map[string]uint64, results any) {
+			for _, b := range results.(*CompareReport).Backends {
+				m[b.Backend+".fork.cycles"] = b.Fork.Cycles
+				m[b.Backend+".fork.added_bytes"] = uint64(b.Fork.AddedBytes)
+				m[b.Backend+".spmv.csr_cycles"] = b.SpMV.CSRCycles
+				m[b.Backend+".metadata_bytes"] = uint64(b.MetadataBytes)
+				if b.SpMV.OverlayCycles != 0 {
+					m[b.Backend+".spmv.overlay_cycles"] = b.SpMV.OverlayCycles
 				}
-				return m, nil
-			},
-		},
-		{
-			name: "spmv",
-			jobs: p.SpMVMatrices,
-			run: func(ctx context.Context, pool Pool) (map[string]uint64, error) {
-				results, err := RunFigure10Pool(ctx, pool, p.SpMVMatrices, false)
-				if err != nil {
-					return nil, err
-				}
-				m := make(map[string]uint64, 2*len(results))
-				for _, r := range results {
-					m[r.Matrix+".overlay.cycles"] = r.OverlayCycles
-					m[r.Matrix+".csr.cycles"] = r.CSRCycles
-				}
-				return m, nil
-			},
-		},
-		{
-			name: "linesize",
-			jobs: p.LineSizeMatrices,
-			run: func(ctx context.Context, pool Pool) (map[string]uint64, error) {
-				results, err := RunFigure11Pool(ctx, pool, p.LineSizeMatrices)
-				if err != nil {
-					return nil, err
-				}
-				// Analytic overheads are float ratios; scale to milli-units
-				// so the export stays integral. Same inputs → same floats →
-				// same rounding, so the comparison is still exact.
-				m := make(map[string]uint64, (len(LineSizes)+1)*len(results))
-				for _, r := range results {
-					for _, sz := range LineSizes {
-						m[fmt.Sprintf("%s.overhead_milli.%d", r.Matrix, sz)] = uint64(r.Overheads[sz]*1000 + 0.5)
-					}
-					m[r.Matrix+".csr_milli"] = uint64(r.CSR*1000 + 0.5)
-				}
-				return m, nil
-			},
-		},
-		{
-			name: "sweep",
-			jobs: p.SweepPoints,
-			run: func(ctx context.Context, pool Pool) (map[string]uint64, error) {
-				results, err := RunSparsitySweepPool(ctx, pool, p.SweepPoints, p.SweepRows)
-				if err != nil {
-					return nil, err
-				}
-				m := make(map[string]uint64, 2*len(results))
-				for i, r := range results {
-					m[fmt.Sprintf("point%02d.overlay.cycles", i)] = r.OverlayCycles
-					m[fmt.Sprintf("point%02d.dense.cycles", i)] = r.DenseCycles
-				}
-				return m, nil
-			},
-		},
-		{
-			name: "compare",
-			jobs: len(core.Backends()),
-			run: func(ctx context.Context, pool Pool) (map[string]uint64, error) {
-				params := CompareParams{
-					Bench:    p.ForkNames[0],
-					Warm:     p.ForkParams.WarmInstructions,
-					Measure:  p.ForkParams.MeasureInstructions,
-					Matrices: 2,
-				}
-				report, err := RunComparePool(ctx, pool, params)
-				if err != nil {
-					return nil, err
-				}
-				m := make(map[string]uint64, 5*len(report.Backends))
-				for _, b := range report.Backends {
-					m[b.Backend+".fork.cycles"] = b.Fork.Cycles
-					m[b.Backend+".fork.added_bytes"] = uint64(b.Fork.AddedBytes)
-					m[b.Backend+".spmv.csr_cycles"] = b.SpMV.CSRCycles
-					m[b.Backend+".metadata_bytes"] = uint64(b.MetadataBytes)
-					if b.SpMV.OverlayCycles != 0 {
-						m[b.Backend+".spmv.overlay_cycles"] = b.SpMV.OverlayCycles
-					}
-				}
-				return m, nil
-			},
-		},
-		{
-			name: "omsstress",
-			jobs: 4,
-			run: func(ctx context.Context, pool Pool) (map[string]uint64, error) {
-				// Fixed short-plan sizing: 96 segments per tenant against a
-				// 16-frame budget keeps the cooling queue and spill tier under
-				// steady pressure without dominating the matrix's wall clock.
-				params := OMSStressParams{Tenants: 4, Ops: 8000, Segments: 96, Capacity: 16, Spill: true}
-				results, _, err := RunOMSStressPool(ctx, pool, params)
-				if err != nil {
-					return nil, err
-				}
-				m := make(map[string]uint64, 6*len(results))
-				for _, r := range results {
-					key := fmt.Sprintf("tenant%d", r.Tenant)
-					m[key+".evictions"] = r.Evictions
-					m[key+".spills"] = r.Spills
-					m[key+".refills"] = r.Refills
-					m[key+".spill_penalty_cycles"] = r.PenaltyCycles
-					m[key+".resident_bytes"] = uint64(r.ResidentBytes)
-					m[key+".spilled_bytes"] = uint64(r.SpilledBytes)
-				}
-				return m, nil
-			},
-		},
-		{
-			name: "dualcore",
-			jobs: 2,
-			run: func(ctx context.Context, pool Pool) (map[string]uint64, error) {
-				results, err := RunDualCorePool(ctx, pool)
-				if err != nil {
-					return nil, err
-				}
-				m := make(map[string]uint64, 4*len(results))
-				for _, r := range results {
-					m[r.Mechanism+".writer.cycles"] = uint64(r.WriterCycles)
-					m[r.Mechanism+".reader.cycles"] = uint64(r.ReaderCycles)
-					m[r.Mechanism+".shootdowns"] = r.Shootdowns
-					m[r.Mechanism+".line_updates"] = r.LineUpdates
-				}
-				return m, nil
-			},
-		},
+			}
+		}},
+		// 96 segments per tenant against a 16-frame budget keep the
+		// cooling queue and spill tier under steady pressure without
+		// dominating the matrix's wall clock.
+		{"omsstress", []JobSpec{{Experiment: "omsstress", Tenants: 4, Ops: 8000, Segments: 96, OMSCapacity: 16}}, func(m map[string]uint64, results any) {
+			for _, r := range results.([]OMSStressResult) {
+				key := fmt.Sprintf("tenant%d", r.Tenant)
+				m[key+".evictions"] = r.Evictions
+				m[key+".spills"] = r.Spills
+				m[key+".refills"] = r.Refills
+				m[key+".spill_penalty_cycles"] = r.PenaltyCycles
+				m[key+".resident_bytes"] = uint64(r.ResidentBytes)
+				m[key+".spilled_bytes"] = uint64(r.SpilledBytes)
+			}
+		}},
+		{"dualcore", []JobSpec{{Experiment: "dualcore"}}, func(m map[string]uint64, results any) {
+			for _, r := range results.([]DualCoreResult) {
+				m[r.Mechanism+".writer.cycles"] = uint64(r.WriterCycles)
+				m[r.Mechanism+".reader.cycles"] = uint64(r.ReaderCycles)
+				m[r.Mechanism+".shootdowns"] = r.Shootdowns
+				m[r.Mechanism+".line_updates"] = r.LineUpdates
+			}
+		}},
 	}
 }
 
-// RunBench executes the plan twice per experiment — once at Parallel 1
-// and once at the requested worker count — verifies the simulated
-// metrics are bit-identical between the two, and reports per-
-// experiment and total wall clock plus the parallel speedup.
+// run executes the case's specs in turn on the pool and gathers their
+// metrics into one map.
+func (c benchCase) run(ctx context.Context, pool Pool) (map[string]uint64, error) {
+	m := make(map[string]uint64)
+	for _, s := range c.specs {
+		out, err := s.Run(ctx, pool)
+		if err != nil {
+			return nil, err
+		}
+		c.metrics(m, out.Export.Results)
+	}
+	return m, nil
+}
+
+// RunBench runs every case twice — once at Parallel 1 and once at the
+// requested worker count — verifies the simulated metrics are
+// bit-identical between the two, and reports per-experiment and total
+// wall clock.
 func RunBench(ctx context.Context, plan BenchPlan, parallel int, progress io.Writer) (*BenchReport, error) {
-	plan = plan.normalize()
 	report := &BenchReport{Parallel: parallel}
 	for _, c := range plan.cases() {
 		seqStart := time.Now()
@@ -303,13 +201,9 @@ func RunBench(ctx context.Context, plan BenchPlan, parallel int, progress io.Wri
 		}
 		e := BenchExperiment{
 			Name:      c.name,
-			Jobs:      c.jobs,
 			SeqWallMS: float64(seqWall.Microseconds()) / 1000,
 			ParWallMS: float64(parWall.Microseconds()) / 1000,
 			Metrics:   seq,
-		}
-		if e.ParWallMS > 0 {
-			e.Speedup = e.SeqWallMS / e.ParWallMS
 		}
 		if prov := parSnap.Provenance(); !prov.Empty() {
 			e.Snapshot = &prov
@@ -318,9 +212,6 @@ func RunBench(ctx context.Context, plan BenchPlan, parallel int, progress io.Wri
 		report.Experiments = append(report.Experiments, e)
 		report.SeqWallMS += e.SeqWallMS
 		report.ParWallMS += e.ParWallMS
-	}
-	if report.ParWallMS > 0 {
-		report.Speedup = report.SeqWallMS / report.ParWallMS
 	}
 	return report, nil
 }
@@ -406,7 +297,7 @@ func CheckBench(baseline, got *BenchReport, wallTol float64) error {
 				limit = limit[:5]
 			}
 			return fmt.Errorf("bench: %s simulated metrics drifted from baseline (%d keys):\n  %s",
-				e.Name, len(diffs), joinLines(limit))
+				e.Name, len(diffs), strings.Join(limit, "\n  "))
 		}
 	}
 	for name := range base {
@@ -421,26 +312,14 @@ func CheckBench(baseline, got *BenchReport, wallTol float64) error {
 	return nil
 }
 
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
-	}
-	return out
-}
-
 // PrintBench renders the human-readable bench summary.
 func PrintBench(w io.Writer, r *BenchReport) {
 	fmt.Fprintf(w, "Bench matrix at -parallel %d (simulated metrics verified bit-identical vs -parallel 1)\n", r.Parallel)
-	fmt.Fprintf(w, "%-10s %6s %12s %12s %9s %9s\n", "experiment", "jobs", "seq wall", "par wall", "speedup", "metrics")
+	fmt.Fprintf(w, "%-10s %12s %12s %9s\n", "experiment", "seq wall", "par wall", "metrics")
 	for _, e := range r.Experiments {
-		fmt.Fprintf(w, "%-10s %6d %10.0fms %10.0fms %8.2fx %9d\n",
-			e.Name, e.Jobs, e.SeqWallMS, e.ParWallMS, e.Speedup, len(e.Metrics))
+		fmt.Fprintf(w, "%-10s %10.0fms %10.0fms %9d\n", e.Name, e.SeqWallMS, e.ParWallMS, len(e.Metrics))
 	}
-	fmt.Fprintf(w, "%-10s %6s %10.0fms %10.0fms %8.2fx\n", "total", "-", r.SeqWallMS, r.ParWallMS, r.Speedup)
+	fmt.Fprintf(w, "%-10s %10.0fms %10.0fms\n", "total", r.SeqWallMS, r.ParWallMS)
 	if s := r.Snapshot; s.Forks > 0 {
 		fmt.Fprintf(w, "warm-state reuse: %d families, %d forks, %d warm-ups skipped, ~%.0f ms warm-up saved\n",
 			s.Families, s.Forks, s.WarmupsReused, s.WarmupMSSaved)

@@ -147,7 +147,7 @@ var Experiments = []*Experiment{
 		Summary: "§5.2 sparsity sweep: overlays vs dense",
 		flags: []specFlag{
 			{name: "points", def: 11, min: 2, why: "need at least 2 sweep points",
-				usage: "sparsity levels between 0%% and 100%%"},
+				usage: "sparsity levels between 0% and 100%"},
 			{name: "rows", def: 256, min: 8, why: "need at least one cache line of values",
 				usage: "matrix dimension"},
 			parallelFlag,

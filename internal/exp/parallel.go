@@ -37,7 +37,8 @@ type Pool struct {
 	Cold bool
 
 	// Snap, when non-nil, receives the run's warm-state reuse tallies
-	// (families built, forks resumed, bytes copied, warm-up time saved).
+	// (families built, forks resumed, warm-ups reused, warm-up time
+	// saved).
 	Snap *SnapshotStats
 
 	// Snapshots, when non-nil, caches family snapshots across runs —

@@ -221,8 +221,10 @@ func parsePromLabel(s string) (label, value string, err error) {
 	if !strings.HasPrefix(s, "{") || !strings.HasSuffix(s, `"}`) {
 		return "", "", fmt.Errorf("unsupported labels %q", s)
 	}
+	// The value's opening quote must come before the closing `"}`:
+	// `{a="}` has one quote, which cannot be both.
 	eq := strings.IndexByte(s, '=')
-	if eq < 0 || eq+1 >= len(s) || s[eq+1] != '"' {
+	if eq < 0 || eq+4 > len(s) || s[eq+1] != '"' {
 		return "", "", fmt.Errorf("unsupported labels %q", s)
 	}
 	label = s[1:eq]

@@ -124,6 +124,7 @@ func TestParsePrometheusRejectsMalformed(t *testing.T) {
 		"empty label name": `m{="x"} 1` + "\n",
 		"dangling escape":  `m{job="x\"} 1` + "\n",
 		"unknown escape":   `m{job="x\q"} 1` + "\n",
+		"one quote":        `x{a="} 1`,
 	} {
 		if _, _, err := ParsePrometheus(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: parser accepted %q", name, doc)
