@@ -41,8 +41,9 @@ func digestProbes() []JobSpec {
 }
 
 // exportDigests renders one line per probe output: the SHA-256 of the
-// -json export the CLI would write, or of its text report, then the
-// output's kind and the probe's invocation.
+// -json export the CLI would write, of its text report, or of the
+// simulator records its -tracelog would hold, then the output's kind and
+// the probe's invocation.
 func exportDigests(t *testing.T) []byte {
 	var b bytes.Buffer
 	b.WriteString("# SHA-256 of each probe's -json export and text report (TestExportDigests).\n" +
@@ -54,6 +55,21 @@ func exportDigests(t *testing.T) []byte {
 		}
 		fmt.Fprintf(&b, "%x json   %s\n", sha256.Sum256(js.Bytes()), name)
 		fmt.Fprintf(&b, "%x report %s\n", sha256.Sum256([]byte(report)), name)
+	}
+	addTrace := func(name string, tl *sim.TraceLog) {
+		if tl.Dropped() > 0 {
+			t.Fatalf("%s: %d of %d trace events fell off the ring", name, tl.Dropped(), tl.Total())
+		}
+		records, err := tl.ChromeRecords()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		h := sha256.New()
+		for _, r := range records {
+			h.Write(r)
+			h.Write([]byte{'\n'})
+		}
+		fmt.Fprintf(&b, "%x trace  %s\n", h.Sum(nil), name)
 	}
 	ctx := context.Background()
 	for _, s := range digestProbes() {
@@ -86,6 +102,26 @@ func exportDigests(t *testing.T) []byte {
 		}
 		add("stats -bench=hmmer -measure=30000 -backend="+be, ex, text)
 	}
+	// The simulator records of a fork suite and of a stats run. Every
+	// record needs an overlay, so each run's records all fall after its
+	// fork; both logs stay under the ring's capacity.
+	fork := JobSpec{Experiment: "fork", Bench: "mcf", Warm: 20_000, Measure: 50_000, Parallel: 1}
+	tl := sim.NewTraceLog(0)
+	if _, err := fork.Run(ctx, Pool{Trace: tl}); err != nil {
+		t.Fatalf("fork trace: %v", err)
+	}
+	addTrace(strings.Join(fork.CLIArgs(), " "), tl)
+	tl = sim.NewTraceLog(0)
+	params := ForkParams{
+		WarmInstructions:    QuickForkParams().WarmInstructions,
+		MeasureInstructions: 30_000,
+		SeriesEpoch:         sim.DefaultEpoch,
+		Trace:               tl,
+	}
+	if _, _, err := RunStatsExport(ctx, spec, ForkConfig(spec, ""), params, true); err != nil {
+		t.Fatalf("stats trace: %v", err)
+	}
+	addTrace("stats -bench=hmmer -measure=30000", tl)
 	return b.Bytes()
 }
 

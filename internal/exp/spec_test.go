@@ -209,6 +209,12 @@ func TestSpecKey(t *testing.T) {
 	if k := base.Key(); len(k) != 64 {
 		t.Errorf("key %q is not a hex sha256", k)
 	}
+	// Store entries written by earlier builds must still be found: the
+	// digest of a fixed spec never moves.
+	fork := JobSpec{Experiment: "fork", Bench: "hmmer", Warm: 20000, Measure: 50000}
+	if k, want := fork.Key(), "b59311b31af5ba91e82c87adb4e6c2f9d4844db159eced3f1033ab55e50e3746"; k != want {
+		t.Errorf("fork hmmer 20000/50000 keys to %s, want %s", k, want)
+	}
 }
 
 // TestSpecKeyIgnoresExecutionHints is the digest-agreement regression
