@@ -479,6 +479,10 @@ func newStatsCmd() *command {
 		flags:   fs,
 		prof:    addProfileFlags(fs),
 		run: func(stdout, _ io.Writer) error {
+			// The workload never runs out, and a 0 limit means none.
+			if *measure == 0 {
+				return usageError("invalid -measure 0: need at least 1 instruction")
+			}
 			spec, err := workload.ByName(*bench)
 			if err != nil {
 				return err
@@ -526,6 +530,9 @@ func newTraceCmd() *command {
 			switch {
 			case *out != "" && *in != "":
 				return usageError("trace: -out and -in are mutually exclusive")
+			case *out != "" && *n == 0:
+				// The workload never runs out, and a 0 limit means none.
+				return usageError("trace: invalid -n 0: need at least 1 instruction")
 			case *out != "":
 				return traceRecord(stdout, *bench, *out, *n)
 			case *in != "":

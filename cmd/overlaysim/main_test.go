@@ -131,6 +131,8 @@ func TestExitCodes(t *testing.T) {
 		{"no args", nil, 2},
 		{"unknown command", []string{"bogus"}, 2},
 		{"fork bad flag", []string{"fork", "-nope"}, 2},
+		{"fork removed cold flag", []string{"fork", "-cold"}, 2},
+		{"compare removed cold flag", []string{"compare", "-cold"}, 2},
 		{"fork negative parallel", []string{"fork", "-parallel=-1", "-bench=hmmer"}, 2},
 		{"spmv bad flag", []string{"spmv", "-nope"}, 2},
 		{"spmv negative matrices", []string{"spmv", "-matrices=-1"}, 2},
@@ -141,6 +143,10 @@ func TestExitCodes(t *testing.T) {
 		// A typed 0 is checked as given, not read as the default.
 		{"fork zero warm", []string{"fork", "-warm=0", "-bench=hmmer"}, 2},
 		{"fork zero measure", []string{"fork", "-measure=0", "-bench=hmmer"}, 2},
+		{"stats zero measure", []string{"stats", "-measure=0"}, 2},
+		// Checked before the file is created: an unwritable path would
+		// exit 1.
+		{"trace record zero", []string{"trace", "-out=/nonexistent/dir/t.bin", "-n=0"}, 2},
 		{"sweep zero points", []string{"sweep", "-points=0"}, 2},
 		{"sweep zero rows", []string{"sweep", "-rows=0"}, 2},
 		{"omsstress zero tenants", []string{"omsstress", "-tenants=0"}, 2},
@@ -383,9 +389,11 @@ func TestSpansOutputAndMergedTrace(t *testing.T) {
 			t.Errorf("span log lacks %q spans: %v", want, names)
 		}
 	}
-	// One benchmark, two mechanisms: a warmup+measure pair per mechanism.
-	if names["fork.warmup"] != 2 || names["fork.measure"] != 2 {
-		t.Errorf("phase span counts = %v, want 2 warmup + 2 measure", names)
+	// One benchmark, two mechanisms: one shared warm-up and capture,
+	// then a resume and a measure per mechanism.
+	if names["fork.warmup"] != 1 || names["fork.snapshot"] != 1 ||
+		names["fork.resume"] != 2 || names["fork.measure"] != 2 {
+		t.Errorf("phase span counts = %v, want 1 warmup + 1 snapshot + 2 resume + 2 measure", names)
 	}
 
 	traw, err := os.ReadFile(tracePath)

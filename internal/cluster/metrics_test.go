@@ -5,6 +5,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -181,4 +185,58 @@ func FuzzScrapeMerge(f *testing.F) {
 			t.Fatalf("merged rendering does not parse: %v\n%s", err, out.String())
 		}
 	})
+}
+
+// workerScrape returns the real worker /metrics body held in the
+// FuzzScrapeMerge seed corpus.
+func workerScrape(tb testing.TB) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzScrapeMerge", "worker-scrape"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	body, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		tb.Fatalf("seed corpus entry: %v", err)
+	}
+	return []byte(body)
+}
+
+// TestParseWorkerScrapeAllocs bounds what the coordinator allocates per
+// worker on every GET /metrics: parsing a real 13 KB scrape must not
+// pay for the parser's 1 MiB line limit up front.
+func TestParseWorkerScrapeAllocs(t *testing.T) {
+	body := workerScrape(t)
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := sim.ParsePrometheus(bytes.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 256<<10 {
+		t.Errorf("parsing a %d-byte scrape allocates %d bytes, want under 256 KiB", len(body), least)
+	}
+}
+
+// parsedScrape keeps BenchmarkParseWorkerScrape's result alive.
+var parsedScrape []sim.PromSample
+
+// BenchmarkParseWorkerScrape times the coordinator's per-worker parse
+// of a real 13 KB /metrics body.
+func BenchmarkParseWorkerScrape(b *testing.B) {
+	body := workerScrape(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if parsedScrape, _, err = sim.ParsePrometheus(bytes.NewReader(body)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

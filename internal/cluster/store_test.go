@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -127,4 +131,63 @@ func TestFSStoreCorruptEntryIsError(t *testing.T) {
 			t.Errorf("leftover temp file %s", f.Name())
 		}
 	}
+}
+
+// FuzzFSStore holds the durable store to its contract on any key and
+// entry: Put and Get never panic; a key validKey rejects fails both and
+// creates nothing in or beside the store directory; under a valid key
+// Get returns exactly the bytes put when they are JSON, and an error,
+// never a hit, when they are not; no temp file is left behind.
+func FuzzFSStore(f *testing.F) {
+	spec := exp.JobSpec{Experiment: "sweep", Points: 2, Rows: 64}
+	out, err := spec.Run(context.Background(), exp.Pool{Parallel: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var export bytes.Buffer
+	if err := out.Export.WriteJSON(&export); err != nil {
+		f.Fatal(err)
+	}
+	key, entry := spec.Key(), export.Bytes()
+	f.Add(key, entry)
+	f.Add("../"+key[3:], entry)
+	f.Add(strings.ToUpper(key), entry)
+	f.Add(key, entry[:len(entry)/2])
+	f.Fuzz(func(t *testing.T, key string, entry []byte) {
+		root := t.TempDir()
+		s, err := NewFSStore(filepath.Join(root, "store"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		putErr := s.Put(key, entry)
+		got, hit, getErr := s.Get(key)
+		var paths []string
+		if err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			rel, _ := filepath.Rel(root, path)
+			paths = append(paths, rel)
+			if err == nil && strings.Contains(d.Name(), ".tmp-") {
+				t.Errorf("temp file %s left behind", rel)
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case !validKey(key):
+			if putErr == nil || getErr == nil || hit {
+				t.Fatalf("invalid key %q: put error %v, get error %v, hit %v", key, putErr, getErr, hit)
+			}
+			if len(paths) != 2 || paths[1] != "store" {
+				t.Fatalf("invalid key %q created %v", key, paths)
+			}
+		case putErr != nil:
+			t.Fatalf("Put(%q): %v", key, putErr)
+		case json.Valid(entry):
+			if getErr != nil || !hit || !bytes.Equal(got, entry) {
+				t.Fatalf("Get(%q) after Put: hit %v, error %v, %d of %d bytes back", key, hit, getErr, len(got), len(entry))
+			}
+		case getErr == nil || hit:
+			t.Fatalf("Get(%q) of a non-JSON entry: hit %v, error %v", key, hit, getErr)
+		}
+	})
 }

@@ -8,7 +8,63 @@ import (
 	"testing"
 
 	"repro/internal/sparse"
+	"repro/internal/workload"
 )
+
+// TestFigure8MatchesPaper checks Figure 8 over all 15 benchmarks at the
+// quick window (60k/150k). Overlay-on-write cuts the memory a fork adds
+// by 53% on average in the paper; the suite's mean reduction must lie
+// within 15% of that. Type 2 benchmarks write almost every line of the
+// pages they touch, so overlays save them next to nothing.
+func TestFigure8MatchesPaper(t *testing.T) {
+	results, err := RunForkSuitePool(context.Background(), Pool{Parallel: 2}, QuickForkParams(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(workload.Suite()) {
+		t.Fatalf("got %d benchmarks, want the whole suite of %d", len(results), len(workload.Suite()))
+	}
+	var cow, oow float64
+	for _, r := range results {
+		cow += float64(r.CoW.AddedBytes)
+		oow += float64(r.OoW.AddedBytes)
+		if r.Type == workload.Type2 && r.MemoryReduction() > 0.05 {
+			t.Errorf("%s (type 2): reduction %.1f%%, want at most 5%%", r.Benchmark, 100*r.MemoryReduction())
+		}
+	}
+	const paper, tol = 53.0, 0.15
+	if mean := 100 * (1 - oow/cow); mean < paper*(1-tol) || mean > paper*(1+tol) {
+		t.Errorf("mean reduction %.1f%%, want %.0f%% ± %.0f%%", mean, paper, 100*tol)
+	}
+}
+
+// TestCompareOrdering checks the cross-backend ranking compare reports
+// at its default window (results_compare.txt): the fork window runs
+// fastest under overlays, then VBI, then Utopia, then the conventional
+// baseline, and overlays add fewer bytes than every rival.
+func TestCompareOrdering(t *testing.T) {
+	params := DefaultCompareParams()
+	params.Matrices = 1
+	report, err := RunComparePool(context.Background(), Pool{Parallel: 2}, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legs := map[string]CompareForkLeg{}
+	for _, b := range report.Backends {
+		legs[b.Backend] = b.Fork
+	}
+	order := []string{"overlay", "vbi", "utopia", "baseline"}
+	for i := 1; i < len(order); i++ {
+		if a, b := legs[order[i-1]], legs[order[i]]; a.Cycles >= b.Cycles {
+			t.Errorf("fork cycles: %s %d, not below %s %d", order[i-1], a.Cycles, order[i], b.Cycles)
+		}
+	}
+	for _, rival := range order[1:] {
+		if o, r := legs["overlay"], legs[rival]; o.AddedBytes >= r.AddedBytes {
+			t.Errorf("added bytes: overlay %d, not below %s %d", o.AddedBytes, rival, r.AddedBytes)
+		}
+	}
+}
 
 // TestFigure11MatchesPaper checks Figure 11 over the whole suite; a
 // subset moves the mean (ten matrices read 63×), so none is sampled.

@@ -219,22 +219,15 @@ func runBackendCompare(ctx context.Context, pool Pool, params CompareParams, spe
 	return res, nil
 }
 
-// compareForkLeg measures the fork window under one backend, through
-// the warm-state snapshot path unless the pool asked for cold runs.
-// The family key is backend-qualified, so backends never share warm
-// state.
+// compareForkLeg measures the fork window under one backend, resumed
+// from the backend's family. The family key is backend-qualified, so
+// backends never share warm state.
 func compareForkLeg(ctx context.Context, pool Pool, spec workload.Spec, fp ForkParams, overlayMode bool) (MechanismResult, error) {
-	if pool.Cold {
-		return runMechanism(ctx, spec, fp, overlayMode)
-	}
-	v, err := pool.Snapshots.getOrBuild(forkFamilyKey(spec, fp), func() (any, error) {
-		pool.Snap.addFamily()
-		return warmForkFamily(ctx, spec, fp)
-	})
+	fam, err := cachedFamily(ctx, pool, spec, fp)
 	if err != nil {
 		return MechanismResult{}, err
 	}
-	return resumeMechanism(ctx, pool, v.(*forkFamily), fp, overlayMode)
+	return resumeMechanism(ctx, pool, fam, fp, overlayMode)
 }
 
 // compareSpMVLeg runs the matrix subset under one backend. The CSR

@@ -66,7 +66,7 @@ func TestCompareReportShape(t *testing.T) {
 // TestCompareParallelDeterminism is the worker-count half of the
 // bit-identity property: the same compare spec must export identical
 // bytes whether the backends run one at a time or fanned across four
-// workers (and whether warm state is shared or rebuilt cold).
+// workers.
 func TestCompareParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-backend determinism sweep is slow")
@@ -75,10 +75,10 @@ func TestCompareParallelDeterminism(t *testing.T) {
 	spec := JobSpec{Experiment: "compare", Bench: q.Bench,
 		Warm: q.Warm, Measure: q.Measure, Matrices: q.Matrices}
 	var exports [][]byte
-	for _, pool := range []Pool{{Parallel: 1}, {Parallel: 4}, {Parallel: 4, Cold: true}} {
+	for _, pool := range []Pool{{Parallel: 1}, {Parallel: 4}} {
 		out, err := spec.Run(context.Background(), pool)
 		if err != nil {
-			t.Fatalf("parallel=%d cold=%v: %v", pool.Parallel, pool.Cold, err)
+			t.Fatalf("parallel=%d: %v", pool.Parallel, err)
 		}
 		exports = append(exports, comparableExport(t, out))
 	}

@@ -13,21 +13,17 @@ import (
 func TestForkBenchmarkShapes(t *testing.T) {
 	// One benchmark per type at quick scale: the qualitative Figure 8/9
 	// relationships must hold even in a short window.
-	params := QuickForkParams()
-
-	type1, err := RunForkBenchmark(context.Background(), mustSpec(t, "hmmer"), params)
+	results, err := RunForkSuitePool(context.Background(), Pool{Parallel: 1}, QuickForkParams(),
+		[]string{"hmmer", "lbm", "mcf"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	type1, type2, type3 := results[0], results[1], results[2]
 	// Type 1: tiny additional memory under both mechanisms.
 	if type1.CoW.AddedBytes > 64<<10 {
 		t.Errorf("type1 CoW added %d bytes, expected tiny", type1.CoW.AddedBytes)
 	}
 
-	type2, err := RunForkBenchmark(context.Background(), mustSpec(t, "lbm"), params)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Type 2: both mechanisms converge to similar memory (dense writes)…
 	ratio := float64(type2.OoW.AddedBytes) / float64(type2.CoW.AddedBytes)
 	if ratio < 0.8 || ratio > 1.3 {
@@ -38,10 +34,6 @@ func TestForkBenchmarkShapes(t *testing.T) {
 		t.Errorf("type2 spread speedup = %.2f, want > 1", type2.Speedup())
 	}
 
-	type3, err := RunForkBenchmark(context.Background(), mustSpec(t, "mcf"), params)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Type 3: overlays slash additional memory and improve performance.
 	if type3.MemoryReduction() < 0.5 {
 		t.Errorf("type3 memory reduction = %.2f, want > 0.5", type3.MemoryReduction())

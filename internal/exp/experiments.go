@@ -53,8 +53,6 @@ var BackendUsage = fmt.Sprintf("translation backend: one of %s (default %s)",
 var (
 	parallelFlag = specFlag{name: "parallel", def: 1, why: nonNegative,
 		usage: "worker goroutines for independent simulations (0 = GOMAXPROCS)"}
-	coldFlag = specFlag{name: "cold",
-		usage: "disable warm-state snapshot reuse (results are bit-identical either way)"}
 	backendFlag = specFlag{name: "backend", valid: core.ValidBackend, usage: BackendUsage}
 )
 
@@ -69,7 +67,7 @@ var Experiments = []*Experiment{
 			{name: "measure", def: DefaultForkParams().MeasureInstructions, min: 1, why: "need at least 1 instruction",
 				usage: "instructions measured after the fork"},
 			{name: "bench", usage: "run a single benchmark (default: all 15)", valid: knownBench},
-			backendFlag, parallelFlag, coldFlag,
+			backendFlag, parallelFlag,
 		},
 		// The backend name joins the cache key, so the default is
 		// spelled out.
@@ -183,7 +181,7 @@ var Experiments = []*Experiment{
 			{name: "measure", def: DefaultCompareParams().Measure, usage: "instructions measured after the fork"},
 			{name: "matrices", def: DefaultCompareParams().Matrices, why: nonNegative,
 				usage: "SpMV suite matrices each backend runs"},
-			parallelFlag, coldFlag,
+			parallelFlag,
 		},
 		run: func(ctx context.Context, pool Pool, n JobSpec) (*JobOutput, error) {
 			params := CompareParams{Bench: n.Bench, Warm: n.Warm, Measure: n.Measure, Matrices: n.Matrices}

@@ -112,11 +112,6 @@ func mechName(overlayMode bool) string {
 	return "cow"
 }
 
-// runMechanism executes one benchmark under one fork mechanism.
-func runMechanism(ctx context.Context, spec workload.Spec, params ForkParams, overlayMode bool) (MechanismResult, error) {
-	return runMechanismCfg(ctx, spec, ForkConfig(spec, params.Backend), params, overlayMode)
-}
-
 // ForkConfig sizes the framework for one benchmark under a backend
 // ("" = the default): footprint + room for COW copies + generous OMS
 // headroom. Every fork run, and the CLI's stats and trace replay, use it.
@@ -172,34 +167,10 @@ func phaseSpan(ctx context.Context, name string, spec workload.Spec, overlayMode
 	return span
 }
 
-// runMechanismCfg is runMechanism with an explicit framework config:
-// the cold path — build, warm, fork, measure, all in one framework.
-func runMechanismCfg(ctx context.Context, spec workload.Spec, cfg core.Config, params ForkParams, overlayMode bool) (MechanismResult, error) {
-	f, proc, c, err := newForkRun(spec, cfg)
-	if err != nil {
-		return MechanismResult{}, err
-	}
-	if params.Trace != nil {
-		params.Trace.BeginTrack(spec.Name + "/" + mechName(overlayMode))
-		f.SetTrace(params.Trace)
-	}
-
-	// Warm-up: run the pre-fork region of the benchmark.
-	warm := phaseSpan(ctx, "fork.warmup", spec, overlayMode)
-	c.Run(params.WarmInstructions)
-	f.Engine.Run()
-	warm.End()
-	if c.Running() {
-		return MechanismResult{}, fmt.Errorf("exp: warm-up never finished")
-	}
-	return measureMechanism(ctx, spec, params, overlayMode, f, c, proc)
-}
-
 // measureMechanism forks the warmed process and measures the post-fork
-// region. It is shared by the cold path (the warming framework keeps
-// running) and the snapshot path (a fork resumed from a family
-// capture); both hand it a quiescent framework positioned exactly at
-// the fork point, so the measured region is bit-identical between them.
+// region of a framework resumed from a family capture. The framework is
+// quiescent and positioned exactly at the fork point, so the measured
+// region is bit-identical to that of the framework that warmed up.
 func measureMechanism(ctx context.Context, spec workload.Spec, params ForkParams, overlayMode bool, f *core.Framework, c *cpu.Core, proc *vm.Process) (MechanismResult, error) {
 	// Checkpoint-style fork; the child idles (as in the paper's setup).
 	f.Fork(proc, overlayMode)
@@ -256,8 +227,7 @@ type forkFamily struct {
 	warmUS  uint64 // wall clock the warm-up cost (≈ saved per reuse)
 
 	// resumes counts forks taken from this family over its lifetime;
-	// every resume past the first skipped a warm-up that the cold path
-	// would have run.
+	// every resume past the first skipped a warm-up.
 	resumes atomic.Uint64
 }
 
@@ -271,10 +241,11 @@ func forkFamilyKey(spec workload.Spec, params ForkParams) string {
 	return fmt.Sprintf("fork/%s/%s/warm=%d", backendName(params.Backend), spec.Name, params.WarmInstructions)
 }
 
-// warmForkFamily builds a framework, runs the shared pre-fork region
-// once, and captures the quiescent state ("fork.snapshot" span).
-func warmForkFamily(ctx context.Context, spec workload.Spec, params ForkParams) (*forkFamily, error) {
-	f, proc, c, err := newForkRun(spec, ForkConfig(spec, params.Backend))
+// warmForkFamily builds a framework from cfg, runs the shared pre-fork
+// region once, and captures the quiescent state ("fork.snapshot" span).
+// It is the only code that warms a benchmark up.
+func warmForkFamily(ctx context.Context, spec workload.Spec, cfg core.Config, params ForkParams) (*forkFamily, error) {
+	f, proc, c, err := newForkRun(spec, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -322,9 +293,23 @@ func (fam *forkFamily) resume() (*core.Framework, *cpu.Core, error) {
 	return f, c, nil
 }
 
+// cachedFamily returns the family of spec under ForkConfig, from the
+// pool's cross-run cache when the serving layer wires one.
+func cachedFamily(ctx context.Context, pool Pool, spec workload.Spec, params ForkParams) (*forkFamily, error) {
+	v, err := pool.Snapshots.getOrBuild(forkFamilyKey(spec, params), func() (any, error) {
+		pool.Snap.addFamily()
+		return warmForkFamily(ctx, spec, ForkConfig(spec, params.Backend), params)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*forkFamily), nil
+}
+
 // resumeMechanism rebuilds an independent framework from the family
 // capture ("fork.resume" span) and measures one mechanism from the
-// shared fork point.
+// shared fork point. A trace log in params gets one track per run; no
+// overlay exists before the fork, so the warm-up emitted no event.
 func resumeMechanism(ctx context.Context, pool Pool, fam *forkFamily, params ForkParams, overlayMode bool) (MechanismResult, error) {
 	resume := snapSpan(ctx, "fork.resume", forkFamilyKey(fam.spec, params))
 	if resume != nil {
@@ -341,6 +326,10 @@ func resumeMechanism(ctx context.Context, pool Pool, fam *forkFamily, params For
 		return MechanismResult{}, fmt.Errorf("exp: warmed process lost in snapshot")
 	}
 	resume.End()
+	if params.Trace != nil {
+		params.Trace.BeginTrack(fam.spec.Name + "/" + mechName(overlayMode))
+		f.SetTrace(params.Trace)
+	}
 
 	r, err := measureMechanism(ctx, fam.spec, params, overlayMode, f, c, proc)
 	if err != nil {
@@ -350,34 +339,27 @@ func resumeMechanism(ctx context.Context, pool Pool, fam *forkFamily, params For
 	return r, nil
 }
 
-// RunForkBenchmark measures one benchmark under both mechanisms. The
-// context carries cancellation plus the optional obs tracer/logger;
-// phase spans (fork.warmup, fork.measure) nest under its active span.
-func RunForkBenchmark(ctx context.Context, spec workload.Spec, params ForkParams) (ForkResult, error) {
-	cow, err := runMechanism(ctx, spec, params, false)
+// runMechanism warms spec once in a framework built from cfg and
+// measures one mechanism resumed from it. The family stays out of every
+// cache, so a custom cfg is never found under a ForkConfig key.
+func runMechanism(ctx context.Context, spec workload.Spec, cfg core.Config, params ForkParams, overlayMode bool) (MechanismResult, error) {
+	fam, err := warmForkFamily(ctx, spec, cfg, params)
 	if err != nil {
-		return ForkResult{}, fmt.Errorf("%s/cow: %w", spec.Name, err)
+		return MechanismResult{}, err
 	}
-	oow, err := runMechanism(ctx, spec, params, true)
-	if err != nil {
-		return ForkResult{}, fmt.Errorf("%s/oow: %w", spec.Name, err)
-	}
-	return ForkResult{Benchmark: spec.Name, Type: spec.Type, CoW: cow, OoW: oow}, nil
+	return resumeMechanism(ctx, Pool{}, fam, params, overlayMode)
 }
 
 // RunForkSuitePool measures every benchmark (or the named subset).
 //
-// By default each benchmark's warm-up runs once: stage one fans the
-// per-benchmark family warm-ups across the pool and captures a
-// core.Snapshot at the fork point; stage two fans one fork per
-// (benchmark, mechanism), each resuming an independent framework from
-// its family's capture with copy-on-write memory. Results are
-// bit-identical to the cold path at any worker count (the fork point
-// is a quiescence point, so resuming reproduces the exact event
-// order); pool.Cold — or a trace log, which must observe whole runs —
-// falls back to one cold job per benchmark. A shared trace log cannot
-// record interleaved runs (tracks are sequential), so params.Trace
-// also forces Parallel 1.
+// Each benchmark's warm-up runs once: stage one fans the per-benchmark
+// family warm-ups across the pool and captures a core.Snapshot at the
+// fork point; stage two fans one fork per (benchmark, mechanism), each
+// resuming an independent framework from its family's capture with
+// copy-on-write memory. Results are bit-identical at any worker count
+// (the fork point is a quiescence point, so resuming reproduces the
+// exact event order). A shared trace log cannot record interleaved runs
+// (tracks are sequential), so params.Trace forces Parallel 1.
 func RunForkSuitePool(ctx context.Context, pool Pool, params ForkParams, names []string) ([]ForkResult, error) {
 	var specs []workload.Spec
 	if len(names) == 0 {
@@ -394,27 +376,16 @@ func RunForkSuitePool(ctx context.Context, pool Pool, params ForkParams, names [
 	if params.Trace != nil {
 		pool.Parallel = 1
 	}
-	if pool.Cold || params.Trace != nil {
-		return harness.Map(ctx, pool.opts("fork"), specs,
-			func(jobCtx context.Context, s workload.Spec, _ int) (ForkResult, error) {
-				// jobCtx carries the worker's harness.job span, so the
-				// per-mechanism phase spans nest under it.
-				return RunForkBenchmark(jobCtx, s, params)
-			})
-	}
 
 	// Stage one: warm each benchmark family once (via the cross-run
 	// cache when the serving layer wires one).
 	families, err := harness.Map(ctx, pool.opts("fork.warm"), specs,
 		func(jobCtx context.Context, s workload.Spec, _ int) (*forkFamily, error) {
-			v, err := pool.Snapshots.getOrBuild(forkFamilyKey(s, params), func() (any, error) {
-				pool.Snap.addFamily()
-				return warmForkFamily(jobCtx, s, params)
-			})
+			fam, err := cachedFamily(jobCtx, pool, s, params)
 			if err != nil {
 				return nil, fmt.Errorf("%s/warm: %w", s.Name, err)
 			}
-			return v.(*forkFamily), nil
+			return fam, nil
 		})
 	if err != nil {
 		return nil, err
@@ -454,7 +425,7 @@ func RunForkSuitePool(ctx context.Context, pool Pool, params ForkParams, names [
 // and returns the post-fork CPI (ablation studies use this to sweep
 // framework parameters).
 func RunForkCPI(spec workload.Spec, cfg core.Config, params ForkParams, overlayMode bool) (float64, error) {
-	r, err := runMechanismCfg(context.Background(), spec, cfg, params, overlayMode)
+	r, err := runMechanism(context.Background(), spec, cfg, params, overlayMode)
 	return r.CPI, err
 }
 
@@ -462,7 +433,7 @@ func RunForkCPI(spec workload.Spec, cfg core.Config, params ForkParams, overlayM
 // the printable counter dump and the machine-readable export (counters,
 // histograms, post-fork series; plus the trace if params.Trace is set).
 func RunStatsExport(ctx context.Context, spec workload.Spec, cfg core.Config, params ForkParams, overlayMode bool) (string, *sim.Export, error) {
-	r, err := runMechanismCfg(ctx, spec, cfg, params, overlayMode)
+	r, err := runMechanism(ctx, spec, cfg, params, overlayMode)
 	if err != nil {
 		return "", nil, err
 	}

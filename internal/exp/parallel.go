@@ -29,13 +29,6 @@ type Pool struct {
 	// clients as SSE events.
 	OnProgress harness.ProgressFunc
 
-	// Cold disables warm-state snapshot reuse: fork and compare build
-	// and warm every fork run from scratch instead of resuming it from
-	// its family's warm-up. Results are bit-identical either way (the
-	// CI equivalence gate diffs the two); Cold exists for that gate and
-	// for debugging.
-	Cold bool
-
 	// Snap, when non-nil, receives the run's warm-state reuse tallies
 	// (families built, forks resumed, warm-ups reused, warm-up time
 	// saved).

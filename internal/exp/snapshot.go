@@ -1,12 +1,13 @@
 package exp
 
-// Warm-state reuse plumbing: fork and compare run each benchmark's
-// warm-up once, capture a core.Snapshot at the fork point, and resume
-// every measurement run from the capture with copy-on-write memory
-// sharing. Forked runs are bit-identical to cold runs — the equivalence
-// is enforced by tests and a CI gate — so reuse is purely an execution
-// optimisation, like the harness's worker count. Pool.Cold switches it
-// off. Only a warm-up is worth capturing: a framework that has never
+// Warm-state reuse plumbing: every fork window (fork, compare's fork
+// leg, stats) runs its benchmark's warm-up once, captures a
+// core.Snapshot at the fork point, and resumes every measurement run
+// from the capture with copy-on-write memory sharing. A resumed run is
+// bit-identical to one that warms, forks and measures in a single
+// framework (the snapshot tests keep that run as their oracle), so
+// reuse is purely an execution optimisation, like the harness's worker
+// count. Only a warm-up is worth capturing: a framework that has never
 // run holds nothing a fork could share, so SpMV and sweep runs build
 // theirs with core.New.
 
@@ -21,9 +22,9 @@ import (
 )
 
 // Telemetry counter names for warm-state reuse. They are deliberately
-// kept out of every per-run framework registry (which must stay
-// bit-identical between cold and forked runs) and attached post hoc to
-// exports and server telemetry.
+// kept out of every per-run framework registry (which must not depend
+// on how many runs shared a family) and attached post hoc to exports
+// and server telemetry.
 const (
 	SnapForksCounter   = "sim.snapshot.forks"
 	SnapWarmupsCounter = "sim.snapshot.warmups_reused"
@@ -79,8 +80,8 @@ type SnapshotProvenance struct {
 	WarmupMSSaved float64 `json:"warmup_ms_saved"`
 }
 
-// Empty reports whether no reuse happened (cold run or degenerate
-// experiment).
+// Empty reports whether no reuse happened (an experiment without a
+// fork window).
 func (p SnapshotProvenance) Empty() bool {
 	return p.Families == 0 && p.Forks == 0
 }

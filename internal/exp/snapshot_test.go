@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -19,7 +20,7 @@ import (
 )
 
 // comparableExport renders the parts of an export that must be
-// bit-identical between a cold and a forked run: results, config,
+// bit-identical between a resumed run and the oracle: results, config,
 // counters, histograms and series. Host provenance (Meta) and the
 // warm-state reuse tallies are excluded — they document how the run
 // executed, not what it simulated.
@@ -43,29 +44,77 @@ func comparableExport(t *testing.T, out *JobOutput) []byte {
 	return b
 }
 
-// runPair executes one spec cold and forked on a small worker pool.
-func runPair(t *testing.T, spec JobSpec) (cold, forked *JobOutput) {
+// oracleMechanism is the reference every resumed run is held to: it
+// builds, warms, forks and measures one mechanism in a single
+// framework, with no capture and no resume.
+func oracleMechanism(t *testing.T, spec workload.Spec, cfg core.Config, params ForkParams, overlayMode bool) MechanismResult {
 	t.Helper()
-	ctx := context.Background()
-	spec.Cold = true
-	cold, err := spec.Run(ctx, Pool{Parallel: 2})
+	f, proc, c, err := newForkRun(spec, cfg)
 	if err != nil {
-		t.Fatalf("cold run: %v", err)
+		t.Fatal(err)
 	}
-	spec.Cold = false
-	forked, err = spec.Run(ctx, Pool{Parallel: 2})
+	c.Run(params.WarmInstructions)
+	f.Engine.Run()
+	if c.Running() {
+		t.Fatal("oracle warm-up never finished")
+	}
+	r, err := measureMechanism(context.Background(), spec, params, overlayMode, f, c, proc)
 	if err != nil {
-		t.Fatalf("forked run: %v", err)
+		t.Fatal(err)
 	}
-	return cold, forked
+	return r
 }
 
-// TestForkedMatchesCold is the bit-identity property: for every
-// experiment with a warm-state reuse path, a run resumed from family
-// snapshots must produce the exact export a from-scratch run produces —
-// every cycle count, counter and histogram. The specs are drawn from a
-// seeded RNG so successive PRs exercise shifting corners of the space
-// deterministically.
+// runPair runs a one-benchmark fork spec through JobSpec.Run, which
+// resumes both mechanisms from one warmed family, and renders the
+// export the oracle gives for the same window.
+func runPair(t *testing.T, spec JobSpec) (oracle, resumed *JobOutput) {
+	t.Helper()
+	resumed, err := spec.Run(context.Background(), Pool{Parallel: 2})
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	n := spec.Normalized()
+	params := ForkParams{WarmInstructions: n.Warm, MeasureInstructions: n.Measure,
+		Backend: ForkBackend(n.Backend), SeriesEpoch: sim.DefaultEpoch}
+	s := mustSpec(t, n.Bench)
+	cfg := ForkConfig(s, params.Backend)
+	return forkOutput(params, []ForkResult{{Benchmark: s.Name, Type: s.Type,
+		CoW: oracleMechanism(t, s, cfg, params, false),
+		OoW: oracleMechanism(t, s, cfg, params, true)}}), resumed
+}
+
+// checkCompareLegs runs a compare spec and holds each backend's fork leg
+// to the oracle's run of that backend's native mechanism.
+func checkCompareLegs(t *testing.T, spec JobSpec) {
+	out, err := spec.Run(context.Background(), Pool{Parallel: 2})
+	if err != nil {
+		t.Fatalf("compare run: %v", err)
+	}
+	report := out.Export.Results.(*CompareReport)
+	s := mustSpec(t, report.Bench)
+	for _, b := range report.Backends {
+		params := ForkParams{WarmInstructions: report.Warm, MeasureInstructions: report.Measure,
+			Backend: b.Backend, SeriesEpoch: sim.DefaultEpoch}
+		overlay := nativeOverlayMode(b.Backend)
+		o := oracleMechanism(t, s, ForkConfig(s, b.Backend), params, overlay)
+		want := CompareForkLeg{Bench: s.Name, Mechanism: mechName(overlay), Cycles: o.Cycles, CPI: o.CPI,
+			AddedBytes: o.AddedBytes, PageCopies: o.PageCopies, Overlaying: o.Overlaying}
+		if b.Fork != want {
+			t.Errorf("%s fork leg %+v, oracle %+v", b.Backend, b.Fork, want)
+		}
+		if w := compareCounters(o.Stats); !reflect.DeepEqual(b.Counters, w) {
+			t.Errorf("%s fork leg counters %v, oracle %v", b.Backend, b.Counters, w)
+		}
+	}
+}
+
+// TestForkedMatchesCold is the bit-identity property: every fork window
+// is measured in a framework resumed from a family snapshot, and must
+// give exactly what the oracle gives by warming, forking and measuring
+// in one framework — every cycle count, counter and histogram. The
+// specs are drawn from a seeded RNG so successive changes exercise
+// shifting corners of the space deterministically.
 func TestForkedMatchesCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-experiment equivalence sweep is slow")
@@ -98,55 +147,78 @@ func TestForkedMatchesCold(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cold, forked := runPair(t, spec)
-			cb, fb := comparableExport(t, cold), comparableExport(t, forked)
-			if !bytes.Equal(cb, fb) {
-				t.Errorf("forked export diverges from cold\ncold:\n%s\nforked:\n%s", cb, fb)
+			if spec.Experiment == "compare" {
+				checkCompareLegs(t, spec)
+				return
 			}
-			for _, k := range []string{SnapForksCounter, SnapWarmupsCounter} {
-				if _, ok := cold.Export.Counters[k]; ok {
-					t.Errorf("cold export carries reuse counter %s", k)
-				}
+			oracle, resumed := runPair(t, spec)
+			ob, rb := comparableExport(t, oracle), comparableExport(t, resumed)
+			if !bytes.Equal(ob, rb) {
+				t.Errorf("resumed export diverges from the oracle\noracle:\n%s\nresumed:\n%s", ob, rb)
 			}
 		})
 	}
+	// stats and the ablation benches resume from a family warmed under
+	// a config of their own, outside every cache.
+	t.Run("custom-config", func(t *testing.T) {
+		t.Parallel()
+		s := mustSpec(t, bench)
+		cfg := ForkConfig(s, "")
+		cfg.Cache.L3.NewRepl = cache.NewLRU
+		cfg.OverlayRemapLatency = 4000
+		params := ForkParams{WarmInstructions: 30_000, MeasureInstructions: 60_000}
+		for _, overlay := range []bool{false, true} {
+			got, err := runMechanism(context.Background(), s, cfg, params, overlay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := oracleMechanism(t, s, cfg, params, overlay)
+			if g, w := got.Stats.String(), want.Stats.String(); g != w {
+				t.Errorf("%s registry diverges\noracle:\n%s\nresumed:\n%s", mechName(overlay), w, g)
+			}
+			got.Stats, got.Series, want.Stats, want.Series = nil, nil, nil, nil
+			if got != want {
+				t.Errorf("%s: resumed %+v, oracle %+v", mechName(overlay), got, want)
+			}
+		}
+	})
 }
 
 // TestForkedMatchesColdPerRunStats drills into the fork experiment: not
 // just the merged export, but every individual run's full registry —
-// all counters and histogram dumps — must match between a cold run and
+// all counters and histogram dumps — must match between the oracle and
 // a fork resumed from the family snapshot.
 func TestForkedMatchesColdPerRunStats(t *testing.T) {
 	spec := JobSpec{Experiment: "fork", Bench: "mcf", Warm: 30_000, Measure: 60_000}
-	cold, forked := runPair(t, spec)
-	cr, ok := cold.Export.Results.([]ForkResult)
+	oracle, resumed := runPair(t, spec)
+	want := oracle.Export.Results.([]ForkResult)
+	got, ok := resumed.Export.Results.([]ForkResult)
 	if !ok {
-		t.Fatalf("cold results have type %T", cold.Export.Results)
+		t.Fatalf("resumed results have type %T", resumed.Export.Results)
 	}
-	fr := forked.Export.Results.([]ForkResult)
-	if len(cr) != len(fr) {
-		t.Fatalf("result count: cold %d, forked %d", len(cr), len(fr))
+	if len(want) != len(got) {
+		t.Fatalf("result count: oracle %d, resumed %d", len(want), len(got))
 	}
-	for i := range cr {
+	for i := range want {
 		for _, m := range []struct {
-			name         string
-			cold, forked *MechanismResult
+			name            string
+			oracle, resumed *MechanismResult
 		}{
-			{"cow", &cr[i].CoW, &fr[i].CoW},
-			{"oow", &cr[i].OoW, &fr[i].OoW},
+			{"cow", &want[i].CoW, &got[i].CoW},
+			{"oow", &want[i].OoW, &got[i].OoW},
 		} {
-			if c, f := m.cold.Stats.String(), m.forked.Stats.String(); c != f {
-				t.Errorf("%s/%s registry diverges\ncold:\n%s\nforked:\n%s",
-					cr[i].Benchmark, m.name, c, f)
+			if o, r := m.oracle.Stats.String(), m.resumed.Stats.String(); o != r {
+				t.Errorf("%s/%s registry diverges\noracle:\n%s\nresumed:\n%s",
+					want[i].Benchmark, m.name, o, r)
 			}
 		}
 	}
 	// Reuse accounting for one benchmark: one family, two forks, one
 	// warm-up skipped.
-	if got := forked.Export.Counters[SnapForksCounter]; got != 2 {
+	if got := resumed.Export.Counters[SnapForksCounter]; got != 2 {
 		t.Errorf("forks counter = %d, want 2", got)
 	}
-	if got := forked.Export.Counters[SnapWarmupsCounter]; got != 1 {
+	if got := resumed.Export.Counters[SnapWarmupsCounter]; got != 1 {
 		t.Errorf("warmups_reused counter = %d, want 1", got)
 	}
 }
@@ -160,7 +232,7 @@ func TestForkResumeSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fam, err := warmForkFamily(context.Background(), spec, ForkParams{WarmInstructions: 30_000})
+	fam, err := warmForkFamily(context.Background(), spec, ForkConfig(spec, ""), ForkParams{WarmInstructions: 30_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +269,7 @@ func BenchmarkForkResume(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fam, err := warmForkFamily(context.Background(), spec, ForkParams{WarmInstructions: 20_000})
+	fam, err := warmForkFamily(context.Background(), spec, ForkConfig(spec, ""), ForkParams{WarmInstructions: 20_000})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -39,12 +39,6 @@ type JobSpec struct {
 	// worker count, so Parallel is excluded from the cache key.
 	Parallel int `json:"parallel,omitempty"`
 
-	// Cold disables warm-state snapshot reuse for a fork or compare
-	// run. Like Parallel it is an execution hint only — results are
-	// bit-identical either way — so it too is excluded from the cache
-	// key.
-	Cold bool `json:"cold,omitempty"`
-
 	// Bench restricts a fork run to one benchmark (empty = all 15), or
 	// selects the compare experiment's fork benchmark (empty = mcf).
 	Bench string `json:"bench,omitempty"`
@@ -90,14 +84,14 @@ type JobSpec struct {
 
 // fieldNames are the JSON names of the flag-settable JobSpec fields, in
 // the order fields returns them.
-var fieldNames = [...]string{"parallel", "cold", "bench", "backend", "warm", "measure",
+var fieldNames = [...]string{"parallel", "bench", "backend", "warm", "measure",
 	"matrices", "dense", "points", "rows", "tenants", "ops", "segments",
 	"oms_capacity", "nospill"}
 
 // fields returns a pointer to each flag-settable field of s, in
 // fieldNames order: an *int, *uint64, *string or *bool.
 func (s *JobSpec) fields() [len(fieldNames)]any {
-	return [...]any{&s.Parallel, &s.Cold, &s.Bench, &s.Backend, &s.Warm, &s.Measure,
+	return [...]any{&s.Parallel, &s.Bench, &s.Backend, &s.Warm, &s.Measure,
 		&s.Matrices, &s.Dense, &s.Points, &s.Rows, &s.Tenants, &s.Ops, &s.Segments,
 		&s.OMSCapacity, &s.NoSpill}
 }
@@ -238,7 +232,6 @@ func (s JobSpec) validate(checked JobSpec) error {
 func (s JobSpec) CanonicalJSON() []byte {
 	c := s.Normalized()
 	c.Parallel = 0
-	c.Cold = false
 	b, err := json.Marshal(c)
 	if err != nil {
 		// JobSpec is a plain struct of marshalable fields; Marshal
@@ -318,7 +311,6 @@ func (s JobSpec) Run(ctx context.Context, pool Pool) (*JobOutput, error) {
 	if n.Parallel != 0 {
 		pool.Parallel = n.Parallel
 	}
-	pool.Cold = pool.Cold || n.Cold
 	if pool.Snap == nil {
 		pool.Snap = &SnapshotStats{}
 	}
@@ -330,8 +322,8 @@ func (s JobSpec) Run(ctx context.Context, pool Pool) (*JobOutput, error) {
 		return nil, err
 	}
 	// Warm-state reuse telemetry rides along outside the per-run
-	// registries (which stay bit-identical between cold and forked
-	// runs): the deterministic tallies go into the export's counter map
+	// registries (which must not depend on how many runs shared a
+	// family): the deterministic tallies go into the export's counter map
 	// — identically for a served job and a CLI -json run — and into the
 	// output registry the serving layer aggregates into /metrics.
 	if prov := pool.Snap.Provenance(); !prov.Empty() {

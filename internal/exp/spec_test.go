@@ -107,10 +107,6 @@ func TestSpecValidation(t *testing.T) {
 		{"sweep tiny rows", JobSpec{Experiment: "sweep", Rows: 4}, "cache line"},
 		{"ok omsstress", JobSpec{Experiment: "omsstress", OMSCapacity: 8}, ""},
 		{"omsstress with bench", JobSpec{Experiment: "omsstress", Bench: "mcf"}, `"bench" does not apply`},
-		{"omsstress with cold", JobSpec{Experiment: "omsstress", Cold: true}, `"cold" does not apply`},
-		{"spmv with cold", JobSpec{Experiment: "spmv", Cold: true}, `"cold" does not apply`},
-		{"sweep with cold", JobSpec{Experiment: "sweep", Cold: true}, `"cold" does not apply`},
-		{"linesize with cold", JobSpec{Experiment: "linesize", Cold: true}, `"cold" does not apply`},
 		{"omsstress bad capacity", JobSpec{Experiment: "omsstress", OMSCapacity: -2}, "oms_capacity"},
 		{"omsstress bad tenants", JobSpec{Experiment: "omsstress", Tenants: -1}, "tenants"},
 		{"fork with tenants", JobSpec{Experiment: "fork", Tenants: 2}, `"tenants" does not apply`},
@@ -219,8 +215,8 @@ func TestSpecKey(t *testing.T) {
 
 // TestSpecKeyIgnoresExecutionHints is the digest-agreement regression
 // for the result tiers (LRU cache, persistent store, coordinator shard
-// routing): every execution-only field — parallel, cold — must
-// be invisible to Key, individually and combined, or identical work
+// routing): the execution-only parallel field must be invisible to
+// Key, alone and combined with other fields, or identical work
 // would land in different cache slots depending on how it was launched.
 func TestSpecKeyIgnoresExecutionHints(t *testing.T) {
 	cases := []struct {
@@ -228,10 +224,9 @@ func TestSpecKeyIgnoresExecutionHints(t *testing.T) {
 		base, variant JobSpec
 	}{
 		{"parallel", JobSpec{Experiment: "omsstress"}, JobSpec{Experiment: "omsstress", Parallel: 7}},
-		{"cold", JobSpec{Experiment: "dualcore"}, JobSpec{Experiment: "dualcore", Cold: true}},
 		{"all combined",
 			JobSpec{Experiment: "fork", Bench: "hmmer", Warm: 20000},
-			JobSpec{Experiment: "fork", Bench: "hmmer", Warm: 20000, Parallel: 4, Cold: true}},
+			JobSpec{Experiment: "fork", Bench: "hmmer", Warm: 20000, Parallel: 4}},
 	}
 	for _, tc := range cases {
 		if tc.base.Key() != tc.variant.Key() {
@@ -268,6 +263,7 @@ func TestParseJobSpec(t *testing.T) {
 		"bad experiment":  `{"experiment":"warp"}`,
 		"field mismatch":  `{"experiment":"dualcore","rows":64}`,
 		"negative number": `{"experiment":"spmv","matrices":-1}`,
+		"removed hint":    `{"experiment":"fork","cold":true}`,
 	} {
 		if _, err := ParseJobSpec(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: accepted %s", name, body)

@@ -652,8 +652,8 @@ func (s *Store) Resolve(ref arch.PhysAddr) (arch.PhysAddr, sim.Cycle, error) {
 // FreeSegment returns a segment to its class free list, coalescing with
 // its buddy (the equal-sized neighbour within the parent segment) into
 // larger segments whenever both halves are free — the store's defence
-// against long-run fragmentation. Cold references free the spill-tier
-// record instead.
+// against long-run fragmentation. A spilled (cold) reference frees its
+// spill-tier record instead.
 func (s *Store) FreeSegment(base arch.PhysAddr) {
 	if base.IsCold() {
 		s.dropSpilled(base)

@@ -167,7 +167,7 @@ type PromSample struct {
 func ParsePrometheus(r io.Reader) (samples []PromSample, types map[string]string, err error) {
 	types = make(map[string]string)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // grows from 4 KiB as long lines need, up to 1 MiB
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

@@ -132,6 +132,23 @@ func TestParsePrometheusRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestParsePrometheusLineLimit: the scanner buffer grows to fit a long
+// line, up to 1 MiB; a longer line is an error, not a truncated sample.
+func TestParsePrometheusLineLimit(t *testing.T) {
+	long := `m{job="` + strings.Repeat("x", 200<<10) + `"} 1` + "\n"
+	samples, _, err := ParsePrometheus(strings.NewReader("a 1\n" + long + "b 2\n"))
+	if err != nil {
+		t.Fatalf("200 KB line rejected: %v", err)
+	}
+	if len(samples) != 3 || len(samples[1].LabelVal) != 200<<10 || samples[2].Name != "b" {
+		t.Fatalf("parsed %d samples around a 200 KB line", len(samples))
+	}
+	huge := `m{job="` + strings.Repeat("x", 1<<20) + `"} 1` + "\n"
+	if _, _, err := ParsePrometheus(strings.NewReader(huge)); err == nil {
+		t.Error("a line over 1 MiB parsed")
+	}
+}
+
 // TestWritePrometheusBucketBoundaries pins the power-of-two → le
 // mapping at the bucket edges: a value equal to a bucket's inclusive
 // upper bound must be counted under exactly that le, and the next

@@ -60,7 +60,6 @@ for b in hmmer lbm mcf; do
   probe "fork-$b" fork -bench "$b" -warm 60000 -measure 150000
 done
 probe fork-all fork -warm 20000 -measure 50000
-probe fork-all-cold fork -warm 20000 -measure 50000 -cold
 for be in overlay baseline vbi utopia; do
   probe "fork-all-$be" fork -warm 20000 -measure 50000 -backend "$be"
 done
@@ -85,7 +84,6 @@ probe sweep sweep
 probe sweep-6-128 sweep -points 6 -rows 128
 
 probe compare-3 compare -matrices 3
-probe compare-3-cold compare -matrices 3 -cold
 
 probe omsstress omsstress
 probe omsstress-cap4 omsstress -oms-capacity 4
